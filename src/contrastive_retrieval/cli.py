@@ -304,8 +304,9 @@ def _emit_reports(
     write_text(out / "report_sweep.txt", render_sweep_table(sweep))
     write_text(out / "report_sweep.svg", render_sweep_svg(sweep))
 
+    # The bundled ratings sheet rates the bundled items only.
     ratings_path = config.ratings_path or (
-        str(bundled_path(RATINGS_FILE)) if config.mock else ""
+        str(bundled_path(RATINGS_FILE)) if config.mock and not config.dataset_path else ""
     )
     if ratings_path:
         ratings, exclusions = load_ratings(ratings_path)

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .backends import EmbedderBackend, GeneratorBackend, Message, estimate_output_tokens
+from .config import DEFAULT_MAX_RETRIES
 from .costs import CostEntry
 from .errors import InvalidAnswerKeyError, ParseFailureError, TooFewOptionsError
 from .vectors import normalize
-
-DEFAULT_MAX_RETRIES = 2
 
 PAIR_SYSTEM_PROMPT = (
     "You are a medical specialist assisting with complex clinical decision-making. "

@@ -10,9 +10,12 @@ renormalized: renormalizing rescales every score by the same positive factor
 and cannot change the ranking, while leaving it raw keeps the two forms
 numerically identical).
 
-Retrieval is an exhaustive scan: no approximate index, scores sorted
-descending with ties broken by ascending document id, so every result list
-is a deterministic function of its inputs.
+Retrieval is an exhaustive scan with no approximate index. Selection
+partitions the scores around the k-th largest in O(N), keeps every document
+scoring at least that much, and orders only those candidates: score
+descending, ties broken by ascending document id. The result equals a full
+sort truncated to k, so every result list is a deterministic function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -178,13 +181,27 @@ def shifted_query(pair: HypothesisPair, lam: float) -> np.ndarray:
 def top_k_from_scores(
     ids: Sequence[str], scores: np.ndarray, k: int
 ) -> tuple[tuple[str, float], ...]:
-    """Select the k best (id, score) pairs: score descending, then id ascending."""
+    """Select the k best (id, score) pairs: score descending, then id ascending.
+
+    Exact and O(N) plus a sort of the candidates: ``np.partition`` finds the
+    k-th largest score, every index scoring at least that much is kept (so a
+    tie group straddling the k boundary survives whole), and only those
+    candidates are ordered by (score descending, id ascending). The result
+    equals a full sort of all N pairs truncated to k.
+
+    Raises ValueError if any score is NaN: NaN has no place in that order,
+    and ``np.partition`` would rank it above every finite score.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    # lexsort sorts by the last key first, so -scores is primary, id secondary.
-    order = np.lexsort((np.asarray(ids), -scores))
-    top = order[: min(k, len(order))]
-    return tuple((ids[i], float(scores[i])) for i in top)
+    if np.isnan(scores).any():
+        raise ValueError("scores must not contain NaN")
+    kth = len(scores) - min(k, len(scores))
+    threshold = np.partition(scores, kth)[kth]
+    candidates = np.flatnonzero(scores >= threshold)
+    # lexsort sorts by the last key first, so -score is primary, id secondary.
+    order = np.lexsort((np.asarray([ids[i] for i in candidates]), -scores[candidates]))
+    return tuple((ids[i], float(scores[i])) for i in candidates[order[:k]])
 
 
 def retrieve_top_k(

@@ -4,7 +4,7 @@ import json
 
 from contrastive_retrieval.cli import main_cli
 from contrastive_retrieval.dataio import load_cache, load_records
-from contrastive_retrieval.synthdata import RATINGS_FILE, bundled_path
+from contrastive_retrieval.synthdata import DATASET_FILE, RATINGS_FILE, bundled_path
 
 
 def run_cli(*argv: str) -> int:
@@ -45,6 +45,25 @@ def test_run_all_methods_emits_reports(tmp_path):
     ):
         assert (out / name).exists(), name
     assert list(out.glob("*.partial")) == []
+
+
+def test_run_mock_own_dataset_skips_bundled_ratings(tmp_path, capsys):
+    # The bundled ratings sheet names the bundled items; an own dataset with
+    # other ids must skip the strata report, not fail on an unrated record.
+    dataset = tmp_path / "qa.jsonl"
+    rows = bundled_path(DATASET_FILE).read_text(encoding="utf-8").splitlines()
+    renamed = [json.loads(row) for row in rows]
+    for row in renamed:
+        row["id"] = "own-" + row["id"]
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in renamed), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli("run", "--mock", "--seed", "0", "--dataset", str(dataset),
+                   "--out", str(out))
+    assert code == 0
+    assert "strata report skipped" in capsys.readouterr().err
+    assert len(load_records(out / "records_chr.jsonl")) == 20
+    assert (out / "report_sweep.json").exists()
+    assert not (out / "report_strata.json").exists()
 
 
 def test_run_without_backends_or_mock_fails(tmp_path, capsys):

@@ -145,6 +145,64 @@ def test_top_k_ties_break_by_ascending_id():
     assert [h[0] for h in hits] == ["c", "a", "b"]
 
 
+def full_sort_top_k(ids, scores, k):
+    """Independent oracle: sort every (id, score) pair in pure Python."""
+    return sorted(zip(ids, map(float, scores)), key=lambda p: (-p[1], p[0]))[:k]
+
+
+def assert_selection_exact(ids, scores, k):
+    hits = top_k_from_scores(ids, np.asarray(scores, dtype=np.float64), k)
+    # float.hex tells -0.0 from +0.0, so the returned score bytes are checked too.
+    assert [(i, s.hex()) for i, s in hits] == [
+        (i, s.hex()) for i, s in full_sort_top_k(ids, scores, k)
+    ]
+
+
+@pytest.mark.parametrize(
+    ("ids", "scores", "k"),
+    [
+        # A tie group straddling the k boundary: the smallest ids of it win.
+        (["e", "d", "c", "b", "a"], [0.9, 0.5, 0.5, 0.5, 0.1], 2),
+        (["e", "d", "c", "b", "a"], [0.9, 0.5, 0.5, 0.5, 0.1], 3),
+        (["d4", "d1", "d3", "d0", "d2"], [0.3, 0.7, 0.3, 0.3, 0.7], 3),
+        # k = 1, and k at or beyond N.
+        (["b", "a", "c"], [0.2, 0.2, 0.1], 1),
+        (["b", "a", "c"], [0.2, 0.2, 0.1], 3),
+        (["b", "a", "c"], [0.2, 0.2, 0.1], 50),
+        (["only"], [-1.0], 5),
+        # All scores equal: pure id order.
+        (["z", "m", "a", "q"], [0.25] * 4, 2),
+        (["z", "m", "a", "q"], [0.25] * 4, 4),
+        # +0.0 and -0.0 tie; each keeps its own sign.
+        (["b", "a", "c"], [0.0, -0.0, -0.5], 1),
+        (["b", "a", "c"], [-0.0, 0.0, -0.5], 2),
+        (["c", "b", "a"], [-0.0, 0.0, -0.0], 2),
+        # File order unlike sort order, with infinities.
+        (["d10", "d9", "d1", "d2"], [float("inf"), 0.5, 0.5, float("-inf")], 3),
+    ],
+)
+def test_top_k_selection_matches_pure_python_full_sort(ids, scores, k):
+    assert_selection_exact(ids, scores, k)
+
+
+def test_top_k_selection_matches_full_sort_under_heavy_ties():
+    rng = np.random.default_rng(7)
+    values = np.array([0.5, 0.25, 0.0, -0.0, -0.25])
+    for _ in range(500):
+        n = int(rng.integers(1, 60))
+        k = int(rng.integers(1, 12))
+        scores = rng.choice(rng.choice(values, size=int(rng.integers(1, 5))), size=n)
+        ids = [f"doc{j}" for j in rng.permutation(n)]
+        assert_selection_exact(ids, scores, k)
+
+
+def test_top_k_rejects_nan_scores():
+    with pytest.raises(ValueError, match="NaN"):
+        top_k_from_scores(["a", "b", "c"], np.array([0.5, np.nan, 0.1]), 2)
+    with pytest.raises(ValueError, match="NaN"):
+        top_k_from_scores(["a"], np.array([np.nan]), 1)
+
+
 def test_retrieve_top_k_short_corpus_returns_everything():
     rng = np.random.default_rng(0)
     corpus = random_corpus(rng, 3, 4)
