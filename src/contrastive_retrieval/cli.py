@@ -400,7 +400,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, _, embedder = _make_backends(config)
     corpus = load_corpus(args.corpus, embedder=embedder)
-    cache_embeddings(args.cache, {doc.id: doc.embedding for doc in corpus})
+    cache_embeddings(args.cache, dict(zip(corpus.ids, corpus.matrix)))
     print(f"cached {len(corpus)} embeddings (dimension {corpus.dimension}) to {args.cache}")
     return 0
 

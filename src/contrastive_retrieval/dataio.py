@@ -32,7 +32,7 @@ from .errors import (
 from .hypotheses import HypothesisPair, QAItem
 from .pipeline import EvalRecord
 from .retrieval import Corpus, Document, RankedResult
-from .vectors import as_vector, normalize
+from .vectors import as_vector, normalize, normalize_rows, row_norms
 
 CACHE_MAGIC = b"CHRE"
 CACHE_VERSION = 1
@@ -99,14 +99,18 @@ def load_corpus(
 
     Documents without an inline embedding are resolved from the cache file
     when available, otherwise embedded via ``embedder``; newly computed
-    vectors are merged back into the cache. Every embedding is normalized
-    on load.
+    vectors are merged back into the cache. Inline and newly embedded
+    vectors are normalized as their line is read; ``Corpus`` then gathers
+    all rows into one matrix and normalizes it again in bulk. No
+    ``Document`` is built.
     """
     cache: dict[str, np.ndarray] = {}
     if cache_path and Path(cache_path).exists():
         cache = load_cache(cache_path)
 
-    documents: list[Document] = []
+    ids: list[str] = []
+    texts: list[str] = []
+    rows: list[np.ndarray] = []
     seen: dict[str, int] = {}
     dimension: int | None = None
     newly_embedded = False
@@ -141,11 +145,14 @@ def load_corpus(
             raise DimensionMismatchError(
                 f"line {line_no}: embedding dimension {vec.shape[0]} != {dimension}"
             )
-        documents.append(Document(id=doc_id, text=text, embedding=vec))
+        ids.append(doc_id)
+        texts.append(text)
+        rows.append(vec)
 
     if cache_path and newly_embedded:
         cache_embeddings(cache_path, cache)
-    return Corpus(documents)
+    # Corpus gathers the rows itself, so its copy is the only one made.
+    return Corpus(ids, texts, rows)
 
 
 def save_corpus(path: str | Path, documents: Iterable[Document], with_embeddings: bool = False) -> None:
@@ -201,22 +208,27 @@ def cache_embeddings(path: str | Path, entries: Mapping[str, np.ndarray]) -> Non
 
     Layout: magic "CHRE", version u32, dimension u32, count u64, then per
     record: id length u32, id bytes (utf-8), dimension float32 values.
+    The entries are stacked, normalized and converted to float32 in bulk;
+    only the record headers are built one by one.
     """
     if not entries:
         raise ValueError("refusing to write an empty embedding cache")
     ids = sorted(entries)
-    dimension = as_vector(entries[ids[0]]).shape[0]
-    chunks = [CACHE_MAGIC, struct.pack("<IIQ", CACHE_VERSION, dimension, len(ids))]
-    for doc_id in ids:
-        vec = normalize(as_vector(entries[doc_id]))
-        if vec.shape[0] != dimension:
+    vectors = [np.asarray(entries[doc_id], dtype=np.float64) for doc_id in ids]
+    dimension = as_vector(vectors[0]).shape[0]
+    for doc_id, vec in zip(ids, vectors):
+        if vec.shape != (dimension,):
             raise DimensionMismatchError(
-                f"entry {doc_id!r} has dimension {vec.shape[0]}, expected {dimension}"
+                f"entry {doc_id!r} has shape {vec.shape}, expected ({dimension},)"
             )
+    block = memoryview(normalize_rows(np.array(vectors), ids).astype("<f4")).cast("B")
+    vec_bytes = 4 * dimension
+    chunks = [CACHE_MAGIC, struct.pack("<IIQ", CACHE_VERSION, dimension, len(ids))]
+    for pos, doc_id in enumerate(ids):
         encoded = doc_id.encode("utf-8")
         chunks.append(struct.pack("<I", len(encoded)))
         chunks.append(encoded)
-        chunks.append(vec.astype("<f4").tobytes())
+        chunks.append(block[pos * vec_bytes : (pos + 1) * vec_bytes])
     write_bytes(path, b"".join(chunks))
 
 
@@ -224,40 +236,60 @@ def load_cache(path: str | Path) -> dict[str, np.ndarray]:
     """Read the binary cache back into float64 unit vectors.
 
     Verifies magic, version, record completeness, and that each stored
-    vector's norm stayed within 1 +/- 1e-5 through the float32 round-trip;
-    vectors are renormalized in float64 after the check.
+    vector's norm stayed within 1 +/- 1e-5 through the float32 round-trip
+    (a NaN norm fails too); vectors are renormalized in float64 after the
+    check. The vectors are read into one contiguous block, checked and
+    renormalized in bulk, and returned as rows of one matrix.
     """
+    ids, block = _read_cache_records(path)
+    matrix = block.astype(np.float64)
+    norms = row_norms(matrix)
+    drift = ~(np.abs(norms - 1.0) <= CACHE_NORM_TOL)
+    if drift.any():
+        pos = int(np.argmax(drift))
+        raise NormDriftError(f"{path}: entry {ids[pos]!r} has norm {norms[pos]:.8f}")
+    matrix /= norms[:, None]
+    return dict(zip(ids, matrix))
+
+
+def _read_cache_records(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Walk a v1 cache's record headers; copy the vectors into one float32 block."""
     blob = Path(path).read_bytes()
     if blob[:4] != CACHE_MAGIC:
         raise BadMagicError(f"{path}: not an embedding cache (magic {blob[:4]!r})")
     header_size = 4 + struct.calcsize("<IIQ")
-    if len(blob) < header_size:
+    size = len(blob)
+    if size < header_size:
         raise TruncatedFileError(f"{path}: header cut short")
     version, dimension, count = struct.unpack_from("<IIQ", blob, 4)
     if version != CACHE_VERSION:
         raise VersionMismatchError(f"{path}: cache version {version}, expected {CACHE_VERSION}")
-
-    entries: dict[str, np.ndarray] = {}
-    offset = header_size
     vec_bytes = 4 * dimension
-    for _ in range(count):
-        if offset + 4 > len(blob):
+    # Every record holds at least its id length and its vector; checking that
+    # first keeps a corrupt count from sizing the block.
+    if header_size + count * (4 + vec_bytes) > size:
+        raise TruncatedFileError(f"{path}: {count} records cannot fit in {size} bytes")
+
+    ids: list[str] = []
+    block = np.empty((count, dimension), dtype="<f4")
+    vectors = memoryview(block).cast("B")
+    view = memoryview(blob)
+    unpack_id_len = struct.Struct("<I").unpack_from
+    offset = header_size
+    for pos in range(count):
+        if offset + 4 > size:
             raise TruncatedFileError(f"{path}: record header cut short at byte {offset}")
-        (id_len,) = struct.unpack_from("<I", blob, offset)
+        (id_len,) = unpack_id_len(blob, offset)
         offset += 4
-        if offset + id_len + vec_bytes > len(blob):
+        if offset + id_len + vec_bytes > size:
             raise TruncatedFileError(f"{path}: record cut short at byte {offset}")
-        doc_id = blob[offset : offset + id_len].decode("utf-8")
+        ids.append(blob[offset : offset + id_len].decode("utf-8"))
         offset += id_len
-        vec = np.frombuffer(blob, dtype="<f4", count=dimension, offset=offset).astype(np.float64)
+        vectors[pos * vec_bytes : (pos + 1) * vec_bytes] = view[offset : offset + vec_bytes]
         offset += vec_bytes
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > CACHE_NORM_TOL:
-            raise NormDriftError(f"{path}: entry {doc_id!r} has norm {norm:.8f}")
-        entries[doc_id] = vec / norm
-    if offset != len(blob):
-        raise TruncatedFileError(f"{path}: {len(blob) - offset} unexpected trailing bytes")
-    return entries
+    if offset != size:
+        raise TruncatedFileError(f"{path}: {size - offset} unexpected trailing bytes")
+    return ids, block
 
 
 # ----------------------------------------------------------------------

@@ -86,7 +86,7 @@ def build_answer_prompt(item: QAItem, hits: RankedResult, corpus: Corpus) -> str
     if not hits.hits:
         raise ValueError("cannot build an answer prompt from zero hits")
     lines = [
-        f"[Doc {rank}] {corpus.get(doc_id).text}"
+        f"[Doc {rank}] {corpus.text(doc_id)}"
         for rank, (doc_id, _) in enumerate(hits.hits, start=1)
     ]
     lines.append("")

@@ -21,8 +21,8 @@ inputs.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .hypotheses import HypothesisPair, QAItem
-from .vectors import ZERO_NORM_EPS, as_vector, mean_embedding, normalize
+from .vectors import ZERO_NORM_EPS, as_vector, mean_embedding, normalize, normalize_rows
 
 METHOD_STANDARD = "standard"
 METHOD_HYDE = "hyde"
@@ -66,47 +66,89 @@ class Document:
 class Corpus:
     """Immutable document collection backed by a dense unit-norm matrix.
 
-    Rows of ``matrix`` are the documents' embeddings normalized in float64,
-    in insertion order, so similarity against a query vector is one matrix
-    product. ``documents`` holds the same normalized vectors.
+    A corpus stores its documents as three aligned columns: ``ids``,
+    ``texts`` and ``matrix``, whose rows are the embeddings normalized in
+    float64, in insertion order, so similarity against a query vector is one
+    matrix product. The whole matrix is validated and normalized in one pass;
+    ``Document`` objects are built on demand by iteration and ``get``.
+
+    ``Corpus(ids, texts, matrix)`` takes one row of ``matrix`` per id, as a
+    2-D array or a sequence of equal-length rows, and copies it, so the
+    caller's array is left untouched. It raises EmptyCorpusError for no
+    ids, DuplicateIdError for a repeated id, DimensionMismatchError when the
+    lengths or the matrix shape disagree, and ZeroVectorError naming the
+    first document whose row is zero or not finite.
     """
 
-    def __init__(self, documents: Iterable[Document]):
-        docs = list(documents)
-        if not docs:
+    def __init__(
+        self,
+        ids: Sequence[str],
+        texts: Sequence[str],
+        matrix: np.ndarray | Sequence[np.ndarray],
+    ):
+        ids = tuple(ids)
+        texts = tuple(texts)
+        if not ids:
             raise EmptyCorpusError("corpus must contain at least one document")
-        self.dimension = docs[0].embedding.shape[0]
-        matrix = np.empty((len(docs), self.dimension), dtype=np.float64)
-        index: dict[str, int] = {}
-        for pos, doc in enumerate(docs):
-            if doc.id in index:
-                raise DuplicateIdError(pos + 1, doc.id)
-            if doc.embedding.shape[0] != self.dimension:
-                raise DimensionMismatchError(
-                    f"document {doc.id!r} has dimension {doc.embedding.shape[0]}, "
-                    f"corpus dimension is {self.dimension}"
-                )
-            index[doc.id] = pos
-            matrix[pos] = normalize(doc.embedding)
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) != len(ids):
+            seen: set[str] = set()
+            for pos, doc_id in enumerate(ids):
+                if doc_id in seen:
+                    raise DuplicateIdError(pos + 1, doc_id)
+                seen.add(doc_id)
+        if not all(isinstance(doc_id, str) and doc_id for doc_id in ids):
+            raise ValueError("document id must be nonempty")
+        matrix = np.array(matrix, dtype=np.float64, order="C")
+        if matrix.ndim != 2 or matrix.shape[0] != len(ids) or len(texts) != len(ids):
+            raise DimensionMismatchError(
+                f"{len(ids)} ids and {len(texts)} texts need a ({len(ids)}, d) matrix, "
+                f"got shape {matrix.shape}"
+            )
+        normalize_rows(matrix, ids)
         matrix.setflags(write=False)
+        self.dimension = matrix.shape[1]
+        self.ids = ids
+        self.texts = texts
         self.matrix = matrix
-        self.documents = tuple(
-            replace(doc, embedding=matrix[pos]) for pos, doc in enumerate(docs)
-        )
-        self.ids = tuple(doc.id for doc in docs)
         self._index = index
 
+    @classmethod
+    def from_documents(cls, documents: Iterable[Document]) -> Corpus:
+        """Build a corpus from ``Document`` objects, stacking their embeddings."""
+        docs = list(documents)
+        for doc in docs[1:]:
+            if doc.embedding.shape != docs[0].embedding.shape:
+                raise DimensionMismatchError(
+                    f"document {doc.id!r} has dimension {doc.embedding.shape[0]}, "
+                    f"corpus dimension is {docs[0].embedding.shape[0]}"
+                )
+        return cls(
+            [doc.id for doc in docs],
+            [doc.text for doc in docs],
+            [doc.embedding for doc in docs],
+        )
+
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.ids)
 
-    def __iter__(self):
-        return iter(self.documents)
+    def __iter__(self) -> Iterator[Document]:
+        for doc_id, text, row in zip(self.ids, self.texts, self.matrix):
+            yield Document(id=doc_id, text=text, embedding=row)
 
-    def get(self, doc_id: str) -> Document:
+    def _position(self, doc_id: str) -> int:
         pos = self._index.get(doc_id)
         if pos is None:
             raise UnknownDocIdError(f"no document with id {doc_id!r}")
-        return self.documents[pos]
+        return pos
+
+    def get(self, doc_id: str) -> Document:
+        pos = self._position(doc_id)
+        return Document(id=doc_id, text=self.texts[pos], embedding=self.matrix[pos])
+
+    def text(self, doc_id: str) -> str:
+        """The text of one document, without building a ``Document``."""
+        return self.texts[self._position(doc_id)]
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._index
@@ -219,7 +261,7 @@ def retrieve_top_k(
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot retrieve from an empty corpus")
     scores = np.fromiter(
-        (score_fn(doc) for doc in corpus.documents), dtype=np.float64, count=len(corpus)
+        (score_fn(doc) for doc in corpus), dtype=np.float64, count=len(corpus)
     )
     return RankedResult(hits=top_k_from_scores(corpus.ids, scores, k), method=method, lam=lam)
 

@@ -201,7 +201,7 @@ def make_planted_corpus(
     )
     target_ids = frozenset(f"T{idx:03d}" for idx in range(n_target))
     mimic_ids = frozenset(f"M{idx:03d}" for idx in range(n_mimic))
-    return Corpus(documents), pair, target_ids, mimic_ids
+    return Corpus.from_documents(documents), pair, target_ids, mimic_ids
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -91,7 +91,7 @@ def bundled_corpus(mock_embedder) -> Corpus:
         Document(id=doc_id, text=text, embedding=mock_embedder.embed(text))
         for doc_id, text in build_bundled_corpus_texts()
     ]
-    return Corpus(docs)
+    return Corpus.from_documents(docs)
 
 
 def test_a1_score_equals_shifted_query_dot():
@@ -143,7 +143,7 @@ def test_a2_retrieval_matches_full_sort_oracle():
                          embedding=vecs[i])
                 for i in range(n_docs)
             ]
-            corpus = Corpus(docs)
+            corpus = Corpus.from_documents(docs)
             embedder = MockEmbedderBackend(dimension=dim, seed=corpus_no)
             pair = injected_pair(rng, dim)
             lam = float(rng.choice(LAMBDA_GRID))
@@ -198,7 +198,7 @@ def test_a3_lambda_zero_reduces_to_target_only(bundled_dataset, bundled_corpus, 
             Document(id=f"d{i:03d}", text=f"text {i}", embedding=vecs[i])
             for i in range(300)
         ]
-        corpus = Corpus(docs)
+        corpus = Corpus.from_documents(docs)
         for trial in range(20):
             pair = injected_pair(rng, dim)
             chr_hits = retrieve_chr(pair, corpus, lam=0.0, k=5).hits
@@ -442,7 +442,7 @@ def test_a8_parser_fuzz_and_fallback_degradation():
             Document(id=f"d{i}", text=f"note {i}", embedding=unit(rng, 32))
             for i in range(50)
         ]
-        corpus = Corpus(docs)
+        corpus = Corpus.from_documents(docs)
         for lam in LAMBDA_GRID:
             assert retrieve_chr(pair, corpus, lam, 5).hits == \
                 retrieve_h_plus_only(pair, corpus, 5).hits

@@ -45,7 +45,7 @@ def corpus(embedder) -> Corpus:
         Document(id=doc_id, text=text, embedding=embedder.embed(text))
         for doc_id, text in build_bundled_corpus_texts()
     ]
-    return Corpus(docs)
+    return Corpus.from_documents(docs)
 
 
 # ----------------------------------------------------------------------

@@ -35,10 +35,21 @@ from contrastive_retrieval.errors import (
     NormDriftError,
     TruncatedFileError,
     VersionMismatchError,
+    ZeroVectorError,
 )
 from contrastive_retrieval.hypotheses import HypothesisPair
 from contrastive_retrieval.vectors import normalize
-from helpers import make_record, unit
+from helpers import (
+    make_record,
+    reference_cache_bytes,
+    reference_normalize_rows,
+    scaled_rows,
+    unit,
+)
+
+# Dimensions for the bit-identity checks: tiny, odd, and both sides of a
+# BLAS kernel's unroll width.
+ORACLE_DIMS = (2, 3, 64, 384, 385)
 
 
 def write_lines(path, rows):
@@ -163,6 +174,49 @@ def test_load_corpus_embeds_and_caches(tmp_path):
     assert np.allclose(corpus.matrix, again.matrix, atol=1e-6)
 
 
+def _oracle_rows(dim: int):
+    rng = np.random.default_rng(dim)
+    raw = scaled_rows(rng, 150, dim)
+    ids = [f"d{i:03d}" for i in rng.permutation(150)]
+    return ids, raw
+
+
+@pytest.mark.parametrize("dim", ORACLE_DIMS)
+def test_load_corpus_inline_matrix_bits(tmp_path, dim):
+    ids, raw = _oracle_rows(dim)
+    path = tmp_path / "corpus.jsonl"
+    write_lines(path, [
+        {"id": doc_id, "text": f"text {doc_id}", "embedding": row.tolist()}
+        for doc_id, row in zip(ids, raw)
+    ])
+    corpus = load_corpus(path)
+    assert corpus.ids == tuple(ids)
+    assert corpus.matrix.tobytes() == reference_normalize_rows(raw, passes=2).tobytes()
+
+
+@pytest.mark.parametrize("dim", ORACLE_DIMS)
+def test_load_corpus_from_cache_matrix_bits(tmp_path, dim):
+    ids, raw = _oracle_rows(dim)
+    path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
+    write_lines(path, [{"id": doc_id, "text": f"text {doc_id}"} for doc_id in ids])
+    cache_embeddings(cache_path, dict(zip(ids, raw)))
+    stored = np.array([normalize(row) for row in raw]).astype("<f4")
+    corpus = load_corpus(path, cache_path=cache_path)
+    assert corpus.matrix.tobytes() == reference_normalize_rows(stored, passes=2).tobytes()
+
+
+@pytest.mark.parametrize("dim", ORACLE_DIMS)
+def test_load_corpus_mock_embedder_matrix_bits(tmp_path, dim):
+    ids, _ = _oracle_rows(dim)
+    texts = [f"passage about {doc_id} and tides" for doc_id in ids]
+    path = tmp_path / "corpus.jsonl"
+    write_lines(path, [{"id": i, "text": t} for i, t in zip(ids, texts)])
+    embedder = MockEmbedderBackend(dimension=dim, seed=4)
+    corpus = load_corpus(path, embedder=embedder)
+    expected = reference_normalize_rows([embedder.embed(t) for t in texts], passes=2)
+    assert corpus.matrix.tobytes() == expected.tobytes()
+
+
 def test_save_corpus_round_trip(tmp_path):
     src = tmp_path / "src.jsonl"
     write_lines(src, [
@@ -243,6 +297,29 @@ def test_cache_normalizes_on_write(tmp_path):
     assert np.allclose(load_cache(path)["d1"], [0.6, 0.8], atol=1e-6)
 
 
+@pytest.mark.parametrize("dim", ORACLE_DIMS)
+def test_cache_bytes_and_values_match_per_record_reference(tmp_path, dim):
+    ids, raw = _oracle_rows(dim)
+    ids[0], ids[1] = "é-accented", "a-much-longer-document-identifier"
+    entries = dict(zip(ids, raw))
+    path = tmp_path / "emb.bin"
+    cache_embeddings(path, entries)
+    assert path.read_bytes() == reference_cache_bytes(entries)
+    loaded = load_cache(path)
+    assert sorted(loaded) == sorted(ids)
+    for doc_id in ids:
+        stored = normalize(entries[doc_id]).astype("<f4").astype(np.float64)
+        expected = stored / float(np.linalg.norm(stored))
+        assert loaded[doc_id].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_cache_write_rejects_bad_entry_by_id(tmp_path, bad):
+    entries = {"a": np.array([1.0, 0.0]), "b": np.array([bad, 0.0])}
+    with pytest.raises(ZeroVectorError, match="'b'"):
+        cache_embeddings(tmp_path / "emb.bin", entries)
+
+
 def test_cache_rejects_empty_and_mixed_dims(tmp_path):
     path = tmp_path / "emb.bin"
     with pytest.raises(ValueError):
@@ -296,6 +373,37 @@ def test_cache_norm_drift(tmp_path):
     )
     path.write_bytes(blob)
     with pytest.raises(NormDriftError):
+        load_cache(path)
+
+
+def _hand_built_cache(path, records, dimension=2):
+    blob = CACHE_MAGIC + struct.pack("<IIQ", CACHE_VERSION, dimension, len(records))
+    for doc_id, values in records:
+        blob += struct.pack("<I", len(doc_id)) + doc_id.encode() + np.array(values, "<f4").tobytes()
+    path.write_bytes(blob)
+
+
+def test_cache_norm_drift_names_first_drifting_entry(tmp_path):
+    path = tmp_path / "emb.bin"
+    _hand_built_cache(path, [("ok", [1.0, 0.0]), ("first", [0.0, 0.5]), ("second", [2.0, 0.0])])
+    with pytest.raises(NormDriftError, match="'first'"):
+        load_cache(path)
+
+
+def test_cache_nan_entry_is_norm_drift(tmp_path):
+    path = tmp_path / "emb.bin"
+    _hand_built_cache(path, [("ok", [1.0, 0.0]), ("bad", [np.nan, 0.0])])
+    with pytest.raises(NormDriftError, match="'bad'"):
+        load_cache(path)
+
+
+def test_cache_count_beyond_file_size_is_truncation(tmp_path):
+    path = tmp_path / "emb.bin"
+    _hand_built_cache(path, [("d1", [1.0, 0.0])])
+    blob = bytearray(path.read_bytes())
+    blob[12:20] = struct.pack("<Q", 2**60)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(TruncatedFileError):
         load_cache(path)
 
 

@@ -48,7 +48,7 @@ def corpus(embedder) -> Corpus:
         Document(id=doc_id, text=text, embedding=embedder.embed(text))
         for doc_id, text in build_bundled_corpus_texts()
     ]
-    return Corpus(docs)
+    return Corpus.from_documents(docs)
 
 
 def mock_config(**overrides) -> RunConfig:
@@ -66,7 +66,7 @@ def test_build_answer_prompt_layout():
         Document(id="d1", text="alpha evidence", embedding=[1.0, 0.0]),
         Document(id="d2", text="beta evidence", embedding=[0.0, 1.0]),
     ]
-    corpus = Corpus(docs)
+    corpus = Corpus.from_documents(docs)
     ranked = RankedResult(hits=(("d2", 0.9), ("d1", 0.1)), method="standard")
     item = two_option_item(stem="Why does the reading spike?")
     prompt = build_answer_prompt(item, ranked, corpus)
@@ -84,7 +84,7 @@ def test_build_answer_prompt_layout():
 
 
 def test_build_answer_prompt_rejects_bad_inputs():
-    corpus = Corpus([Document(id="d1", text="alpha", embedding=[1.0, 0.0])])
+    corpus = Corpus.from_documents([Document(id="d1", text="alpha", embedding=[1.0, 0.0])])
     item = two_option_item()
     with pytest.raises(ValueError):
         build_answer_prompt(item, RankedResult(hits=(), method="standard"), corpus)

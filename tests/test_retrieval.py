@@ -27,7 +27,18 @@ from contrastive_retrieval.retrieval import (
     shifted_query,
     top_k_from_scores,
 )
-from helpers import injected_pair, random_corpus, two_option_item, unit
+from helpers import (
+    injected_pair,
+    random_corpus,
+    reference_normalize_rows,
+    scaled_rows,
+    two_option_item,
+    unit,
+)
+
+# Dimensions for the bit-identity checks: tiny, odd, and both sides of a
+# BLAS kernel's unroll width.
+ORACLE_DIMS = (2, 3, 64, 384, 385)
 
 
 def make_pair(h_plus_emb=None, h_minus_emb=None) -> HypothesisPair:
@@ -49,7 +60,7 @@ def test_corpus_normalizes_rows_and_preserves_order():
         Document(id="b", text="second", embedding=[0.0, 2.0]),
         Document(id="a", text="first", embedding=[3.0, 4.0]),
     ]
-    corpus = Corpus(docs)
+    corpus = Corpus.from_documents(docs)
     assert corpus.ids == ("b", "a")
     assert np.allclose(corpus.matrix[0], [0.0, 1.0])
     assert np.allclose(corpus.matrix[1], [0.6, 0.8])
@@ -60,13 +71,66 @@ def test_corpus_normalizes_rows_and_preserves_order():
 def test_corpus_rejects_duplicates_empties_and_mixed_dims():
     doc = Document(id="a", text="t", embedding=[1.0, 0.0])
     with pytest.raises(DuplicateIdError):
-        Corpus([doc, Document(id="a", text="again", embedding=[0.0, 1.0])])
+        Corpus.from_documents([doc, Document(id="a", text="again", embedding=[0.0, 1.0])])
     with pytest.raises(EmptyCorpusError):
-        Corpus([])
+        Corpus.from_documents([])
     with pytest.raises(DimensionMismatchError):
-        Corpus([doc, Document(id="b", text="t", embedding=[1.0, 0.0, 0.0])])
+        Corpus.from_documents([doc, Document(id="b", text="t", embedding=[1.0, 0.0, 0.0])])
     with pytest.raises(UnknownDocIdError):
-        Corpus([doc]).get("missing")
+        Corpus.from_documents([doc]).get("missing")
+
+
+@pytest.mark.parametrize("dim", ORACLE_DIMS)
+def test_corpus_matrix_bits_equal_per_row_normalize(dim):
+    rng = np.random.default_rng(dim)
+    raw = scaled_rows(rng, 200, dim)
+    before = raw.copy()
+    ids = [f"d{i:03d}" for i in range(200)]
+    texts = [f"text {i}" for i in range(200)]
+    expected = reference_normalize_rows(raw, passes=1).tobytes()
+    corpus = Corpus(ids, texts, raw)
+    assert corpus.matrix.tobytes() == expected
+    assert np.array_equal(raw, before)
+    assert corpus.matrix.flags["C_CONTIGUOUS"] and not corpus.matrix.flags["WRITEABLE"]
+    docs = [Document(id=i, text=t, embedding=row) for i, t, row in zip(ids, texts, raw)]
+    assert Corpus.from_documents(docs).matrix.tobytes() == expected
+
+
+def test_corpus_builds_documents_on_demand():
+    corpus = Corpus(["b", "a"], ["second", "first"], np.array([[0.0, 2.0], [3.0, 4.0]]))
+    docs = list(corpus)
+    assert [(d.id, d.text) for d in docs] == [("b", "second"), ("a", "first")]
+    assert np.array_equal(docs[1].embedding, corpus.matrix[1])
+    got = corpus.get("a")
+    assert (got.id, got.text) == ("a", "first")
+    assert np.array_equal(got.embedding, [0.6, 0.8])
+    assert corpus.text("a") == "first"
+    assert "a" in corpus and "c" not in corpus
+    with pytest.raises(UnknownDocIdError):
+        corpus.text("c")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_corpus_rejects_nan_inf_and_zero_rows_by_id(bad):
+    matrix = np.array([[1.0, 0.0], [bad, 0.0], [0.0, bad]])
+    with pytest.raises(ZeroVectorError, match="'d1'"):
+        Corpus(["d0", "d1", "d2"], ["a", "b", "c"], matrix)
+
+
+def test_corpus_array_constructor_validation():
+    two = np.eye(2)
+    with pytest.raises(DuplicateIdError, match="'a'"):
+        Corpus(["a", "a"], ["t", "u"], two)
+    with pytest.raises(DimensionMismatchError):
+        Corpus(["a", "b", "c"], ["t", "u", "v"], two)
+    with pytest.raises(DimensionMismatchError):
+        Corpus(["a", "b"], ["t"], two)
+    with pytest.raises(DimensionMismatchError):
+        Corpus(["a", "b"], ["t", "u"], np.array([1.0, 0.0]))
+    with pytest.raises(EmptyCorpusError):
+        Corpus([], [], np.empty((0, 2)))
+    with pytest.raises(ValueError, match="nonempty"):
+        Corpus(["a", ""], ["t", "u"], two)
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +333,7 @@ def test_increasing_target_similarity_never_lowers_rank():
     for i, frac in enumerate((0.1, 0.3, 0.5, 0.7, 0.9)):
         vec = np.array([frac, 0.2, np.sqrt(1.0 - frac * frac - 0.04)])
         docs.append(Document(id=f"d{i}", text="t", embedding=vec))
-    corpus = Corpus(docs)
+    corpus = Corpus.from_documents(docs)
     ranked = retrieve_chr(pair, corpus, lam=1.0, k=5)
     assert [h[0] for h in ranked.hits] == ["d4", "d3", "d2", "d1", "d0"]
 
@@ -291,7 +355,7 @@ def test_retrieve_standard_self_retrieval_and_determinism():
         Document(id=f"d{i}", text=t, embedding=embedder.embed(t))
         for i, t in enumerate(texts)
     ]
-    corpus = Corpus(docs)
+    corpus = Corpus.from_documents(docs)
     item = two_option_item(stem=stem)
     first = retrieve_standard(item, corpus, 2, embedder)
     assert first.hits[0][0] == "d0"
@@ -306,7 +370,7 @@ def test_retrieve_hyde_singleton_equals_h_plus_only():
         Document(id=f"d{i}", text=f"note {i}", embedding=embedder.embed(f"note {i} body"))
         for i in range(30)
     ]
-    corpus = Corpus(docs)
+    corpus = Corpus.from_documents(docs)
     h_plus_text = "a very specific target hypothesis"
     pair = HypothesisPair(
         h_plus=h_plus_text,
@@ -348,7 +412,7 @@ def test_retrieve_query2doc_concatenates_stem_and_pseudo_doc():
         Document(id="match", text="combined evidence", embedding=combined),
         Document(id="other", text="unrelated", embedding=embedder.embed("opera seating chart")),
     ]
-    corpus = Corpus(docs)
+    corpus = Corpus.from_documents(docs)
     ranked = retrieve_query2doc(item, "a pseudo document on reef currents", corpus, 1, embedder)
     assert ranked.hits[0][0] == "match"
     assert ranked.method == "query2doc"
