@@ -146,15 +146,19 @@ def lambda_sweep(
     generator: GeneratorBackend,
     answer_generator: GeneratorBackend,
     embedder: EmbedderBackend,
+    pair_cache: PairCache | None = None,
     baselines: Mapping[str, float] | None = None,
     dataset_name: str = "default",
     clock: Callable[[], float] | None = None,
 ) -> SweepReport:
     """Run the contrastive benchmark once per lambda, ascending.
 
-    Hypothesis pairs are generated and embedded exactly once and shared
+    Hypothesis pairs are generated and embedded at most once and shared
     across every lambda, so the sweep isolates the scoring weight from
-    generation sampling noise.
+    generation sampling noise. ``pair_cache`` supplies pairs generated
+    earlier: ``chr-rag run`` passes the one cache its chr and h_plus_only
+    runs filled, so the sweep ranks with the same pairs and generates none.
+    Without it the sweep keeps its own.
     """
     if not lambdas:
         raise ValueError("need at least one lambda")
@@ -164,7 +168,8 @@ def lambda_sweep(
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambdas must be distinct")
 
-    pair_cache: PairCache = {}
+    if pair_cache is None:
+        pair_cache = {}
     points: list[tuple[float, float]] = []
     records_by_lambda: dict[float, tuple[EvalRecord, ...]] = {}
     for lam in lams:

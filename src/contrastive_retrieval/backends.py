@@ -63,12 +63,44 @@ def estimate_output_tokens(text: str) -> int:
 # HTTP backends
 # ----------------------------------------------------------------------
 
+def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exception]):
+    """POST ``payload`` to ``backend.url`` and return ``read(response_json)``.
+
+    Connect errors, timeouts, 408 (request timeout), 429 (rate limited), 5xx
+    and unreadable bodies are retried ``backend.transport_retries`` times with
+    linear backoff, then raise ``error``. Any other 4xx will not change on
+    retry, so it raises ``error`` at once, naming the status. ``read`` may
+    raise ``error`` to stop retrying.
+    """
+    import requests
+
+    headers = {"Content-Type": "application/json"}
+    if backend.api_key:
+        headers["Authorization"] = f"Bearer {backend.api_key}"
+    last_error: Exception | None = None
+    for attempt in range(backend.transport_retries + 1):
+        if attempt > 0:
+            time.sleep(backend.backoff_s * attempt)
+        try:
+            resp = requests.post(backend.url, json=payload, headers=headers, timeout=backend.timeout)
+            status = resp.status_code
+            if 400 <= status < 500 and status not in (408, 429):
+                raise error(f"{role} at {backend.url} rejected the request: HTTP {status}")
+            resp.raise_for_status()
+            return read(resp.json())
+        except error:
+            raise
+        except Exception as exc:  # noqa: BLE001 - transport/shape errors retry
+            last_error = exc
+    raise error(f"{role} at {backend.url} unreachable: {last_error}")
+
+
 class HttpGeneratorBackend:
     """Chat-completion client for an OpenAI-compatible endpoint.
 
-    Transport failures are retried ``transport_retries`` times before raising
-    BackendUnavailableError. HTTP-level success with an unparseable body is
-    treated the same way.
+    Transient failures, an unparseable body included, are retried
+    ``transport_retries`` times before raising BackendUnavailableError; a
+    4xx other than 408/429 raises it at once.
     """
 
     def __init__(
@@ -91,31 +123,18 @@ class HttpGeneratorBackend:
         self.calls = 0
 
     def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
-        import requests
-
         payload: dict = {"model": self.model, "messages": messages, "temperature": temperature}
         if self.seed is not None:
             payload["seed"] = self.seed
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
 
-        last_error: Exception | None = None
-        for attempt in range(self.transport_retries + 1):
-            if attempt > 0:
-                time.sleep(self.backoff_s * attempt)
-            try:
-                resp = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
-                resp.raise_for_status()
-                body = resp.json()
-                text = body["choices"][0]["message"]["content"]
-                usage = body.get("usage") or {}
-                tokens = usage.get("completion_tokens")
-                self.calls += 1
-                return GenerationResult(text=text, output_tokens=tokens)
-            except Exception as exc:  # noqa: BLE001 - any transport/shape error retries
-                last_error = exc
-        raise BackendUnavailableError(f"generator at {self.url} unreachable: {last_error}")
+        def read(body: dict) -> GenerationResult:
+            text = body["choices"][0]["message"]["content"]
+            usage = body.get("usage") or {}
+            return GenerationResult(text=text, output_tokens=usage.get("completion_tokens"))
+
+        result = _post_with_retries(self, "generator", payload, read, BackendUnavailableError)
+        self.calls += 1
+        return result
 
 
 class HttpEmbedderBackend:
@@ -139,34 +158,18 @@ class HttpEmbedderBackend:
         self.dimension = -1  # learned from the first response
 
     def embed(self, text: str) -> np.ndarray:
-        import requests
+        def read(body: dict) -> np.ndarray:
+            vec = normalize(body["data"][0]["embedding"])
+            if self.dimension == -1:
+                self.dimension = vec.shape[0]
+            elif vec.shape[0] != self.dimension:
+                raise EmbedderFailureError(
+                    f"embedder returned dimension {vec.shape[0]}, expected {self.dimension}"
+                )
+            return vec
 
         payload = {"model": self.model, "input": text}
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-
-        last_error: Exception | None = None
-        for attempt in range(self.transport_retries + 1):
-            if attempt > 0:
-                time.sleep(self.backoff_s * attempt)
-            try:
-                resp = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
-                resp.raise_for_status()
-                values = resp.json()["data"][0]["embedding"]
-                vec = normalize(values)
-                if self.dimension == -1:
-                    self.dimension = vec.shape[0]
-                elif vec.shape[0] != self.dimension:
-                    raise EmbedderFailureError(
-                        f"embedder returned dimension {vec.shape[0]}, expected {self.dimension}"
-                    )
-                return vec
-            except EmbedderFailureError:
-                raise
-            except Exception as exc:  # noqa: BLE001
-                last_error = exc
-        raise EmbedderFailureError(f"embedder at {self.url} unreachable: {last_error}")
+        return _post_with_retries(self, "embedder", payload, read, EmbedderFailureError)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .analysis import cost_report, lambda_sweep, retrieval_shift, stratified_accuracy
+from .analysis import SweepReport, cost_report, lambda_sweep, retrieval_shift, stratified_accuracy
 from .backends import (
     EmbedderBackend,
     GeneratorBackend,
@@ -54,7 +54,7 @@ from .dataio import (
     write_text,
 )
 from .errors import ContrastiveRetrievalError, NoQualifyingCasesError
-from .pipeline import accuracy, run_benchmark
+from .pipeline import PairCache, run_benchmark
 from .reports import (
     cost_to_dict,
     overlap_to_dict,
@@ -66,7 +66,7 @@ from .reports import (
     strata_to_dict,
     sweep_to_dict,
 )
-from .retrieval import METHOD_CHR, METHOD_HYDE, METHOD_STANDARD, METHODS, Corpus
+from .retrieval import METHOD_CHR, METHOD_HYDE, METHOD_STANDARD, METHODS
 from .synthdata import CORPUS_FILE, DATASET_FILE, RATINGS_FILE, bundled_path
 
 # CLI spellings of method names (hyphens) to internal ones (underscores).
@@ -173,17 +173,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return config.replace(**overrides)
 
 
-def _make_backends(
-    config: RunConfig,
-) -> tuple[GeneratorBackend, GeneratorBackend, EmbedderBackend]:
-    """Expansion generator, answer generator, embedder (separate call counters)."""
+def _make_backends(config: RunConfig) -> tuple[GeneratorBackend, EmbedderBackend]:
+    """The command's one generator (expansion and answers) and one embedder."""
     if config.mock:
         embedder = MockEmbedderBackend(dimension=config.mock_dimension, seed=config.seed)
-        return (
-            MockGeneratorBackend(seed=config.seed, embedder=embedder),
-            MockGeneratorBackend(seed=config.seed, embedder=embedder),
-            embedder,
-        )
+        return MockGeneratorBackend(seed=config.seed, embedder=embedder), embedder
     if not (config.generator_url and config.embedder_url):
         raise ValueError(
             "no backend endpoints configured; set generator_url/embedder_url "
@@ -192,9 +186,6 @@ def _make_backends(
     gen_key = os.environ.get(GENERATOR_API_KEY_ENV)
     emb_key = os.environ.get(EMBEDDER_API_KEY_ENV)
     return (
-        HttpGeneratorBackend(
-            config.generator_url, config.generator_model, api_key=gen_key, seed=config.seed
-        ),
         HttpGeneratorBackend(
             config.generator_url, config.generator_model, api_key=gen_key, seed=config.seed
         ),
@@ -226,24 +217,26 @@ def _clock(config: RunConfig):
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _, _, embedder = _make_backends(config)
+    generator, embedder = _make_backends(config)
     items, corpus, dataset_name = _resolve_inputs(config, embedder)
     methods = METHODS if args.method == "all" else (_CLI_METHODS[args.method],)
     out = Path(config.out_dir)
     clock = _clock(config)
+    # chr, h_plus_only and the sweep rank with each item's one pair.
+    pair_cache: PairCache = {}
 
     all_records: dict[str, list] = {}
     summaries: dict[str, dict] = {}
     for method in methods:
-        generator, answer_generator, embedder = _make_backends(config)
         records, summary = run_benchmark(
             items,
             method,
             corpus,
             config.replace(method=method),
             generator=generator,
-            answer_generator=answer_generator,
+            answer_generator=generator,
             embedder=embedder,
+            pair_cache=pair_cache,
             dataset_name=dataset_name,
             clock=clock,
         )
@@ -258,18 +251,29 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
 
     if len(methods) > 1:
-        _emit_reports(config, items, corpus, dataset_name, all_records, out)
+        sweep = lambda_sweep(
+            items,
+            DEFAULT_SWEEP_GRID,
+            corpus,
+            config,
+            generator=generator,
+            answer_generator=generator,
+            embedder=embedder,
+            pair_cache=pair_cache,
+            baselines={
+                METHOD_STANDARD: summaries[METHOD_STANDARD]["accuracy"],
+                METHOD_HYDE: summaries[METHOD_HYDE]["accuracy"],
+            },
+            dataset_name=dataset_name,
+            clock=clock,
+        )
+        _emit_reports(config, all_records, sweep, out)
     print(f"wrote {out}")
     return 0
 
 
 def _emit_reports(
-    config: RunConfig,
-    items,
-    corpus: Corpus,
-    dataset_name: str,
-    all_records: dict[str, list],
-    out: Path,
+    config: RunConfig, all_records: dict[str, list], sweep: SweepReport, out: Path
 ) -> None:
     try:
         overlap = retrieval_shift(
@@ -284,22 +288,6 @@ def _emit_reports(
     write_json(out / "report_cost.json", cost_to_dict(cost))
     write_text(out / "report_cost.txt", render_cost_table(cost))
 
-    generator, answer_generator, embedder = _make_backends(config)
-    sweep = lambda_sweep(
-        items,
-        DEFAULT_SWEEP_GRID,
-        corpus,
-        config,
-        generator=generator,
-        answer_generator=answer_generator,
-        embedder=embedder,
-        baselines={
-            METHOD_STANDARD: accuracy(all_records[METHOD_STANDARD]),
-            METHOD_HYDE: accuracy(all_records[METHOD_HYDE]),
-        },
-        dataset_name=dataset_name,
-        clock=_clock(config),
-    )
     write_json(out / "report_sweep.json", sweep_to_dict(sweep))
     write_text(out / "report_sweep.txt", render_sweep_table(sweep))
     write_text(out / "report_sweep.svg", render_sweep_svg(sweep))
@@ -337,22 +325,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lambdas = DEFAULT_SWEEP_GRID
     if args.lambdas:
         lambdas = tuple(float(part) for part in args.lambdas.split(",") if part.strip())
-    generator, answer_generator, embedder = _make_backends(config)
+    generator, embedder = _make_backends(config)
     items, corpus, dataset_name = _resolve_inputs(config, embedder)
 
     baselines = {}
     for method in (METHOD_STANDARD, METHOD_HYDE):
-        gen, ans, emb = _make_backends(config)
-        records, summary = run_benchmark(
+        _, summary = run_benchmark(
             items, method, corpus, config.replace(method=method),
-            generator=gen, answer_generator=ans, embedder=emb,
+            generator=generator, answer_generator=generator, embedder=embedder,
             dataset_name=dataset_name, clock=_clock(config),
         )
         baselines[method] = summary["accuracy"]
 
     sweep = lambda_sweep(
         items, lambdas, corpus, config,
-        generator=generator, answer_generator=answer_generator, embedder=embedder,
+        generator=generator, answer_generator=generator, embedder=embedder,
         baselines=baselines, dataset_name=dataset_name, clock=_clock(config),
     )
     table = render_sweep_table(sweep)
@@ -398,7 +385,7 @@ def cmd_stratify(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _, _, embedder = _make_backends(config)
+    _, embedder = _make_backends(config)
     corpus = load_corpus(args.corpus, embedder=embedder)
     cache_embeddings(args.cache, dict(zip(corpus.ids, corpus.matrix)))
     print(f"cached {len(corpus)} embeddings (dimension {corpus.dimension}) to {args.cache}")

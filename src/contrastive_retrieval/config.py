@@ -49,7 +49,6 @@ class RunConfig:
     ratings_path: str = ""
     out_dir: str = "out"
     answer_prompt_version: str = ANSWER_PROMPT_VERSION
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.lam < 0:
@@ -60,8 +59,6 @@ class RunConfig:
             raise ValueError("hyde_n must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def replace(self, **changes) -> RunConfig:
         return dataclasses.replace(self, **changes)

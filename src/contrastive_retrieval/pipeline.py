@@ -54,8 +54,9 @@ ANSWER_INSTRUCTION = (
 )
 
 # Hypothesis pairs (with embeddings) and their generation costs, keyed by
-# item id. A sweep passes one cache across every lambda so hypotheses are
-# generated once and only the scoring changes.
+# item id. ``chr-rag run`` shares one cache across chr, h_plus_only and the
+# lambda sweep, so each item's pair is generated once and only the scoring
+# changes; a cached pair keeps the cost of the calls that made it.
 PairCache = dict[str, tuple[HypothesisPair, CostEntry]]
 
 
@@ -135,15 +136,12 @@ def _get_pair(
     config: RunConfig,
     generator: GeneratorBackend,
     embedder: EmbedderBackend,
-    pair_cache: PairCache | None,
+    pair_cache: PairCache,
 ) -> tuple[HypothesisPair, CostEntry]:
-    if pair_cache is not None and item.id in pair_cache:
-        return pair_cache[item.id]
-    pair, cost = generate_pair(item, generator, config.max_retries, config.temperature)
-    pair = embed_pair(pair, embedder)
-    if pair_cache is not None:
-        pair_cache[item.id] = (pair, cost)
-    return pair, cost
+    if item.id not in pair_cache:
+        pair, cost = generate_pair(item, generator, config.max_retries, config.temperature)
+        pair_cache[item.id] = (embed_pair(pair, embedder), cost)
+    return pair_cache[item.id]
 
 
 def _expand_and_retrieve(
@@ -153,7 +151,7 @@ def _expand_and_retrieve(
     config: RunConfig,
     generator: GeneratorBackend,
     embedder: EmbedderBackend,
-    pair_cache: PairCache | None,
+    pair_cache: PairCache,
 ) -> tuple[RankedResult, HypothesisPair | None, int, int]:
     """Run the expansion stage; returns (ranked, pair, llm_calls, tokens)."""
     if method == METHOD_STANDARD:
@@ -212,7 +210,8 @@ def run_benchmark(
 
     ``clock`` stamps wall_ms on cost entries; passing None zeroes timings,
     which keeps record files byte-identical across reruns of deterministic
-    backends. Records come back sorted by item id.
+    backends. ``pair_cache`` serves pairs that an earlier run generated;
+    without one, the run keeps its own. Records come back sorted by item id.
     """
     if not dataset:
         raise EmptyInputError("dataset must contain at least one item")
@@ -223,6 +222,8 @@ def run_benchmark(
             f"unsupported answer prompt version {config.answer_prompt_version!r}"
         )
 
+    if pair_cache is None:
+        pair_cache = {}
     lam = config.lam if method == METHOD_CHR else None
     records: list[EvalRecord] = []
     for item in dataset:

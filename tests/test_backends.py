@@ -123,6 +123,67 @@ def test_http_embedder_unreachable(monkeypatch):
         backend.embed("text")
 
 
+GENERATOR_BODY = {"choices": [{"message": {"content": "text"}}]}
+EMBEDDER_BODY = {"data": [{"embedding": [3.0, 4.0]}]}
+
+
+# Each HTTP backend with the call that drives it, a good body and its error.
+HTTP_BACKENDS = (
+    pytest.param(HttpGeneratorBackend, lambda b: b.complete(MESSAGES), GENERATOR_BODY,
+                 BackendUnavailableError, id="generator"),
+    pytest.param(HttpEmbedderBackend, lambda b: b.embed("text"), EMBEDDER_BODY,
+                 EmbedderFailureError, id="embedder"),
+)
+
+
+def fake_status_endpoint(monkeypatch, status: int, body: dict):
+    attempts, sleeps = [], []
+
+    def fake_post(*a, **k):
+        attempts.append(status)
+        return DummyResponse(body, status_code=status)
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr("contrastive_retrieval.backends.time.sleep", sleeps.append)
+    return attempts, sleeps
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+@pytest.mark.parametrize("cls, call, body, error", HTTP_BACKENDS)
+def test_http_backend_permanent_client_error_fails_fast(monkeypatch, status, cls, call, body,
+                                                        error):
+    attempts, sleeps = fake_status_endpoint(monkeypatch, status, body)
+    backend = cls("http://host", "m", transport_retries=2, backoff_s=5.0)
+    with pytest.raises(error, match=f"HTTP {status}"):
+        call(backend)
+    assert attempts == [status]
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("status", [408, 429, 500, 503])
+@pytest.mark.parametrize("cls, call, body, error", HTTP_BACKENDS)
+def test_http_backend_transient_status_retries(monkeypatch, status, cls, call, body, error):
+    attempts, sleeps = fake_status_endpoint(monkeypatch, status, body)
+    backend = cls("http://host", "m", transport_retries=2, backoff_s=5.0)
+    with pytest.raises(error, match="unreachable"):
+        call(backend)
+    assert len(attempts) == backend.transport_retries + 1
+    assert sleeps == [5.0, 10.0]
+
+
+@pytest.mark.parametrize("cls, call, body, error", HTTP_BACKENDS)
+def test_http_backend_retries_until_success(monkeypatch, cls, call, body, error):
+    statuses = [503, 429]
+
+    def fake_post(*a, **k):
+        return DummyResponse(body, status_code=statuses.pop(0) if statuses else 200)
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    backend = cls("http://host", "m", transport_retries=2, backoff_s=0.0)
+    call(backend)
+    assert statuses == []
+
+
 def test_mock_embedder_deterministic_unit_and_shared_vocab():
     emb = MockEmbedderBackend(dimension=32, seed=5)
     again = MockEmbedderBackend(dimension=32, seed=5)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+from contrastive_retrieval.backends import ANSWER_MARKER, PAIR_MARKER, MockGeneratorBackend
 from contrastive_retrieval.cli import main_cli
 from contrastive_retrieval.dataio import load_cache, load_records
 from contrastive_retrieval.synthdata import DATASET_FILE, RATINGS_FILE, bundled_path
@@ -45,6 +46,30 @@ def test_run_all_methods_emits_reports(tmp_path):
     ):
         assert (out / name).exists(), name
     assert list(out.glob("*.partial")) == []
+
+
+def test_run_all_methods_generates_each_pair_once(tmp_path, monkeypatch):
+    prompts = []
+    complete = MockGeneratorBackend.complete
+
+    def counting_complete(self, messages, temperature=0.0):
+        prompts.append(messages[-1]["content"])
+        return complete(self, messages, temperature)
+
+    monkeypatch.setattr(MockGeneratorBackend, "complete", counting_complete)
+    out = tmp_path / "out"
+    assert run_cli("run", "--mock", "--seed", "0", "--out", str(out)) == 0
+    # 20 items: one pair each, shared by chr, h_plus_only and the sweep;
+    # one answer per item for each of 5 methods and 7 sweep weights.
+    assert sum(PAIR_MARKER in p for p in prompts) == 20
+    assert sum(ANSWER_MARKER in p for p in prompts) == 240
+
+    def pairs(method):
+        lines = (out / f"records_{method}.jsonl").read_text(encoding="utf-8").splitlines()
+        return {row["item_id"]: row["pair"] for row in map(json.loads, lines)}
+
+    assert pairs("h_plus_only") == pairs("chr")
+    assert all(pair is not None for pair in pairs("chr").values())
 
 
 def test_run_mock_own_dataset_skips_bundled_ratings(tmp_path, capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from contrastive_retrieval.analysis import lambda_sweep
 from contrastive_retrieval.backends import (
     AdversarialGeneratorBackend,
     FailingGeneratorBackend,
@@ -329,6 +330,23 @@ def test_run_benchmark_reuses_pair_cache(dataset, corpus, embedder):
                   answer_generator=answers, embedder=embedder,
                   pair_cache=cache, clock=None)
     assert gen.calls == len(dataset)  # second pass served entirely from cache
+
+
+def test_lambda_sweep_uses_given_pair_cache(dataset, corpus, embedder):
+    cache = {}
+    gen = MockGeneratorBackend(seed=0, embedder=embedder)
+    answers = MockGeneratorBackend(seed=0, embedder=embedder)
+    chr_records, _ = run_benchmark(dataset, "chr", corpus, mock_config(), generator=gen,
+                                   answer_generator=answers, embedder=embedder,
+                                   pair_cache=cache, clock=None)
+    pair_calls = gen.calls
+    report = lambda_sweep(dataset, [0.5, 1.0], corpus, mock_config(), generator=gen,
+                          answer_generator=answers, embedder=embedder,
+                          pair_cache=cache, clock=None)
+    assert gen.calls == pair_calls == len(dataset)  # no pair prompt in the sweep
+    swept = report.records_by_lambda[1.0]
+    assert [r.pair for r in swept] == [r.pair for r in chr_records]
+    assert [r.cost for r in swept] == [r.cost for r in chr_records]
 
 
 # ----------------------------------------------------------------------
