@@ -50,16 +50,14 @@ from .retrieval import (
     Corpus,
     Document,
     RankedResult,
-    contrastive_score,
     retrieve_chr,
     retrieve_h_plus_only,
     retrieve_hyde,
     retrieve_query2doc,
     retrieve_standard,
-    retrieve_top_k,
     shifted_query,
 )
-from .vectors import cosine_sim, mean_embedding, normalize
+from .vectors import mean_embedding, normalize
 
 __version__ = "0.1.0"
 
@@ -84,8 +82,6 @@ __all__ = [
     "TierStats",
     "accuracy",
     "build_answer_prompt",
-    "contrastive_score",
-    "cosine_sim",
     "cost_report",
     "embed_pair",
     "extract_answer",
@@ -103,7 +99,6 @@ __all__ = [
     "retrieve_hyde",
     "retrieve_query2doc",
     "retrieve_standard",
-    "retrieve_top_k",
     "run_benchmark",
     "shifted_query",
     "stratified_accuracy",

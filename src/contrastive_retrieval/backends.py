@@ -9,15 +9,15 @@ Two wire contracts are defined here:
 * ``EmbedderBackend.embed(text)``: maps text to a fixed-dimension vector.
 
 Deterministic in-process mocks implement the same contracts so the whole
-pipeline runs offline: a rule-driven generator keyed off prompt markers, a
-scripted generator for parser tests, oracle/adversarial answer generators
-for harness tests, and a seeded token-hash embedder under which texts that
-share words embed close together.
+pipeline runs offline: a rule-driven generator keyed off prompt markers and
+a seeded token-hash embedder under which texts that share words embed close
+together.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import re
 import time
@@ -57,6 +57,18 @@ class EmbedderBackend(Protocol):
 def estimate_output_tokens(text: str) -> int:
     """Fallback token count when the backend reports no usage: ceil(chars / 4)."""
     return math.ceil(len(text) / 4)
+
+
+def output_tokens_of(result: GenerationResult) -> int:
+    """The backend-reported output token count, else the estimate."""
+    if result.output_tokens is not None:
+        return result.output_tokens
+    return estimate_output_tokens(result.text)
+
+
+def chat_messages(system: str, user: str) -> list[Message]:
+    """The system and user messages of one generator call."""
+    return [{"role": "system", "content": system}, {"role": "user", "content": user}]
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +309,7 @@ class MockGeneratorBackend:
             f"presentation but is ruled out by subtle features of {mimic_text}."
         )
         return (
-            '{"H_plus": ' + _json_string(h_plus) + ', "H_minus": ' + _json_string(h_minus) + "}"
+            '{"H_plus": ' + json.dumps(h_plus) + ', "H_minus": ' + json.dumps(h_minus) + "}"
         )
 
     def _passage(self, prompt: str, salt: str) -> str:
@@ -329,75 +341,3 @@ class MockGeneratorBackend:
             if score > best_score:
                 best_letter, best_score = letter, score
         return f"Answer: {best_letter}"
-
-
-def _json_string(s: str) -> str:
-    import json
-
-    return json.dumps(s)
-
-
-class ScriptedGeneratorBackend:
-    """Replays a fixed list of outputs in order; repeats the last one after."""
-
-    def __init__(self, outputs: list[str], output_tokens: list[int | None] | None = None):
-        if not outputs:
-            raise ValueError("scripted backend needs at least one output")
-        self.outputs = list(outputs)
-        self.output_tokens = list(output_tokens) if output_tokens else None
-        self.calls = 0
-
-    def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
-        idx = min(self.calls, len(self.outputs) - 1)
-        self.calls += 1
-        tokens = None
-        if self.output_tokens is not None:
-            tokens = self.output_tokens[min(idx, len(self.output_tokens) - 1)]
-        return GenerationResult(text=self.outputs[idx], output_tokens=tokens)
-
-
-class FailingGeneratorBackend:
-    """Always raises BackendUnavailableError; stands in for a dead endpoint."""
-
-    def __init__(self) -> None:
-        self.calls = 0
-
-    def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
-        raise BackendUnavailableError("configured to fail")
-
-
-class OracleGeneratorBackend:
-    """Answers with the gold letter of whichever item's stem appears in the prompt."""
-
-    def __init__(self, items) -> None:
-        self._answers: list[tuple[str, str]] = [
-            (item.stem, item.answer_key) for item in items if item.answer_key
-        ]
-        self.calls = 0
-
-    def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
-        self.calls += 1
-        prompt = _last_user_content(messages)
-        for stem, key in self._answers:
-            if stem and stem in prompt:
-                return GenerationResult(text=f"Answer: {key}")
-        return GenerationResult(text="Answer: A")
-
-
-class AdversarialGeneratorBackend:
-    """Answers with a fixed wrong letter (the first option that is not gold)."""
-
-    def __init__(self, items) -> None:
-        self._answers: list[tuple[str, str]] = []
-        for item in items:
-            wrong = next((c for c in item.options if c != item.answer_key), "A")
-            self._answers.append((item.stem, wrong))
-        self.calls = 0
-
-    def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
-        self.calls += 1
-        prompt = _last_user_content(messages)
-        for stem, wrong in self._answers:
-            if stem and stem in prompt:
-                return GenerationResult(text=f"Answer: {wrong}")
-        return GenerationResult(text="Answer: A")

@@ -232,7 +232,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             items,
             method,
             corpus,
-            config.replace(method=method),
+            config,
             generator=generator,
             answer_generator=generator,
             embedder=embedder,
@@ -250,6 +250,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         {"config": dataclasses.asdict(config), "methods": summaries},
     )
 
+    reports = []
     if len(methods) > 1:
         sweep = lambda_sweep(
             items,
@@ -267,30 +268,27 @@ def cmd_run(args: argparse.Namespace) -> int:
             dataset_name=dataset_name,
             clock=clock,
         )
-        _emit_reports(config, all_records, sweep, out)
-    print(f"wrote {out}")
+        reports = _run_reports(config, all_records, sweep)
+    _write_reports(out, reports)
     return 0
 
 
-def _emit_reports(
-    config: RunConfig, all_records: dict[str, list], sweep: SweepReport, out: Path
-) -> None:
+def _run_reports(
+    config: RunConfig, all_records: dict[str, list], sweep: SweepReport
+) -> list[tuple]:
+    """The overlap, cost, sweep and strata reports of a multi-method run."""
+    reports: list[tuple] = []
     try:
         overlap = retrieval_shift(
             all_records[METHOD_CHR], all_records[METHOD_HYDE], config.k
         )
-        write_json(out / "report_overlap.json", overlap_to_dict(overlap))
-        write_text(out / "report_overlap.txt", render_overlap_table(overlap))
+        reports.append(("overlap", overlap, overlap_to_dict, render_overlap_table, None))
     except NoQualifyingCasesError as exc:
         print(f"overlap report skipped: {exc}", file=sys.stderr)
 
     cost = cost_report([r for records in all_records.values() for r in records])
-    write_json(out / "report_cost.json", cost_to_dict(cost))
-    write_text(out / "report_cost.txt", render_cost_table(cost))
-
-    write_json(out / "report_sweep.json", sweep_to_dict(sweep))
-    write_text(out / "report_sweep.txt", render_sweep_table(sweep))
-    write_text(out / "report_sweep.svg", render_sweep_svg(sweep))
+    reports.append(("cost", cost, cost_to_dict, render_cost_table, None))
+    reports.append(("sweep", sweep, sweep_to_dict, render_sweep_table, render_sweep_svg))
 
     # The bundled ratings sheet rates the bundled items only.
     ratings_path = config.ratings_path or (
@@ -299,24 +297,40 @@ def _emit_reports(
     if ratings_path:
         ratings, exclusions = load_ratings(ratings_path)
         strata = stratified_accuracy(all_records[METHOD_CHR], ratings, exclusions)
-        write_json(out / "report_strata.json", strata_to_dict(strata))
-        write_text(out / "report_strata.txt", render_strata_table(strata))
+        reports.append(("strata", strata, strata_to_dict, render_strata_table, None))
     else:
         print("strata report skipped: no ratings file", file=sys.stderr)
+    return reports
+
+
+def _write_reports(out: str | Path | None, reports: list[tuple]) -> None:
+    """Write each (name, report, to_dict, render_table, render_svg) under ``out``.
+
+    A report becomes ``report_<name>.json`` and ``report_<name>.txt``, plus
+    ``report_<name>.svg`` when ``render_svg`` is not None. Without ``out``,
+    the tables go to stdout instead. The renderers arrive as the caller
+    found them in this module, and the files go through this module's
+    ``write_json`` and ``write_text``, so a name rebound here (for tracing,
+    say) is the one every report uses.
+    """
+    if not out:
+        for _, report, _, render_table, _ in reports:
+            print(render_table(report), end="")
+        return
+    out = Path(out)
+    for name, report, to_dict, render_table, render_svg in reports:
+        write_json(out / f"report_{name}.json", to_dict(report))
+        write_text(out / f"report_{name}.txt", render_table(report))
+        if render_svg is not None:
+            write_text(out / f"report_{name}.svg", render_svg(report))
+    print(f"wrote {out}")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     records_a = load_records(args.records_a)
     records_b = load_records(args.records_b)
     overlap = retrieval_shift(records_a, records_b, args.k)
-    table = render_overlap_table(overlap)
-    if args.out:
-        out = Path(args.out)
-        write_json(out / "report_overlap.json", overlap_to_dict(overlap))
-        write_text(out / "report_overlap.txt", table)
-        print(f"wrote {out}")
-    else:
-        print(table, end="")
+    _write_reports(args.out, [("overlap", overlap, overlap_to_dict, render_overlap_table, None)])
     return 0
 
 
@@ -331,7 +345,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     baselines = {}
     for method in (METHOD_STANDARD, METHOD_HYDE):
         _, summary = run_benchmark(
-            items, method, corpus, config.replace(method=method),
+            items, method, corpus, config,
             generator=generator, answer_generator=generator, embedder=embedder,
             dataset_name=dataset_name, clock=_clock(config),
         )
@@ -342,29 +356,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         generator=generator, answer_generator=generator, embedder=embedder,
         baselines=baselines, dataset_name=dataset_name, clock=_clock(config),
     )
-    table = render_sweep_table(sweep)
-    if args.out:
-        out = Path(args.out)
-        write_json(out / "report_sweep.json", sweep_to_dict(sweep))
-        write_text(out / "report_sweep.txt", table)
-        write_text(out / "report_sweep.svg", render_sweep_svg(sweep))
-        print(f"wrote {out}")
-    else:
-        print(table, end="")
+    _write_reports(
+        args.out, [("sweep", sweep, sweep_to_dict, render_sweep_table, render_sweep_svg)]
+    )
     return 0
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
     records = [r for path in args.records for r in load_records(path)]
     report = cost_report(records)
-    table = render_cost_table(report)
-    if args.out:
-        out = Path(args.out)
-        write_json(out / "report_cost.json", cost_to_dict(report))
-        write_text(out / "report_cost.txt", table)
-        print(f"wrote {out}")
-    else:
-        print(table, end="")
+    _write_reports(args.out, [("cost", report, cost_to_dict, render_cost_table, None)])
     return 0
 
 
@@ -372,14 +373,7 @@ def cmd_stratify(args: argparse.Namespace) -> int:
     records = load_records(args.records)
     ratings, exclusions = load_ratings(args.ratings)
     strata = stratified_accuracy(records, ratings, exclusions)
-    table = render_strata_table(strata)
-    if args.out:
-        out = Path(args.out)
-        write_json(out / "report_strata.json", strata_to_dict(strata))
-        write_text(out / "report_strata.txt", table)
-        print(f"wrote {out}")
-    else:
-        print(table, end="")
+    _write_reports(args.out, [("strata", strata, strata_to_dict, render_strata_table, None)])
     return 0
 
 

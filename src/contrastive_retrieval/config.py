@@ -28,9 +28,8 @@ ANSWER_PROMPT_VERSION = "v1"
 
 @dataclass
 class RunConfig:
-    """One benchmark run's knobs. A multi-method driver clones per method."""
+    """One benchmark run's knobs, shared by every method of the run."""
 
-    method: str = "chr"
     lam: float = DEFAULT_LAMBDA
     k: int = DEFAULT_K
     hyde_n: int = DEFAULT_HYDE_N

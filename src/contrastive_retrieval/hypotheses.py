@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .backends import EmbedderBackend, GeneratorBackend, Message, estimate_output_tokens
+from .backends import EmbedderBackend, GeneratorBackend, chat_messages, output_tokens_of
 from .config import DEFAULT_MAX_RETRIES
 from .costs import CostEntry
 from .errors import InvalidAnswerKeyError, ParseFailureError, TooFewOptionsError
@@ -125,12 +125,15 @@ class HypothesisPair:
             raise ValueError("fallback pairs are exactly the pairs with an empty mimic")
 
 
-def render_prompt(item: QAItem) -> tuple[str, str]:
-    """Render the (system, user) texts of the hypothesis-pair prompt."""
+def _render(item: QAItem, template: str) -> str:
     if len(item.options) < 2:
         raise TooFewOptionsError(f"item {item.id!r} has {len(item.options)} option(s), need >= 2")
-    user = PAIR_USER_TEMPLATE.format(question=item.stem, options=item.options_block())
-    return PAIR_SYSTEM_PROMPT, user
+    return template.format(question=item.stem, options=item.options_block())
+
+
+def render_prompt(item: QAItem) -> tuple[str, str]:
+    """Render the (system, user) texts of the hypothesis-pair prompt."""
+    return PAIR_SYSTEM_PROMPT, _render(item, PAIR_USER_TEMPLATE)
 
 
 def render_hypo_doc_prompt(
@@ -141,9 +144,7 @@ def render_hypo_doc_prompt(
     Multi-sample callers number each draft; the numbering line keeps repeated
     samples distinct even under temperature-0 or deterministic backends.
     """
-    if len(item.options) < 2:
-        raise TooFewOptionsError(f"item {item.id!r} has {len(item.options)} option(s), need >= 2")
-    user = HYPO_DOC_USER_TEMPLATE.format(question=item.stem, options=item.options_block())
+    user = _render(item, HYPO_DOC_USER_TEMPLATE)
     if draft is not None:
         user += f"\n\nDraft {draft} of {total or draft}: vary the wording and emphasis."
     return HYPO_DOC_SYSTEM_PROMPT, user
@@ -151,10 +152,7 @@ def render_hypo_doc_prompt(
 
 def render_pseudo_doc_prompt(item: QAItem) -> tuple[str, str]:
     """Render the pseudo-document prompt (query-concatenation method)."""
-    if len(item.options) < 2:
-        raise TooFewOptionsError(f"item {item.id!r} has {len(item.options)} option(s), need >= 2")
-    user = PSEUDO_DOC_USER_TEMPLATE.format(question=item.stem, options=item.options_block())
-    return HYPO_DOC_SYSTEM_PROMPT, user
+    return HYPO_DOC_SYSTEM_PROMPT, _render(item, PSEUDO_DOC_USER_TEMPLATE)
 
 
 _BRACE_RE = re.compile(r"\{")
@@ -197,22 +195,14 @@ def generate_pair(
     becomes a fallback pair instead of failing the question. Transport-level
     errors (BackendUnavailableError) propagate.
     """
-    system, user = render_prompt(item)
-    messages: list[Message] = [
-        {"role": "system", "content": system},
-        {"role": "user", "content": user},
-    ]
+    messages = chat_messages(*render_prompt(item))
     calls = 0
     tokens = 0
     last_raw = ""
     for _ in range(max_retries + 1):
         result = backend.complete(messages, temperature=temperature)
         calls += 1
-        tokens += (
-            result.output_tokens
-            if result.output_tokens is not None
-            else estimate_output_tokens(result.text)
-        )
+        tokens += output_tokens_of(result)
         last_raw = result.text
         try:
             pair = parse_pair(result.text)

@@ -14,7 +14,7 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .backends import EmbedderBackend, GeneratorBackend, Message, estimate_output_tokens
+from .backends import EmbedderBackend, GeneratorBackend, chat_messages, output_tokens_of
 from .config import ANSWER_PROMPT_VERSION, RunConfig
 from .costs import CostEntry
 from .errors import ContrastiveRetrievalError, EmptyInputError
@@ -125,12 +125,6 @@ def _cost_of(calls: int, tokens: int, started: float | None, clock) -> CostEntry
     return CostEntry(llm_calls=calls, output_tokens=tokens, wall_ms=wall)
 
 
-def _tokens_of(result) -> int:
-    if result.output_tokens is not None:
-        return result.output_tokens
-    return estimate_output_tokens(result.text)
-
-
 def _get_pair(
     item: QAItem,
     config: RunConfig,
@@ -144,53 +138,53 @@ def _get_pair(
     return pair_cache[item.id]
 
 
-def _expand_and_retrieve(
-    item: QAItem,
-    method: str,
-    corpus: Corpus,
-    config: RunConfig,
-    generator: GeneratorBackend,
-    embedder: EmbedderBackend,
-    pair_cache: PairCache,
-) -> tuple[RankedResult, HypothesisPair | None, int, int]:
-    """Run the expansion stage; returns (ranked, pair, llm_calls, tokens)."""
-    if method == METHOD_STANDARD:
-        return retrieve_standard(item, corpus, config.k, embedder), None, 0, 0
-
-    if method in (METHOD_CHR, METHOD_H_PLUS_ONLY):
-        pair, cost = _get_pair(item, config, generator, embedder, pair_cache)
-        if method == METHOD_CHR:
-            ranked = retrieve_chr(pair, corpus, config.lam, config.k)
-        else:
-            ranked = retrieve_h_plus_only(pair, corpus, config.k)
-        return ranked, pair, cost.llm_calls, cost.output_tokens
-
-    if method == METHOD_HYDE:
-        texts: list[str] = []
-        calls = tokens = 0
-        for draft in range(1, config.hyde_n + 1):
-            system, user = render_hypo_doc_prompt(item, draft=draft, total=config.hyde_n)
-            result = generator.complete(
-                _messages(system, user), temperature=config.temperature
-            )
-            calls += 1
-            tokens += _tokens_of(result)
-            texts.append(result.text)
-        return retrieve_hyde(texts, corpus, config.k, embedder), None, calls, tokens
-
-    if method == METHOD_QUERY2DOC:
-        system, user = render_pseudo_doc_prompt(item)
-        result = generator.complete(_messages(system, user), temperature=config.temperature)
-        # An empty generation degrades to repeating the stem as pseudo-doc.
-        pseudo = result.text.strip() or item.stem
-        ranked = retrieve_query2doc(item, pseudo, corpus, config.k, embedder)
-        return ranked, None, 1, _tokens_of(result)
-
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+def _expand_standard(item, corpus, config, generator, embedder, pair_cache):
+    return retrieve_standard(item, corpus, config.k, embedder), None, 0, 0
 
 
-def _messages(system: str, user: str) -> list[Message]:
-    return [{"role": "system", "content": system}, {"role": "user", "content": user}]
+def _expand_chr(item, corpus, config, generator, embedder, pair_cache):
+    pair, cost = _get_pair(item, config, generator, embedder, pair_cache)
+    ranked = retrieve_chr(pair, corpus, config.lam, config.k)
+    return ranked, pair, cost.llm_calls, cost.output_tokens
+
+
+def _expand_h_plus_only(item, corpus, config, generator, embedder, pair_cache):
+    pair, cost = _get_pair(item, config, generator, embedder, pair_cache)
+    ranked = retrieve_h_plus_only(pair, corpus, config.k)
+    return ranked, pair, cost.llm_calls, cost.output_tokens
+
+
+def _expand_hyde(item, corpus, config, generator, embedder, pair_cache):
+    texts: list[str] = []
+    tokens = 0
+    for draft in range(1, config.hyde_n + 1):
+        prompt = render_hypo_doc_prompt(item, draft=draft, total=config.hyde_n)
+        result = generator.complete(chat_messages(*prompt), temperature=config.temperature)
+        tokens += output_tokens_of(result)
+        texts.append(result.text)
+    return retrieve_hyde(texts, corpus, config.k, embedder), None, config.hyde_n, tokens
+
+
+def _expand_query2doc(item, corpus, config, generator, embedder, pair_cache):
+    prompt = render_pseudo_doc_prompt(item)
+    result = generator.complete(chat_messages(*prompt), temperature=config.temperature)
+    # An empty generation degrades to repeating the stem as pseudo-doc.
+    pseudo = result.text.strip() or item.stem
+    ranked = retrieve_query2doc(item, pseudo, corpus, config.k, embedder)
+    return ranked, None, 1, output_tokens_of(result)
+
+
+# Each method's expansion stage: (item, corpus, config, generator, embedder,
+# pair_cache) -> (ranked, pair, llm_calls, tokens). The stages look up
+# retrieve_*, generate_pair and embed_pair in this module when they run,
+# so a name rebound here (for tracing, say) is the one they call.
+_EXPANSIONS = {
+    METHOD_STANDARD: _expand_standard,
+    METHOD_HYDE: _expand_hyde,
+    METHOD_QUERY2DOC: _expand_query2doc,
+    METHOD_CHR: _expand_chr,
+    METHOD_H_PLUS_ONLY: _expand_h_plus_only,
+}
 
 
 def run_benchmark(
@@ -215,7 +209,8 @@ def run_benchmark(
     """
     if not dataset:
         raise EmptyInputError("dataset must contain at least one item")
-    if method not in METHODS:
+    expand = _EXPANSIONS.get(method)
+    if expand is None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if config.answer_prompt_version != ANSWER_PROMPT_VERSION:
         raise ValueError(
@@ -235,17 +230,17 @@ def run_benchmark(
         error: str | None = None
         try:
             started = clock() if clock else None
-            ranked, pair, calls, tokens = _expand_and_retrieve(
-                item, method, corpus, config, generator, embedder, pair_cache
+            ranked, pair, calls, tokens = expand(
+                item, corpus, config, generator, embedder, pair_cache
             )
             exp_cost = _cost_of(calls, tokens, started, clock)
 
             started = clock() if clock else None
             prompt = build_answer_prompt(item, ranked, corpus)
             result = answer_generator.complete(
-                _messages(ANSWER_SYSTEM_PROMPT, prompt), temperature=config.temperature
+                chat_messages(ANSWER_SYSTEM_PROMPT, prompt), temperature=config.temperature
             )
-            ans_cost = _cost_of(1, _tokens_of(result), started, clock)
+            ans_cost = _cost_of(1, output_tokens_of(result), started, clock)
             predicted = extract_answer(result.text, list(item.options))
         except ContrastiveRetrievalError as exc:
             error = f"{type(exc).__name__}: {exc}"

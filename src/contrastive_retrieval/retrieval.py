@@ -20,8 +20,7 @@ inputs.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +32,9 @@ from .errors import (
     EmptyCorpusError,
     MissingEmbeddingError,
     UnknownDocIdError,
-    ZeroVectorError,
 )
 from .hypotheses import HypothesisPair, QAItem
-from .vectors import ZERO_NORM_EPS, as_vector, mean_embedding, normalize, normalize_rows
+from .vectors import as_vector, mean_embedding, normalize, normalize_rows
 
 METHOD_STANDARD = "standard"
 METHOD_HYDE = "hyde"
@@ -163,7 +161,7 @@ class RankedResult:
     lam: float | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS and self.method != "custom":
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         for (_, prev), (_, cur) in zip(self.hits, self.hits[1:]):
             if cur > prev:
@@ -173,43 +171,12 @@ class RankedResult:
         return tuple(doc_id for doc_id, _ in self.hits)
 
 
-def _cos(a: np.ndarray, b: np.ndarray) -> float:
-    # Lean cosine for pre-validated vectors; hot path of per-document scoring.
-    na = math.sqrt(float(np.dot(a, a)))
-    nb = math.sqrt(float(np.dot(b, b)))
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        raise ZeroVectorError("cosine similarity of a zero vector is undefined")
-    return float(np.dot(a, b)) / (na * nb)
-
-
-def contrastive_score(
-    doc: Document | np.ndarray, pair: HypothesisPair, lam: float
-) -> float:
-    """Score one document: cos(d, H_plus) - lam * cos(d, H_minus).
-
-    A pair without a mimic embedding (fallback pairs) scores as cos(d, H_plus)
-    alone, so degraded generations still retrieve.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if pair.h_plus_emb is None:
-        raise MissingEmbeddingError("pair has no h_plus embedding; call embed_pair first")
-    emb = doc.embedding if isinstance(doc, Document) else doc
-    if emb.shape != pair.h_plus_emb.shape:
-        raise DimensionMismatchError(
-            f"dimensions differ: {emb.shape[0]} vs {pair.h_plus_emb.shape[0]}"
-        )
-    score = _cos(emb, pair.h_plus_emb)
-    if pair.h_minus_emb is not None:
-        score -= lam * _cos(emb, pair.h_minus_emb)
-    return score
-
-
 def shifted_query(pair: HypothesisPair, lam: float) -> np.ndarray:
     """The query vector H_plus - lam * H_minus, not renormalized.
 
-    Dotting unit-norm documents against this vector reproduces
-    contrastive_score exactly. A missing mimic embedding contributes zero.
+    Dotting unit-norm documents against this vector gives each one's
+    contrastive score. A missing mimic embedding contributes zero, so a
+    fallback pair ranks by its target hypothesis alone.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -244,26 +211,6 @@ def top_k_from_scores(
     # lexsort sorts by the last key first, so -score is primary, id secondary.
     order = np.lexsort((np.asarray([ids[i] for i in candidates]), -scores[candidates]))
     return tuple((ids[i], float(scores[i])) for i in candidates[order[:k]])
-
-
-def retrieve_top_k(
-    score_fn: Callable[[Document], float],
-    corpus: Corpus,
-    k: int,
-    method: str = "custom",
-    lam: float | None = None,
-) -> RankedResult:
-    """Exhaustively score every document and keep the top k.
-
-    Short corpora return all documents ranked. The method tag defaults to
-    ``custom``; the retrieve_* wrappers stamp their own.
-    """
-    if len(corpus) == 0:
-        raise EmptyCorpusError("cannot retrieve from an empty corpus")
-    scores = np.fromiter(
-        (score_fn(doc) for doc in corpus), dtype=np.float64, count=len(corpus)
-    )
-    return RankedResult(hits=top_k_from_scores(corpus.ids, scores, k), method=method, lam=lam)
 
 
 def _rank_by_query(

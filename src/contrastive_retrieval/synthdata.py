@@ -1,14 +1,9 @@
 """Synthetic fixtures.
 
-Two generators live here:
-
-* the bundled 20-question dataset, its 140-document corpus, and its rating
-  sheet, all built from fixed word tables (no RNG) so the committed data
-  files under ``data/`` can be regenerated bit-for-bit with
-  ``python -m contrastive_retrieval.synthdata <dir>``;
-* a planted-geometry corpus with a target cluster, a highly similar mimic
-  cluster, and background noise, used to demonstrate that contrastive
-  scoring suppresses look-alike evidence that plain similarity prefers.
+The bundled 20-question dataset, its 140-document corpus, and its rating
+sheet, all built from fixed word tables (no RNG) so the committed data files
+under ``data/`` can be regenerated bit-for-bit with
+``python -m contrastive_retrieval.synthdata <dir>``.
 """
 
 from __future__ import annotations
@@ -17,11 +12,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from .hypotheses import HypothesisPair, QAItem
-from .retrieval import Corpus, Document
-from .vectors import normalize
+from .hypotheses import QAItem
 
 N_ITEMS = 20
 DOCS_PER_ITEM = 7  # 4 condition documents + 3 filler documents
@@ -154,54 +145,6 @@ def write_bundled_data(out_dir: str | Path) -> None:
     write_text(out / CORPUS_FILE, "\n".join(corpus_lines) + "\n")
     ratings, exclusions = build_bundled_ratings()
     save_ratings(out / RATINGS_FILE, ratings, exclusions)
-
-
-# ----------------------------------------------------------------------
-# Planted geometry
-# ----------------------------------------------------------------------
-
-def make_planted_corpus(
-    dim: int = 128,
-    n_target: int = 30,
-    n_mimic: int = 30,
-    n_noise: int = 940,
-    eps: float = 0.015,
-    seed: int = 7,
-) -> tuple[Corpus, HypothesisPair, frozenset[str], frozenset[str]]:
-    """Corpus with target/mimic clusters at cosine 0.8 plus isotropic noise.
-
-    The injected hypothesis pair is deliberately biased toward the mimic:
-    H_plus = normalize(0.4 t + 0.6 m), H_minus = m. Under plain similarity
-    the mimic cluster wins; subtracting the mimic direction flips the top
-    ranks to the target cluster.
-    """
-    rng = np.random.default_rng(seed)
-    t = np.zeros(dim)
-    t[0] = 1.0
-    m = np.zeros(dim)
-    m[0], m[1] = 0.8, 0.6
-
-    documents: list[Document] = []
-    for idx in range(n_target):
-        vec = normalize(t + eps * rng.standard_normal(dim))
-        documents.append(Document(id=f"T{idx:03d}", text=f"target evidence passage {idx}", embedding=vec))
-    for idx in range(n_mimic):
-        vec = normalize(m + eps * rng.standard_normal(dim))
-        documents.append(Document(id=f"M{idx:03d}", text=f"mimic evidence passage {idx}", embedding=vec))
-    for idx in range(n_noise):
-        vec = normalize(rng.standard_normal(dim))
-        documents.append(Document(id=f"N{idx:03d}", text=f"background passage {idx}", embedding=vec))
-
-    pair = HypothesisPair(
-        h_plus="hypothesis leaning toward the mimic presentation",
-        h_minus="the mimic condition itself",
-        h_plus_emb=normalize(0.4 * t + 0.6 * m),
-        h_minus_emb=m.copy(),
-        provenance="injected",
-    )
-    target_ids = frozenset(f"T{idx:03d}" for idx in range(n_target))
-    mimic_ids = frozenset(f"M{idx:03d}" for idx in range(n_mimic))
-    return Corpus.from_documents(documents), pair, target_ids, mimic_ids
 
 
 def main(argv: list[str] | None = None) -> int:

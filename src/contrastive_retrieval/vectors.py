@@ -66,20 +66,6 @@ def normalize_rows(matrix: np.ndarray, ids: Sequence[str]) -> np.ndarray:
     return matrix
 
 
-def cosine_sim(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    """Cosine similarity in [-1, 1], clamped against rounding drift."""
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(f"dimensions differ: {a.shape[0]} vs {b.shape[0]}")
-    na = math.sqrt(float(np.dot(a, a)))
-    nb = math.sqrt(float(np.dot(b, b)))
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        raise ZeroVectorError("cosine similarity of a zero vector is undefined")
-    sim = float(np.dot(a, b)) / (na * nb)
-    return max(-1.0, min(1.0, sim))
-
-
 def mean_embedding(vs: Sequence[Sequence[float] | np.ndarray]) -> np.ndarray:
     """Componentwise mean of the vectors, renormalized to unit length."""
     if len(vs) == 0:

@@ -1,18 +1,33 @@
-"""Shared builders for the test suite."""
+"""Shared builders, reference oracles and generator doubles for the test suite.
+
+The oracles score one document at a time with their own cosine, apart from
+the package's single ``corpus.matrix @ query`` scoring path, so the tests
+that compare the two keep an independent reference.
+"""
 
 from __future__ import annotations
 
+import math
 import struct
 import sys
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from contrastive_retrieval.backends import GenerationResult, Message, _last_user_content
 from contrastive_retrieval.costs import CostEntry
 from contrastive_retrieval.dataio import CACHE_MAGIC, CACHE_VERSION
+from contrastive_retrieval.errors import (
+    BackendUnavailableError,
+    DimensionMismatchError,
+    EmptyCorpusError,
+    MissingEmbeddingError,
+    ZeroVectorError,
+)
 from contrastive_retrieval.hypotheses import HypothesisPair, QAItem
 from contrastive_retrieval.pipeline import EvalRecord
-from contrastive_retrieval.retrieval import Corpus, Document, RankedResult
-from contrastive_retrieval.vectors import normalize
+from contrastive_retrieval.retrieval import Corpus, Document, RankedResult, top_k_from_scores
+from contrastive_retrieval.vectors import ZERO_NORM_EPS, as_vector, normalize
 
 
 # Verdict lines from the acceptance tests; a terminal-summary hook prints
@@ -117,3 +132,187 @@ def make_record(
         answer_cost=CostEntry(llm_calls=1, output_tokens=4),
         dataset=dataset,
     )
+
+
+# ----------------------------------------------------------------------
+# Reference scoring oracles
+# ----------------------------------------------------------------------
+
+def _cos(a: np.ndarray, b: np.ndarray) -> float:
+    # Lean cosine for pre-validated vectors; hot path of per-document scoring.
+    na = math.sqrt(float(np.dot(a, a)))
+    nb = math.sqrt(float(np.dot(b, b)))
+    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
+        raise ZeroVectorError("cosine similarity of a zero vector is undefined")
+    return float(np.dot(a, b)) / (na * nb)
+
+
+def contrastive_score(
+    doc: Document | np.ndarray, pair: HypothesisPair, lam: float
+) -> float:
+    """Score one document: cos(d, H_plus) - lam * cos(d, H_minus).
+
+    A pair without a mimic embedding (fallback pairs) scores as cos(d, H_plus)
+    alone, so degraded generations still retrieve.
+    """
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    if pair.h_plus_emb is None:
+        raise MissingEmbeddingError("pair has no h_plus embedding; call embed_pair first")
+    emb = doc.embedding if isinstance(doc, Document) else doc
+    if emb.shape != pair.h_plus_emb.shape:
+        raise DimensionMismatchError(
+            f"dimensions differ: {emb.shape[0]} vs {pair.h_plus_emb.shape[0]}"
+        )
+    score = _cos(emb, pair.h_plus_emb)
+    if pair.h_minus_emb is not None:
+        score -= lam * _cos(emb, pair.h_minus_emb)
+    return score
+
+
+def cosine_sim(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
+    """Cosine similarity in [-1, 1], clamped against rounding drift."""
+    a = as_vector(a)
+    b = as_vector(b)
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatchError(f"dimensions differ: {a.shape[0]} vs {b.shape[0]}")
+    na = math.sqrt(float(np.dot(a, a)))
+    nb = math.sqrt(float(np.dot(b, b)))
+    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
+        raise ZeroVectorError("cosine similarity of a zero vector is undefined")
+    sim = float(np.dot(a, b)) / (na * nb)
+    return max(-1.0, min(1.0, sim))
+
+
+def retrieve_top_k(
+    score_fn: Callable[[Document], float], corpus: Corpus, k: int
+) -> tuple[tuple[str, float], ...]:
+    """Exhaustively score every document and keep the top k (id, score) hits.
+
+    Short corpora return all documents ranked. Selection is the package's
+    ``top_k_from_scores``, so a custom score function exercises it directly.
+    """
+    if len(corpus) == 0:
+        raise EmptyCorpusError("cannot retrieve from an empty corpus")
+    scores = np.fromiter(
+        (score_fn(doc) for doc in corpus), dtype=np.float64, count=len(corpus)
+    )
+    return top_k_from_scores(corpus.ids, scores, k)
+
+
+# ----------------------------------------------------------------------
+# Planted geometry
+# ----------------------------------------------------------------------
+
+def make_planted_corpus(
+    dim: int = 128,
+    n_target: int = 30,
+    n_mimic: int = 30,
+    n_noise: int = 940,
+    eps: float = 0.015,
+    seed: int = 7,
+) -> tuple[Corpus, HypothesisPair, frozenset[str], frozenset[str]]:
+    """Corpus with target/mimic clusters at cosine 0.8 plus isotropic noise.
+
+    The injected hypothesis pair is deliberately biased toward the mimic:
+    H_plus = normalize(0.4 t + 0.6 m), H_minus = m. Under plain similarity
+    the mimic cluster wins; subtracting the mimic direction flips the top
+    ranks to the target cluster.
+    """
+    rng = np.random.default_rng(seed)
+    t = np.zeros(dim)
+    t[0] = 1.0
+    m = np.zeros(dim)
+    m[0], m[1] = 0.8, 0.6
+
+    documents: list[Document] = []
+    for idx in range(n_target):
+        vec = normalize(t + eps * rng.standard_normal(dim))
+        documents.append(Document(id=f"T{idx:03d}", text=f"target evidence passage {idx}", embedding=vec))
+    for idx in range(n_mimic):
+        vec = normalize(m + eps * rng.standard_normal(dim))
+        documents.append(Document(id=f"M{idx:03d}", text=f"mimic evidence passage {idx}", embedding=vec))
+    for idx in range(n_noise):
+        vec = normalize(rng.standard_normal(dim))
+        documents.append(Document(id=f"N{idx:03d}", text=f"background passage {idx}", embedding=vec))
+
+    pair = HypothesisPair(
+        h_plus="hypothesis leaning toward the mimic presentation",
+        h_minus="the mimic condition itself",
+        h_plus_emb=normalize(0.4 * t + 0.6 * m),
+        h_minus_emb=m.copy(),
+        provenance="injected",
+    )
+    target_ids = frozenset(f"T{idx:03d}" for idx in range(n_target))
+    mimic_ids = frozenset(f"M{idx:03d}" for idx in range(n_mimic))
+    return Corpus.from_documents(documents), pair, target_ids, mimic_ids
+
+
+# ----------------------------------------------------------------------
+# Generator doubles
+# ----------------------------------------------------------------------
+
+class ScriptedGeneratorBackend:
+    """Replays a fixed list of outputs in order; repeats the last one after."""
+
+    def __init__(self, outputs: list[str], output_tokens: list[int | None] | None = None):
+        if not outputs:
+            raise ValueError("scripted backend needs at least one output")
+        self.outputs = list(outputs)
+        self.output_tokens = list(output_tokens) if output_tokens else None
+        self.calls = 0
+
+    def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
+        idx = min(self.calls, len(self.outputs) - 1)
+        self.calls += 1
+        tokens = None
+        if self.output_tokens is not None:
+            tokens = self.output_tokens[min(idx, len(self.output_tokens) - 1)]
+        return GenerationResult(text=self.outputs[idx], output_tokens=tokens)
+
+
+class FailingGeneratorBackend:
+    """Always raises BackendUnavailableError; stands in for a dead endpoint."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
+        raise BackendUnavailableError("configured to fail")
+
+
+class OracleGeneratorBackend:
+    """Answers with the gold letter of whichever item's stem appears in the prompt."""
+
+    def __init__(self, items) -> None:
+        self._answers: list[tuple[str, str]] = [
+            (item.stem, item.answer_key) for item in items if item.answer_key
+        ]
+        self.calls = 0
+
+    def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
+        self.calls += 1
+        prompt = _last_user_content(messages)
+        for stem, key in self._answers:
+            if stem and stem in prompt:
+                return GenerationResult(text=f"Answer: {key}")
+        return GenerationResult(text="Answer: A")
+
+
+class AdversarialGeneratorBackend:
+    """Answers with a fixed wrong letter (the first option that is not gold)."""
+
+    def __init__(self, items) -> None:
+        self._answers: list[tuple[str, str]] = []
+        for item in items:
+            wrong = next((c for c in item.options if c != item.answer_key), "A")
+            self._answers.append((item.stem, wrong))
+        self.calls = 0
+
+    def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
+        self.calls += 1
+        prompt = _last_user_content(messages)
+        for stem, wrong in self._answers:
+            if stem and stem in prompt:
+                return GenerationResult(text=f"Answer: {wrong}")
+        return GenerationResult(text="Answer: A")

@@ -22,11 +22,7 @@ from contrastive_retrieval.analysis import (
     retrieval_shift,
     stratified_accuracy,
 )
-from contrastive_retrieval.backends import (
-    MockEmbedderBackend,
-    MockGeneratorBackend,
-    ScriptedGeneratorBackend,
-)
+from contrastive_retrieval.backends import MockEmbedderBackend, MockGeneratorBackend
 from contrastive_retrieval.cli import main_cli
 from contrastive_retrieval.config import RunConfig
 from contrastive_retrieval.errors import ParseFailureError
@@ -45,23 +41,26 @@ from contrastive_retrieval.reports import (
 from contrastive_retrieval.retrieval import (
     Corpus,
     Document,
-    contrastive_score,
     retrieve_chr,
     retrieve_h_plus_only,
     retrieve_hyde,
     retrieve_query2doc,
     retrieve_standard,
-    retrieve_top_k,
     shifted_query,
 )
-from contrastive_retrieval.synthdata import (
-    build_bundled_corpus_texts,
-    build_bundled_dataset,
+from contrastive_retrieval.synthdata import build_bundled_corpus_texts, build_bundled_dataset
+from contrastive_retrieval.vectors import mean_embedding, normalize
+from helpers import (
+    ScriptedGeneratorBackend,
+    contrastive_score,
+    cosine_sim,
+    injected_pair,
     make_planted_corpus,
+    make_record,
+    retrieve_top_k,
+    unit,
 )
-from contrastive_retrieval.vectors import cosine_sim, mean_embedding, normalize
 from helpers import emit_verdict as _verdict
-from helpers import injected_pair, make_record, unit
 
 LAMBDA_GRID = (0.0, 0.5, 1.0, 1.4)
 
@@ -178,7 +177,7 @@ def test_a2_retrieval_matches_full_sort_oracle():
                 )
             # All-tied scores: the ranking must be the k smallest ids.
             flat = retrieve_top_k(lambda d: 0.0, corpus, k)
-            assert list(flat.doc_ids()) == sorted(corpus.ids)[:k]
+            assert [doc_id for doc_id, _ in flat] == sorted(corpus.ids)[:k]
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0
         detail = f"100 corpora x 1000 docs x 5 methods, {elapsed:.1f}s"

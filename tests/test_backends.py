@@ -5,19 +5,21 @@ import pytest
 import requests
 
 from contrastive_retrieval.backends import (
-    AdversarialGeneratorBackend,
-    FailingGeneratorBackend,
     HttpEmbedderBackend,
     HttpGeneratorBackend,
     MockEmbedderBackend,
     MockGeneratorBackend,
-    OracleGeneratorBackend,
-    ScriptedGeneratorBackend,
     estimate_output_tokens,
 )
 from contrastive_retrieval.errors import BackendUnavailableError, EmbedderFailureError
 from contrastive_retrieval.hypotheses import parse_pair, render_prompt
-from helpers import two_option_item
+from helpers import (
+    AdversarialGeneratorBackend,
+    FailingGeneratorBackend,
+    OracleGeneratorBackend,
+    ScriptedGeneratorBackend,
+    two_option_item,
+)
 
 
 class DummyResponse:

@@ -13,6 +13,12 @@ def test_config_from_dict_rejects_workers():
         config_from_dict({"workers": 2})
 
 
+def test_config_from_dict_rejects_method():
+    # The method is a ``run_benchmark`` argument; a config never selected it.
+    with pytest.raises(ValueError, match="^unknown config keys: method$"):
+        config_from_dict({"method": "hyde"})
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"mock": True, "workers": 1, "zeta": 0}), encoding="utf-8")

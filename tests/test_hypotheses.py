@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from contrastive_retrieval.backends import MockEmbedderBackend, ScriptedGeneratorBackend
+from contrastive_retrieval.backends import MockEmbedderBackend
 from contrastive_retrieval.errors import (
     BackendUnavailableError,
     InvalidAnswerKeyError,
@@ -22,7 +22,7 @@ from contrastive_retrieval.hypotheses import (
     render_prompt,
     render_pseudo_doc_prompt,
 )
-from helpers import two_option_item
+from helpers import ScriptedGeneratorBackend, two_option_item
 
 VALID_JSON = '{"H_plus": "target text", "H_minus": "mimic text"}'
 

@@ -5,14 +5,7 @@ import random
 import pytest
 
 from contrastive_retrieval.analysis import lambda_sweep
-from contrastive_retrieval.backends import (
-    AdversarialGeneratorBackend,
-    FailingGeneratorBackend,
-    MockEmbedderBackend,
-    MockGeneratorBackend,
-    OracleGeneratorBackend,
-    ScriptedGeneratorBackend,
-)
+from contrastive_retrieval.backends import MockEmbedderBackend, MockGeneratorBackend
 from contrastive_retrieval.config import RunConfig
 from contrastive_retrieval.dataio import record_to_dict
 from contrastive_retrieval.errors import EmptyInputError, UnknownDocIdError
@@ -30,7 +23,14 @@ from contrastive_retrieval.synthdata import (
     build_bundled_corpus_texts,
     build_bundled_dataset,
 )
-from helpers import make_record, two_option_item
+from helpers import (
+    AdversarialGeneratorBackend,
+    FailingGeneratorBackend,
+    OracleGeneratorBackend,
+    ScriptedGeneratorBackend,
+    make_record,
+    two_option_item,
+)
 
 
 @pytest.fixture(scope="module")
@@ -289,14 +289,21 @@ def test_run_benchmark_clock_none_zeroes_wall_time(dataset, corpus, embedder):
     assert all(r.cost.wall_ms == 0 and r.answer_cost.wall_ms == 0 for r in records)
 
 
-def test_run_benchmark_validates_inputs(dataset, corpus, embedder):
+def test_run_benchmark_validates_inputs(dataset, corpus, embedder, monkeypatch):
     gen = MockGeneratorBackend(seed=0, embedder=embedder)
+    embedded = []
+    embed = MockEmbedderBackend.embed
+    monkeypatch.setattr(MockEmbedderBackend, "embed",
+                        lambda self, text: embedded.append(text) or embed(self, text))
     with pytest.raises(EmptyInputError):
         run_benchmark([], "chr", corpus, mock_config(), generator=gen,
                       answer_generator=gen, embedder=embedder)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown method 'bm25'"):
         run_benchmark(dataset, "bm25", corpus, mock_config(), generator=gen,
                       answer_generator=gen, embedder=embedder)
+    # An unknown method is rejected before any backend call.
+    assert gen.calls == 0
+    assert embedded == []
     stale = mock_config(answer_prompt_version="v0")
     with pytest.raises(ValueError):
         run_benchmark(dataset, "chr", corpus, stale, generator=gen,

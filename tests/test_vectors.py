@@ -10,7 +10,8 @@ from contrastive_retrieval.errors import (
     EmptyListError,
     ZeroVectorError,
 )
-from contrastive_retrieval.vectors import as_vector, cosine_sim, mean_embedding, normalize
+from contrastive_retrieval.vectors import as_vector, mean_embedding, normalize
+from helpers import cosine_sim
 
 
 def test_normalize_returns_unit_vector_preserving_direction():
