@@ -151,14 +151,17 @@ def lambda_sweep(
     dataset_name: str = "default",
     clock: Callable[[], float] | None = None,
 ) -> SweepReport:
-    """Run the contrastive benchmark once per lambda, ascending.
+    """Run the contrastive benchmark at each lambda, reported in ascending order.
 
-    Hypothesis pairs are generated and embedded at most once and shared
-    across every lambda, so the sweep isolates the scoring weight from
-    generation sampling noise. ``pair_cache`` supplies pairs generated
-    earlier: ``chr-rag run`` passes the one cache its chr and h_plus_only
-    runs filled, so the sweep ranks with the same pairs and generates none.
-    Without it the sweep keeps its own.
+    The sweep is item-major: each item is ranked and answered at every
+    lambda before the next item starts, so the corpus scores all weights
+    from the item's two memoized products. Records at each lambda are
+    sorted by item id. Hypothesis pairs are generated and embedded at most
+    once and shared across every lambda, so the sweep isolates the scoring
+    weight from generation sampling noise. ``pair_cache`` supplies pairs
+    generated earlier: ``chr-rag run`` passes the one cache its chr and
+    h_plus_only runs filled, so the sweep ranks with the same pairs and
+    generates none. Without it the sweep keeps its own.
     """
     if not lambdas:
         raise ValueError("need at least one lambda")
@@ -167,26 +170,33 @@ def lambda_sweep(
         raise ValueError("lambdas must be nonnegative")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambdas must be distinct")
+    if not dataset:
+        raise EmptyInputError("dataset must contain at least one item")
 
     if pair_cache is None:
         pair_cache = {}
-    points: list[tuple[float, float]] = []
-    records_by_lambda: dict[float, tuple[EvalRecord, ...]] = {}
-    for lam in lams:
-        records, summary = run_benchmark(
-            dataset,
-            METHOD_CHR,
-            corpus,
-            config.replace(lam=lam),
-            generator=generator,
-            answer_generator=answer_generator,
-            embedder=embedder,
-            pair_cache=pair_cache,
-            dataset_name=dataset_name,
-            clock=clock,
-        )
-        points.append((lam, summary["accuracy"]))
-        records_by_lambda[lam] = tuple(records)
+    configs = [config.replace(lam=lam) for lam in lams]
+    by_lambda: dict[float, list[EvalRecord]] = {lam: [] for lam in lams}
+    for item in dataset:
+        for lam, lam_config in zip(lams, configs):
+            records, _ = run_benchmark(
+                [item],
+                METHOD_CHR,
+                corpus,
+                lam_config,
+                generator=generator,
+                answer_generator=answer_generator,
+                embedder=embedder,
+                pair_cache=pair_cache,
+                dataset_name=dataset_name,
+                clock=clock,
+            )
+            by_lambda[lam].extend(records)
+    records_by_lambda = {
+        lam: tuple(sorted(records, key=lambda r: r.item_id))
+        for lam, records in by_lambda.items()
+    }
+    points = [(lam, accuracy(records_by_lambda[lam])) for lam in lams]
     return SweepReport(
         points=tuple(points),
         baselines=dict(baselines or {}),

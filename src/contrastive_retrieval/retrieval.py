@@ -4,11 +4,16 @@ The ranking function is the contrastive score
 
     S(d) = cos(d, H_plus) - lambda * cos(d, H_minus)
 
-which, for unit-norm document embeddings, equals the dot product of d with
-the shifted query vector ``H_plus - lambda * H_minus`` (deliberately not
-renormalized: renormalizing rescales every score by the same positive factor
-and cannot change the ranking, while leaving it raw keeps the two forms
-numerically identical).
+For unit-norm document embeddings it is linear in lambda: with the two
+corpus products ``a = M @ H_plus`` and ``b = M @ H_minus``, the scores are
+``a - lambda * b``. The corpus keeps the last pair's ``(a, b)`` in a
+one-slot memo keyed on the pair's embedding bytes, so a sweep over any
+number of weights for one pair costs two matrix-vector products. The
+scores equal the dot products with the shifted query vector
+``H_plus - lambda * H_minus`` (``shifted_query``, deliberately not
+renormalized: renormalizing rescales every score by the same positive
+factor and cannot change the ranking) up to float64 rounding. Target-only
+scoring, and lambda = 0, rank by ``a`` itself.
 
 Retrieval is an exhaustive scan with no approximate index. Selection
 partitions the scores around the k-th largest in O(N), keeps every document
@@ -69,6 +74,8 @@ class Corpus:
     float64, in insertion order, so similarity against a query vector is one
     matrix product. The whole matrix is validated and normalized in one pass;
     ``Document`` objects are built on demand by iteration and ``get``.
+    The corpus also memoizes the products of the last hypothesis pair it
+    scored (see ``_pair_products``).
 
     ``Corpus(ids, texts, matrix)`` takes one row of ``matrix`` per id, as a
     2-D array or a sequence of equal-length rows, and copies it, so the
@@ -110,6 +117,8 @@ class Corpus:
         self.texts = texts
         self.matrix = matrix
         self._index = index
+        # (key, a, b) of the last pair scored; replaced whole, never mutated.
+        self._products: tuple | None = None
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> Corpus:
@@ -150,6 +159,44 @@ class Corpus:
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._index
+
+    def _pair_products(self, pair: HypothesisPair) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(matrix @ h_plus, matrix @ h_minus)`` for one pair, read-only.
+
+        ``b`` is None for a pair without a mimic embedding. The last pair's
+        products are kept, keyed on its embeddings' bytes: a pair with equal
+        embeddings reuses them, and an embedding changed in place misses.
+        Each product is its own matrix-vector product, so ``a`` has the bits
+        of ``matrix @ h_plus``. Raises MissingEmbeddingError without a target
+        embedding and DimensionMismatchError, naming the hypothesis, when an
+        embedding is not a vector of the corpus dimension.
+        """
+        if pair.h_plus_emb is None:
+            raise MissingEmbeddingError("pair has no h_plus embedding; call embed_pair first")
+        h_plus = self._hypothesis(pair.h_plus_emb, "h_plus")
+        h_minus = pair.h_minus_emb
+        if h_minus is not None:
+            h_minus = self._hypothesis(h_minus, "h_minus")
+        key = (h_plus.tobytes(), None if h_minus is None else h_minus.tobytes())
+        memo = self._products
+        if memo is not None and memo[0] == key:
+            return memo[1], memo[2]
+        a = self.matrix @ h_plus
+        a.setflags(write=False)
+        b = None
+        if h_minus is not None:
+            b = self.matrix @ h_minus
+            b.setflags(write=False)
+        self._products = (key, a, b)
+        return a, b
+
+    def _hypothesis(self, embedding: np.ndarray, name: str) -> np.ndarray:
+        vector = np.asarray(embedding, dtype=np.float64)
+        if vector.shape != (self.dimension,):
+            raise DimensionMismatchError(
+                f"{name} embedding has shape {vector.shape}, corpus dimension is {self.dimension}"
+            )
+        return vector
 
 
 @dataclass(frozen=True)
@@ -213,27 +260,36 @@ def top_k_from_scores(
     return tuple((ids[i], float(scores[i])) for i in candidates[order[:k]])
 
 
-def _rank_by_query(
-    corpus: Corpus, query: np.ndarray, k: int, method: str, lam: float | None = None
+def _ranked(
+    corpus: Corpus, scores: np.ndarray, k: int, method: str, lam: float | None = None
 ) -> RankedResult:
+    return RankedResult(hits=top_k_from_scores(corpus.ids, scores, k), method=method, lam=lam)
+
+
+def _rank_by_query(corpus: Corpus, query: np.ndarray, k: int, method: str) -> RankedResult:
     if query.shape[0] != corpus.dimension:
         raise DimensionMismatchError(
             f"query dimension {query.shape[0]} vs corpus dimension {corpus.dimension}"
         )
-    scores = corpus.matrix @ query
-    return RankedResult(hits=top_k_from_scores(corpus.ids, scores, k), method=method, lam=lam)
+    return _ranked(corpus, corpus.matrix @ query, k, method)
 
 
 def retrieve_chr(pair: HypothesisPair, corpus: Corpus, lam: float, k: int) -> RankedResult:
-    """Contrastive retrieval: rank by dot(d, H_plus - lam * H_minus)."""
-    return _rank_by_query(corpus, shifted_query(pair, lam), k, METHOD_CHR, lam=lam)
+    """Contrastive retrieval: rank by a - lam * b, the pair's corpus products.
+
+    A pair without a mimic embedding, and lam = 0, rank by ``a`` alone.
+    """
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    a, b = corpus._pair_products(pair)
+    scores = a if b is None or lam == 0 else a - lam * b
+    return _ranked(corpus, scores, k, METHOD_CHR, lam=lam)
 
 
 def retrieve_h_plus_only(pair: HypothesisPair, corpus: Corpus, k: int) -> RankedResult:
     """Ablation: rank by similarity to the target hypothesis alone."""
-    if pair.h_plus_emb is None:
-        raise MissingEmbeddingError("pair has no h_plus embedding; call embed_pair first")
-    return _rank_by_query(corpus, pair.h_plus_emb, k, METHOD_H_PLUS_ONLY)
+    a, _ = corpus._pair_products(pair)
+    return _ranked(corpus, a, k, METHOD_H_PLUS_ONLY)
 
 
 def retrieve_standard(

@@ -1,8 +1,9 @@
 """Shared builders, reference oracles and generator doubles for the test suite.
 
 The oracles score one document at a time with their own cosine, apart from
-the package's single ``corpus.matrix @ query`` scoring path, so the tests
-that compare the two keep an independent reference.
+the package's corpus products, so the tests that compare the two keep an
+independent reference. ``full_sort_top_k`` sorts every score in pure Python,
+and ``shifted_query_hits`` ranks by the shifted-query dot product.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from contrastive_retrieval.backends import GenerationResult, Message, _last_user_content
+from contrastive_retrieval.backends import (
+    GenerationResult,
+    Message,
+    _last_user_content,
+    chat_messages,
+)
 from contrastive_retrieval.costs import CostEntry
 from contrastive_retrieval.dataio import CACHE_MAGIC, CACHE_VERSION
 from contrastive_retrieval.errors import (
@@ -25,8 +31,19 @@ from contrastive_retrieval.errors import (
     ZeroVectorError,
 )
 from contrastive_retrieval.hypotheses import HypothesisPair, QAItem
-from contrastive_retrieval.pipeline import EvalRecord
-from contrastive_retrieval.retrieval import Corpus, Document, RankedResult, top_k_from_scores
+from contrastive_retrieval.pipeline import (
+    ANSWER_SYSTEM_PROMPT,
+    EvalRecord,
+    build_answer_prompt,
+    extract_answer,
+)
+from contrastive_retrieval.retrieval import (
+    Corpus,
+    Document,
+    RankedResult,
+    shifted_query,
+    top_k_from_scores,
+)
 from contrastive_retrieval.vectors import ZERO_NORM_EPS, as_vector, normalize
 
 
@@ -198,6 +215,33 @@ def retrieve_top_k(
         (score_fn(doc) for doc in corpus), dtype=np.float64, count=len(corpus)
     )
     return top_k_from_scores(corpus.ids, scores, k)
+
+
+def full_sort_top_k(ids, scores, k):
+    """Independent oracle: sort every (id, score) pair in pure Python."""
+    return sorted(zip(ids, map(float, scores)), key=lambda p: (-p[1], p[0]))[:k]
+
+
+def shifted_query_hits(
+    pair: HypothesisPair, corpus: Corpus, lam: float, k: int
+) -> list[tuple[str, float]]:
+    """Top k by the shifted-query form: a full sort of ``matrix @ shifted_query``.
+
+    This is how contrastive scores were computed before the package scored
+    ``a - lam * b`` from memoized corpus products; the two agree up to
+    float64 rounding.
+    """
+    return full_sort_top_k(corpus.ids, corpus.matrix @ shifted_query(pair, lam), k)
+
+
+def shifted_query_answer(
+    item: QAItem, pair: HypothesisPair, corpus: Corpus, lam: float, k: int, generator
+) -> tuple[list[tuple[str, float]], str]:
+    """``shifted_query_hits`` and the letter ``generator`` answers from them."""
+    hits = shifted_query_hits(pair, corpus, lam, k)
+    prompt = build_answer_prompt(item, RankedResult(hits=tuple(hits), method="chr"), corpus)
+    reply = generator.complete(chat_messages(ANSWER_SYSTEM_PROMPT, prompt))
+    return hits, extract_answer(reply.text, list(item.options))
 
 
 # ----------------------------------------------------------------------

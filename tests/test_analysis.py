@@ -13,6 +13,7 @@ from contrastive_retrieval.analysis import (
     retrieval_shift,
     stratified_accuracy,
 )
+from contrastive_retrieval import dataio, pipeline
 from contrastive_retrieval.backends import MockEmbedderBackend, MockGeneratorBackend
 from contrastive_retrieval.config import RunConfig
 from contrastive_retrieval.errors import (
@@ -221,6 +222,44 @@ def test_lambda_sweep_zero_matches_h_plus_only(dataset, corpus, embedder):
         assert swept.correct == plus.correct
 
 
+def test_lambda_sweep_is_item_major_and_matches_per_lambda_runs(
+    dataset, corpus, embedder, monkeypatch
+):
+    calls = []
+    retrieve_chr = pipeline.retrieve_chr
+
+    def spy(pair, corpus, lam, k):
+        calls.append((pair.h_plus, lam))
+        return retrieve_chr(pair, corpus, lam, k)
+
+    monkeypatch.setattr(pipeline, "retrieve_chr", spy)
+    items = list(reversed(dataset[:6]))  # records must come back in id order
+    lambdas = [1.0, 0.0, 0.4]
+    gen, answers = sweep_backends(embedder)
+    report = lambda_sweep(
+        items, lambdas, corpus, RunConfig(mock=True),
+        generator=gen, answer_generator=answers, embedder=embedder,
+    )
+    # Items outer, lambdas inner: each item's weights are scored back to back.
+    assert [lam for _, lam in calls] == [0.0, 0.4, 1.0] * len(items)
+    targets = [h_plus for h_plus, _ in calls]
+    assert all(len(set(targets[i:i + 3])) == 1 for i in range(0, len(targets), 3))
+    assert len(set(targets)) == len(items)
+
+    for lam, accuracy in report.points:
+        gen, answers = sweep_backends(embedder)
+        records, summary = run_benchmark(
+            items, "chr", corpus, RunConfig(mock=True, lam=lam),
+            generator=gen, answer_generator=answers, embedder=embedder, clock=None,
+        )
+        assert accuracy == summary["accuracy"]
+        swept = report.records_by_lambda[lam]
+        assert [r.item_id for r in swept] == sorted(item.id for item in items)
+        assert [dataio.record_to_dict(r) for r in swept] == [
+            dataio.record_to_dict(r) for r in records
+        ]
+
+
 def test_lambda_sweep_validates_grid(dataset, corpus, embedder):
     gen, answers = sweep_backends(embedder)
     kwargs = dict(generator=gen, answer_generator=answers, embedder=embedder)
@@ -230,6 +269,8 @@ def test_lambda_sweep_validates_grid(dataset, corpus, embedder):
         lambda_sweep(dataset, [0.5, 0.5], corpus, RunConfig(mock=True), **kwargs)
     with pytest.raises(ValueError):
         lambda_sweep(dataset, [-0.1, 0.5], corpus, RunConfig(mock=True), **kwargs)
+    with pytest.raises(EmptyInputError):
+        lambda_sweep([], [0.5], corpus, RunConfig(mock=True), **kwargs)
 
 
 def test_sweep_report_rejects_unsorted_points():

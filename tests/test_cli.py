@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 
 from contrastive_retrieval.backends import ANSWER_MARKER, PAIR_MARKER, MockGeneratorBackend
-from contrastive_retrieval.cli import main_cli
+from contrastive_retrieval.cli import _make_backends, _resolve_inputs, main_cli
+from contrastive_retrieval.config import RunConfig
 from contrastive_retrieval.dataio import load_cache, load_records
+from contrastive_retrieval.hypotheses import embed_pair
 from contrastive_retrieval.synthdata import DATASET_FILE, RATINGS_FILE, bundled_path
+from helpers import shifted_query_answer
 
 
 def run_cli(*argv: str) -> int:
@@ -70,6 +73,25 @@ def test_run_all_methods_generates_each_pair_once(tmp_path, monkeypatch):
 
     assert pairs("h_plus_only") == pairs("chr")
     assert all(pair is not None for pair in pairs("chr").values())
+
+
+def test_run_chr_records_match_shifted_query_ranking(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--mock", "--seed", "0", "--out", str(out)) == 0
+    config = RunConfig(mock=True, seed=0)
+    generator, embedder = _make_backends(config)
+    items, corpus, _ = _resolve_inputs(config, embedder)
+    by_id = {item.id: item for item in items}
+    records = load_records(out / "records_chr.jsonl")
+    assert len(records) == len(items)
+    for record in records:
+        item = by_id[record.item_id]
+        pair = embed_pair(record.pair, embedder)
+        hits, predicted = shifted_query_answer(item, pair, corpus, record.lam, config.k, generator)
+        assert record.ranked.doc_ids() == tuple(doc_id for doc_id, _ in hits)
+        assert record.predicted == predicted
+        for (_, got), (_, want) in zip(record.ranked.hits, hits):
+            assert abs(got - want) <= 1e-15
 
 
 def test_run_mock_own_dataset_skips_bundled_ratings(tmp_path, capsys):

@@ -238,6 +238,37 @@ def test_run_benchmark_expansion_failure_yields_empty_ranking(dataset, corpus, e
         assert rec.predicted == ABSTAIN
 
 
+def test_run_benchmark_records_wrong_dimension_mimic_as_item_error(dataset, corpus, embedder):
+    class ShortMimicEmbedder:
+        """The mock embedder, except that one mimic text loses a component."""
+
+        dimension = embedder.dimension
+
+        def embed(self, text):
+            vector = embedder.embed(text)
+            return vector[:-1] if text == "short mimic" else vector
+
+    pairs = [
+        '{"H_plus": "target one", "H_minus": "mimic one"}',
+        '{"H_plus": "target two", "H_minus": "short mimic"}',
+        '{"H_plus": "target three", "H_minus": "mimic three"}',
+    ]
+    records, summary = run_benchmark(
+        dataset[:3],
+        "chr",
+        corpus,
+        mock_config(),
+        generator=ScriptedGeneratorBackend(pairs),
+        answer_generator=MockGeneratorBackend(seed=0, embedder=embedder),
+        embedder=ShortMimicEmbedder(),
+        clock=None,
+    )
+    errors = {r.item_id: r.error for r in records}
+    assert errors.pop(dataset[1].id).startswith("DimensionMismatchError: h_minus embedding")
+    assert set(errors.values()) == {None}
+    assert summary["item_errors"] == 1
+
+
 def test_run_benchmark_call_counts_match_backends(dataset, corpus, embedder):
     for method, per_item in (("chr", 1), ("h_plus_only", 1), ("query2doc", 1), ("hyde", 8)):
         expansion = MockGeneratorBackend(seed=0, embedder=embedder)

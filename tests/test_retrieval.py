@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contrastive_retrieval.backends import MockEmbedderBackend
+from contrastive_retrieval.config import DEFAULT_SWEEP_GRID
 from contrastive_retrieval.errors import (
     DimensionMismatchError,
     DuplicateIdError,
@@ -27,6 +28,7 @@ from contrastive_retrieval.retrieval import (
 )
 from helpers import (
     contrastive_score,
+    full_sort_top_k,
     injected_pair,
     random_corpus,
     reference_normalize_rows,
@@ -209,11 +211,6 @@ def test_top_k_ties_break_by_ascending_id():
     assert [h[0] for h in hits] == ["c", "a", "b"]
 
 
-def full_sort_top_k(ids, scores, k):
-    """Independent oracle: sort every (id, score) pair in pure Python."""
-    return sorted(zip(ids, map(float, scores)), key=lambda p: (-p[1], p[0]))[:k]
-
-
 def assert_selection_exact(ids, scores, k):
     hits = top_k_from_scores(ids, np.asarray(scores, dtype=np.float64), k)
     # float.hex tells -0.0 from +0.0, so the returned score bytes are checked too.
@@ -299,23 +296,38 @@ def test_ranked_result_validates_ordering():
 # Retrieval methods
 # ----------------------------------------------------------------------
 
+def hex_hits(ranked: RankedResult) -> list[tuple[str, str]]:
+    # float.hex tells -0.0 from +0.0, so score bits are compared exactly.
+    return [(doc_id, score.hex()) for doc_id, score in ranked.hits]
+
+
 def test_retrieve_chr_lambda_zero_equals_h_plus_only():
     rng = np.random.default_rng(5)
-    corpus = random_corpus(rng, 200, 16)
+    raw = rng.standard_normal((201, 16))
+    ids = [f"doc{i:04d}" for i in range(201)]
+    texts = [f"passage {i}" for i in range(201)]
     pair = injected_pair(rng, 16)
-    chr_hits = retrieve_chr(pair, corpus, lam=0.0, k=7).hits
-    plus_hits = retrieve_h_plus_only(pair, corpus, k=7).hits
-    assert chr_hits == plus_hits
+    # Either call may fill the corpus's memo first.
+    corpus = Corpus(ids, texts, raw)
+    chr_first = hex_hits(retrieve_chr(pair, corpus, 0.0, 201))
+    assert hex_hits(retrieve_h_plus_only(pair, corpus, 201)) == chr_first
+    corpus = Corpus(ids, texts, raw)
+    plus_first = hex_hits(retrieve_h_plus_only(pair, corpus, 201))
+    assert hex_hits(retrieve_chr(pair, corpus, 0.0, 201)) == plus_first == chr_first
 
 
 def test_retrieve_chr_fallback_pair_equals_h_plus_only_at_any_lambda():
     rng = np.random.default_rng(6)
     corpus = random_corpus(rng, 150, 8)
-    fallback = make_pair(h_plus_emb=unit(rng, 8))
-    for lam in (0.0, 0.7, 1.4):
-        assert retrieve_chr(fallback, corpus, lam, 5).hits == retrieve_h_plus_only(
-            fallback, corpus, 5
-        ).hits
+    full = injected_pair(rng, 8)
+    # Same target as ``full``: only the missing mimic tells the two apart.
+    fallback = make_pair(h_plus_emb=full.h_plus_emb.copy())
+    for lam in (0.0, 0.7, *DEFAULT_SWEEP_GRID):
+        # The pairs alternate, so each call follows the other pair's memo.
+        full_hits = retrieve_chr(full, corpus, lam, 5).hits
+        fallback_hits = hex_hits(retrieve_chr(fallback, corpus, lam, 5))
+        assert fallback_hits == hex_hits(retrieve_h_plus_only(fallback, corpus, 5))
+        assert retrieve_chr(full, corpus, lam, 5).hits == full_hits
 
 
 def test_retrieve_chr_stamps_method_and_lambda():
@@ -324,6 +336,103 @@ def test_retrieve_chr_stamps_method_and_lambda():
     ranked = retrieve_chr(injected_pair(rng, 8), corpus, lam=0.8, k=3)
     assert ranked.method == "chr"
     assert ranked.lam == 0.8
+
+
+# ----------------------------------------------------------------------
+# Memoized pair products
+# ----------------------------------------------------------------------
+
+def duplicate_row_corpus(seed: int, n: int = 203, dim: int = 24) -> tuple:
+    """Raw rows where every row is one of 40 distinct vectors, shuffled.
+
+    Exact duplicates make tie groups that only the id rule orders. n is not a
+    multiple of 4, so some rows fall in the BLAS kernels' remainder; the
+    references below compute their products the same way, so they check the
+    memo and the selection, not whether BLAS scores identical rows alike.
+    """
+    rng = np.random.default_rng(seed)
+    distinct = rng.standard_normal((40, dim))
+    raw = distinct[rng.integers(0, 40, size=n)]
+    ids = [f"d{i:04d}" for i in rng.permutation(n)]
+    return ids, [f"text {i}" for i in range(n)], raw
+
+
+def sweep_hits(pair: HypothesisPair, corpus: Corpus, k: int) -> list:
+    return [retrieve_chr(pair, corpus, lam, k).hits for lam in (0.0, *DEFAULT_SWEEP_GRID)] + [
+        retrieve_h_plus_only(pair, corpus, k).hits
+    ]
+
+
+def test_pair_products_alternating_pairs_match_fresh_corpora():
+    ids, texts, raw = duplicate_row_corpus(11)
+    rng = np.random.default_rng(12)
+    pair_a = injected_pair(rng, 24)
+    # B shares A's target and differs only in its mimic.
+    pair_b = make_pair(h_plus_emb=pair_a.h_plus_emb.copy(), h_minus_emb=unit(rng, 24))
+    shared = Corpus(ids, texts, raw)
+    for pair in (pair_a, pair_b, pair_a, pair_b):
+        assert sweep_hits(pair, shared, 7) == sweep_hits(pair, Corpus(ids, texts, raw), 7)
+
+
+def test_pair_products_follow_in_place_mutation():
+    ids, texts, raw = duplicate_row_corpus(13)
+    rng = np.random.default_rng(14)
+    corpus = Corpus(ids, texts, raw)
+    pair = injected_pair(rng, 24)
+    retrieve_chr(pair, corpus, 1.0, 5)
+    for emb in (pair.h_minus_emb, pair.h_plus_emb):
+        emb[:] = unit(rng, 24)
+        assert sweep_hits(pair, corpus, 5) == sweep_hits(pair, Corpus(ids, texts, raw), 5)
+
+
+def test_sweep_weights_match_full_sort_and_shifted_query():
+    ids, texts, raw = duplicate_row_corpus(15)
+    rng = np.random.default_rng(16)
+    corpus = Corpus(ids, texts, raw)
+    matrix = corpus.matrix.copy()
+    position = {doc_id: row for row, doc_id in enumerate(ids)}
+    k = 12
+    ties_seen = 0
+    for _ in range(5):
+        pair = injected_pair(rng, 24)
+        # Reference products from a fresh copy of the matrix, not the memo.
+        a, b = matrix @ pair.h_plus_emb, matrix @ pair.h_minus_emb
+        for lam in DEFAULT_SWEEP_GRID:
+            hits = retrieve_chr(pair, corpus, lam, k).hits
+            want = full_sort_top_k(ids, a - lam * b, k)
+            assert [(i, s.hex()) for i, s in hits] == [(i, s.hex()) for i, s in want]
+            via_query = corpus.matrix @ shifted_query(pair, lam)
+            for doc_id, score in hits:
+                assert abs(score - via_query[position[doc_id]]) <= 1e-12
+            scores = [s for _, s in hits]
+            ties_seen += len(scores) - len(set(scores))
+    assert ties_seen > 0  # the check covered tie groups
+
+
+def test_corpus_matrix_stays_read_only_after_retrieval():
+    ids, texts, raw = duplicate_row_corpus(17)
+    corpus = Corpus(ids, texts, raw)
+    before = corpus.matrix.tobytes()
+    pair = injected_pair(np.random.default_rng(18), 24)
+    sweep_hits(pair, corpus, 5)
+    assert not corpus.matrix.flags["WRITEABLE"]
+    assert corpus.matrix.tobytes() == before
+    with pytest.raises(ValueError):
+        corpus.matrix[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("wrong", ["h_plus", "h_minus"])
+def test_wrong_dimension_hypothesis_is_named(wrong):
+    rng = np.random.default_rng(19)
+    corpus = random_corpus(rng, 20, 8)
+    embs = {"h_plus": unit(rng, 8), "h_minus": unit(rng, 8)}
+    embs[wrong] = unit(rng, 9)
+    pair = make_pair(h_plus_emb=embs["h_plus"], h_minus_emb=embs["h_minus"])
+    for lam in (0.0, 1.0):
+        with pytest.raises(DimensionMismatchError, match=f"{wrong} embedding"):
+            retrieve_chr(pair, corpus, lam, 5)
+    with pytest.raises(DimensionMismatchError, match=f"{wrong} embedding"):
+        retrieve_h_plus_only(pair, corpus, 5)
 
 
 def test_increasing_target_similarity_never_lowers_rank():
