@@ -6,14 +6,17 @@ The ranking function is the contrastive score
 
 For unit-norm document embeddings it is linear in lambda: with the two
 corpus products ``a = M @ H_plus`` and ``b = M @ H_minus``, the scores are
-``a - lambda * b``. The corpus keeps the last pair's ``(a, b)`` in a
-one-slot memo keyed on the pair's embedding bytes, so a sweep over any
-number of weights for one pair costs two matrix-vector products. The
+``a - lambda * b``. The corpus keeps the last ``a`` and the last ``b`` in
+two one-slot memos, each keyed on its embedding's bytes, so a sweep over
+any number of weights for one pair costs two matrix-vector products. ``b``
+is computed only when it counts: target-only scoring, a pair without a
+mimic and lambda = 0 rank by ``a`` itself, one product as before. The
 scores equal the dot products with the shifted query vector
 ``H_plus - lambda * H_minus`` (``shifted_query``, deliberately not
 renormalized: renormalizing rescales every score by the same positive
-factor and cannot change the ranking) up to float64 rounding. Target-only
-scoring, and lambda = 0, rank by ``a`` itself.
+factor and cannot change the ranking) up to float64 rounding. A single
+weight of a pair not scored just before costs two products where the
+shifted query took one.
 
 Retrieval is an exhaustive scan with no approximate index. Selection
 partitions the scores around the k-th largest in O(N), keeps every document
@@ -74,8 +77,8 @@ class Corpus:
     float64, in insertion order, so similarity against a query vector is one
     matrix product. The whole matrix is validated and normalized in one pass;
     ``Document`` objects are built on demand by iteration and ``get``.
-    The corpus also memoizes the products of the last hypothesis pair it
-    scored (see ``_pair_products``).
+    The corpus also memoizes the last target and mimic products it computed
+    (see ``_target_product`` and ``_mimic_product``).
 
     ``Corpus(ids, texts, matrix)`` takes one row of ``matrix`` per id, as a
     2-D array or a sequence of equal-length rows, and copies it, so the
@@ -117,8 +120,10 @@ class Corpus:
         self.texts = texts
         self.matrix = matrix
         self._index = index
-        # (key, a, b) of the last pair scored; replaced whole, never mutated.
-        self._products: tuple | None = None
+        # (embedding bytes, read-only product) of the last target and mimic
+        # scored; each is replaced whole, never mutated.
+        self._target: tuple[bytes, np.ndarray] | None = None
+        self._mimic: tuple[bytes, np.ndarray] | None = None
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> Corpus:
@@ -160,43 +165,38 @@ class Corpus:
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._index
 
-    def _pair_products(self, pair: HypothesisPair) -> tuple[np.ndarray, np.ndarray | None]:
-        """``(matrix @ h_plus, matrix @ h_minus)`` for one pair, read-only.
-
-        ``b`` is None for a pair without a mimic embedding. The last pair's
-        products are kept, keyed on its embeddings' bytes: a pair with equal
-        embeddings reuses them, and an embedding changed in place misses.
-        Each product is its own matrix-vector product, so ``a`` has the bits
-        of ``matrix @ h_plus``. Raises MissingEmbeddingError without a target
-        embedding and DimensionMismatchError, naming the hypothesis, when an
-        embedding is not a vector of the corpus dimension.
-        """
+    def _target_product(self, pair: HypothesisPair) -> np.ndarray:
+        """``a = matrix @ h_plus``, read-only, memoized on the embedding's bytes."""
         if pair.h_plus_emb is None:
             raise MissingEmbeddingError("pair has no h_plus embedding; call embed_pair first")
-        h_plus = self._hypothesis(pair.h_plus_emb, "h_plus")
-        h_minus = pair.h_minus_emb
-        if h_minus is not None:
-            h_minus = self._hypothesis(h_minus, "h_minus")
-        key = (h_plus.tobytes(), None if h_minus is None else h_minus.tobytes())
-        memo = self._products
-        if memo is not None and memo[0] == key:
-            return memo[1], memo[2]
-        a = self.matrix @ h_plus
-        a.setflags(write=False)
-        b = None
-        if h_minus is not None:
-            b = self.matrix @ h_minus
-            b.setflags(write=False)
-        self._products = (key, a, b)
-        return a, b
+        self._target = self._product(self._target, pair.h_plus_emb, "h_plus")
+        return self._target[1]
 
-    def _hypothesis(self, embedding: np.ndarray, name: str) -> np.ndarray:
+    def _mimic_product(self, pair: HypothesisPair) -> np.ndarray:
+        """``b = matrix @ h_minus``, read-only, memoized on the embedding's bytes."""
+        self._mimic = self._product(self._mimic, pair.h_minus_emb, "h_minus")
+        return self._mimic[1]
+
+    def _product(
+        self, memo: tuple[bytes, np.ndarray] | None, embedding: np.ndarray, name: str
+    ) -> tuple[bytes, np.ndarray]:
+        """The memo entry for ``matrix @ embedding``: ``memo`` itself on a hit.
+
+        An embedding changed in place has new bytes and misses. Raises
+        DimensionMismatchError, naming the hypothesis, when the embedding is
+        not a vector of the corpus dimension.
+        """
         vector = np.asarray(embedding, dtype=np.float64)
         if vector.shape != (self.dimension,):
             raise DimensionMismatchError(
                 f"{name} embedding has shape {vector.shape}, corpus dimension is {self.dimension}"
             )
-        return vector
+        key = vector.tobytes()
+        if memo is not None and memo[0] == key:
+            return memo
+        product = self.matrix @ vector
+        product.setflags(write=False)
+        return key, product
 
 
 @dataclass(frozen=True)
@@ -277,19 +277,20 @@ def _rank_by_query(corpus: Corpus, query: np.ndarray, k: int, method: str) -> Ra
 def retrieve_chr(pair: HypothesisPair, corpus: Corpus, lam: float, k: int) -> RankedResult:
     """Contrastive retrieval: rank by a - lam * b, the pair's corpus products.
 
-    A pair without a mimic embedding, and lam = 0, rank by ``a`` alone.
+    A pair without a mimic embedding, and lam = 0, rank by ``a`` alone; the
+    mimic is then neither checked nor multiplied.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    a, b = corpus._pair_products(pair)
-    scores = a if b is None or lam == 0 else a - lam * b
+    scores = corpus._target_product(pair)
+    if pair.h_minus_emb is not None and lam != 0:
+        scores = scores - lam * corpus._mimic_product(pair)
     return _ranked(corpus, scores, k, METHOD_CHR, lam=lam)
 
 
 def retrieve_h_plus_only(pair: HypothesisPair, corpus: Corpus, k: int) -> RankedResult:
     """Ablation: rank by similarity to the target hypothesis alone."""
-    a, _ = corpus._pair_products(pair)
-    return _ranked(corpus, a, k, METHOD_H_PLUS_ONLY)
+    return _ranked(corpus, corpus._target_product(pair), k, METHOD_H_PLUS_ONLY)
 
 
 def retrieve_standard(

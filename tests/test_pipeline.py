@@ -253,20 +253,27 @@ def test_run_benchmark_records_wrong_dimension_mimic_as_item_error(dataset, corp
         '{"H_plus": "target two", "H_minus": "short mimic"}',
         '{"H_plus": "target three", "H_minus": "mimic three"}',
     ]
-    records, summary = run_benchmark(
-        dataset[:3],
-        "chr",
-        corpus,
-        mock_config(),
-        generator=ScriptedGeneratorBackend(pairs),
-        answer_generator=MockGeneratorBackend(seed=0, embedder=embedder),
-        embedder=ShortMimicEmbedder(),
-        clock=None,
-    )
+    def run(method):
+        return run_benchmark(
+            dataset[:3],
+            method,
+            corpus,
+            mock_config(),
+            generator=ScriptedGeneratorBackend(pairs),
+            answer_generator=MockGeneratorBackend(seed=0, embedder=embedder),
+            embedder=ShortMimicEmbedder(),
+            clock=None,
+        )
+
+    records, summary = run("chr")
     errors = {r.item_id: r.error for r in records}
     assert errors.pop(dataset[1].id).startswith("DimensionMismatchError: h_minus embedding")
     assert set(errors.values()) == {None}
     assert summary["item_errors"] == 1
+    # The ablation never reads the mimic, so the same pairs rank without error.
+    records, summary = run("h_plus_only")
+    assert summary["item_errors"] == 0
+    assert all(len(r.ranked.hits) == 5 for r in records)
 
 
 def test_run_benchmark_call_counts_match_backends(dataset, corpus, embedder):

@@ -363,7 +363,7 @@ def sweep_hits(pair: HypothesisPair, corpus: Corpus, k: int) -> list:
     ]
 
 
-def test_pair_products_alternating_pairs_match_fresh_corpora():
+def test_product_memo_alternating_pairs_match_fresh_corpora():
     ids, texts, raw = duplicate_row_corpus(11)
     rng = np.random.default_rng(12)
     pair_a = injected_pair(rng, 24)
@@ -374,7 +374,7 @@ def test_pair_products_alternating_pairs_match_fresh_corpora():
         assert sweep_hits(pair, shared, 7) == sweep_hits(pair, Corpus(ids, texts, raw), 7)
 
 
-def test_pair_products_follow_in_place_mutation():
+def test_product_memo_follows_in_place_mutation():
     ids, texts, raw = duplicate_row_corpus(13)
     rng = np.random.default_rng(14)
     corpus = Corpus(ids, texts, raw)
@@ -421,18 +421,47 @@ def test_corpus_matrix_stays_read_only_after_retrieval():
         corpus.matrix[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("wrong", ["h_plus", "h_minus"])
-def test_wrong_dimension_hypothesis_is_named(wrong):
-    rng = np.random.default_rng(19)
-    corpus = random_corpus(rng, 20, 8)
+def wrong_dimension_pair(rng, wrong: str) -> HypothesisPair:
     embs = {"h_plus": unit(rng, 8), "h_minus": unit(rng, 8)}
     embs[wrong] = unit(rng, 9)
-    pair = make_pair(h_plus_emb=embs["h_plus"], h_minus_emb=embs["h_minus"])
+    return make_pair(h_plus_emb=embs["h_plus"], h_minus_emb=embs["h_minus"])
+
+
+def test_wrong_dimension_target_is_named():
+    rng = np.random.default_rng(19)
+    corpus = random_corpus(rng, 20, 8)
+    pair = wrong_dimension_pair(rng, "h_plus")
     for lam in (0.0, 1.0):
-        with pytest.raises(DimensionMismatchError, match=f"{wrong} embedding"):
+        with pytest.raises(DimensionMismatchError, match="h_plus embedding"):
             retrieve_chr(pair, corpus, lam, 5)
-    with pytest.raises(DimensionMismatchError, match=f"{wrong} embedding"):
+    with pytest.raises(DimensionMismatchError, match="h_plus embedding"):
         retrieve_h_plus_only(pair, corpus, 5)
+
+
+def test_wrong_dimension_mimic_is_named_only_where_it_is_used():
+    rng = np.random.default_rng(19)
+    corpus = random_corpus(rng, 20, 8)
+    pair = wrong_dimension_pair(rng, "h_minus")
+    for lam in DEFAULT_SWEEP_GRID:
+        with pytest.raises(DimensionMismatchError, match="h_minus embedding"):
+            retrieve_chr(pair, corpus, lam, 5)
+    # Target-only scoring and lambda = 0 never read the mimic.
+    plus = hex_hits(retrieve_h_plus_only(pair, corpus, 5))
+    assert hex_hits(retrieve_chr(pair, corpus, 0.0, 5)) == plus
+    target_only = make_pair(h_plus_emb=pair.h_plus_emb.copy())
+    assert hex_hits(retrieve_h_plus_only(target_only, corpus, 5)) == plus
+
+
+def test_target_only_scoring_computes_no_mimic_product():
+    rng = np.random.default_rng(20)
+    corpus = random_corpus(rng, 30, 8)
+    pair = injected_pair(rng, 8)
+    retrieve_h_plus_only(pair, corpus, 5)
+    retrieve_chr(pair, corpus, 0.0, 5)
+    retrieve_chr(make_pair(h_plus_emb=unit(rng, 8)), corpus, 1.0, 5)
+    assert corpus._mimic is None
+    retrieve_chr(pair, corpus, 0.2, 5)
+    assert corpus._mimic is not None
 
 
 def test_increasing_target_similarity_never_lowers_rank():
