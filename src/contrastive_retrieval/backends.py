@@ -7,6 +7,15 @@ Two wire contracts are defined here:
   ``{"model", "messages", "temperature"}`` and reads the generated text plus
   optional token usage from the response JSON.
 * ``EmbedderBackend.embed(text)``: maps text to a fixed-dimension vector.
+  The HTTP implementation POSTs ``{"model", "input"}`` and reads
+  ``data[0].embedding``.
+
+The HTTP backends speak HTTP/1.1 through the standard library's
+``http.client``: each attempt is one JSON POST on a new connection that the
+request asks the server to close. Proxy settings (``HTTP_PROXY``,
+``HTTPS_PROXY``) are not read. Transient failures retry with linear backoff
+and ``Retry-After``; a permanent status or a reply of the wrong shape fails
+at once (see ``_post_with_retries``).
 
 Deterministic in-process mocks implement the same contracts so the whole
 pipeline runs offline: a rule-driven generator keyed off prompt markers and
@@ -17,16 +26,19 @@ together.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
 import re
+import ssl
 import time
 from dataclasses import dataclass
 from typing import Protocol
+from urllib.parse import urlsplit
 
 import numpy as np
 
-from .errors import BackendUnavailableError, EmbedderFailureError
+from .errors import BackendUnavailableError, EmbedderFailureError, ZeroVectorError
 from .vectors import normalize
 
 Message = dict[str, str]
@@ -75,44 +87,105 @@ def chat_messages(system: str, user: str) -> list[Message]:
 # HTTP backends
 # ----------------------------------------------------------------------
 
+def _json_field(body, error: type[Exception], *path: str | int):
+    """``body[path[0]][path[1]]...``, else ``error`` naming the missing field."""
+    value = body
+    for key in path:
+        try:
+            value = value[key]
+        except (KeyError, IndexError, TypeError):
+            name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+            raise error(f"response lacks {name.lstrip('.')}") from None
+    return value
+
+
+def _retry_after_s(value: str | None) -> float:
+    """Delta-seconds of a ``Retry-After`` header; 0 for an HTTP-date or garbage."""
+    value = (value or "").strip()
+    return float(value) if re.fullmatch(r"[0-9]+", value) else 0.0
+
+
+def _connection(backend):
+    """A new connection to ``backend.url`` and the request target on it."""
+    parts = urlsplit(backend.url)
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    if parts.scheme == "http":
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=backend.timeout)
+    elif parts.scheme == "https":
+        if backend._tls is None:
+            backend._tls = ssl.create_default_context()
+        conn = http.client.HTTPSConnection(
+            parts.hostname, parts.port, timeout=backend.timeout, context=backend._tls
+        )
+    else:
+        raise ValueError(f"URL scheme {parts.scheme!r} is not http or https")
+    return conn, target
+
+
 def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exception]):
     """POST ``payload`` to ``backend.url`` and return ``read(response_json)``.
 
-    Connect errors, timeouts, 408 (request timeout), 429 (rate limited), 5xx
-    and unreadable bodies are retried ``backend.transport_retries`` times with
-    linear backoff, then raise ``error``. Any other 4xx will not change on
-    retry, so it raises ``error`` at once, naming the status. ``read`` may
-    raise ``error`` to stop retrying.
-    """
-    import requests
+    Each attempt opens one new connection, sends the request with
+    ``Connection: close``, reads the status and body, and closes it. Reusing
+    a connection would stall each response on servers that write headers
+    and body in separate small writes (Nagle against delayed ACK).
 
-    headers = {"Content-Type": "application/json"}
+    Connect errors, timeouts, 408 (request timeout), 429 (rate limited), 5xx
+    and bodies that are not JSON are retried ``backend.transport_retries``
+    times, then raise ``error``. Before attempt ``n`` (from 1) it sleeps
+    ``backend.backoff_s * n``; after a 429 or 503 whose ``Retry-After`` holds
+    delta-seconds, it sleeps ``max(backend.backoff_s * n, Retry-After)``. An
+    HTTP-date or unreadable ``Retry-After`` keeps the linear backoff. Any
+    other status outside 2xx will not change on retry, so it raises
+    ``error`` at once, naming the status. ``read`` raises ``error`` for a
+    body of the wrong shape, which stops retrying too.
+    """
+    body = json.dumps(payload).encode("utf-8")
+    headers = {"Content-Type": "application/json", "Connection": "close"}
     if backend.api_key:
         headers["Authorization"] = f"Bearer {backend.api_key}"
-    last_error: Exception | None = None
+    last_error: object = None
+    retry_after = 0.0
     for attempt in range(backend.transport_retries + 1):
         if attempt > 0:
-            time.sleep(backend.backoff_s * attempt)
+            time.sleep(max(backend.backoff_s * attempt, retry_after))
+        retry_after = 0.0
         try:
-            resp = requests.post(backend.url, json=payload, headers=headers, timeout=backend.timeout)
-            status = resp.status_code
-            if 400 <= status < 500 and status not in (408, 429):
-                raise error(f"{role} at {backend.url} rejected the request: HTTP {status}")
-            resp.raise_for_status()
-            return read(resp.json())
-        except error:
-            raise
-        except Exception as exc:  # noqa: BLE001 - transport/shape errors retry
+            conn, target = _connection(backend)
+        except ValueError as exc:
+            raise error(f"{role} at {backend.url}: {exc}") from None
+        try:
+            conn.request("POST", target, body=body, headers=headers)
+            resp = conn.getresponse()
+            status, raw = resp.status, resp.read()
+            if status in (429, 503):
+                retry_after = _retry_after_s(resp.getheader("Retry-After"))
+        except (OSError, http.client.HTTPException) as exc:
             last_error = exc
+            continue
+        finally:
+            conn.close()
+        if status in (408, 429) or status >= 500:
+            last_error = f"HTTP {status}"
+            continue
+        if not 200 <= status < 300:
+            raise error(f"{role} at {backend.url} rejected the request: HTTP {status}")
+        try:
+            parsed = json.loads(raw)
+        except ValueError as exc:  # truncated or not JSON; UnicodeDecodeError included
+            last_error = exc
+            continue
+        return read(parsed)
     raise error(f"{role} at {backend.url} unreachable: {last_error}")
 
 
 class HttpGeneratorBackend:
     """Chat-completion client for an OpenAI-compatible endpoint.
 
-    Transient failures, an unparseable body included, are retried
+    Transient failures, a body that is not JSON included, are retried
     ``transport_retries`` times before raising BackendUnavailableError; a
-    4xx other than 408/429 raises it at once.
+    status outside 2xx other than 408/429/5xx, or a reply without
+    ``choices[0].message.content``, raises it at once.
     """
 
     def __init__(
@@ -133,16 +206,20 @@ class HttpGeneratorBackend:
         self.backoff_s = backoff_s
         self.seed = seed
         self.calls = 0
+        self._tls = None  # one TLS context, built on the first https call
 
     def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
         payload: dict = {"model": self.model, "messages": messages, "temperature": temperature}
         if self.seed is not None:
             payload["seed"] = self.seed
 
-        def read(body: dict) -> GenerationResult:
-            text = body["choices"][0]["message"]["content"]
-            usage = body.get("usage") or {}
-            return GenerationResult(text=text, output_tokens=usage.get("completion_tokens"))
+        def read(body) -> GenerationResult:
+            text = _json_field(body, BackendUnavailableError, "choices", 0, "message", "content")
+            if not isinstance(text, str):
+                raise BackendUnavailableError("response choices[0].message.content is not a string")
+            usage = body.get("usage")
+            tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
+            return GenerationResult(text=text, output_tokens=tokens)
 
         result = _post_with_retries(self, "generator", payload, read, BackendUnavailableError)
         self.calls += 1
@@ -150,7 +227,11 @@ class HttpGeneratorBackend:
 
 
 class HttpEmbedderBackend:
-    """Embedding client for an OpenAI-compatible ``/embeddings`` endpoint."""
+    """Embedding client for an OpenAI-compatible ``/embeddings`` endpoint.
+
+    Retries as ``HttpGeneratorBackend`` does, raising EmbedderFailureError;
+    a reply without a usable ``data[0].embedding`` raises it at once.
+    """
 
     def __init__(
         self,
@@ -168,10 +249,17 @@ class HttpEmbedderBackend:
         self.transport_retries = transport_retries
         self.backoff_s = backoff_s
         self.dimension = -1  # learned from the first response
+        self._tls = None  # one TLS context, built on the first https call
 
     def embed(self, text: str) -> np.ndarray:
-        def read(body: dict) -> np.ndarray:
-            vec = normalize(body["data"][0]["embedding"])
+        def read(body) -> np.ndarray:
+            values = _json_field(body, EmbedderFailureError, "data", 0, "embedding")
+            try:
+                vec = normalize(values)
+            except (ZeroVectorError, TypeError, ValueError) as exc:
+                raise EmbedderFailureError(
+                    f"response data[0].embedding is unusable: {exc}"
+                ) from None
             if self.dimension == -1:
                 self.dimension = vec.shape[0]
             elif vec.shape[0] != self.dimension:

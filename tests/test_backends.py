@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import json
+import os
+import re
+import ssl
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-import requests
 
+import contrastive_retrieval
 from contrastive_retrieval.backends import (
     HttpEmbedderBackend,
     HttpGeneratorBackend,
@@ -20,22 +28,37 @@ from helpers import (
     ScriptedGeneratorBackend,
     two_option_item,
 )
-
-
-class DummyResponse:
-    def __init__(self, payload: dict, status_code: int = 200):
-        self._payload = payload
-        self.status_code = status_code
-
-    def raise_for_status(self) -> None:
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"status {self.status_code}")
-
-    def json(self) -> dict:
-        return self._payload
-
+from http_faults import FaultServer, Reply
 
 MESSAGES = [{"role": "user", "content": "hello"}]
+
+
+@pytest.fixture
+def serve():
+    """Start ``FaultServer``s for one test; on teardown, stop them and check
+    that every request came on a connection of its own, asked to be closed."""
+    servers: list[FaultServer] = []
+
+    def start(*replies: Reply) -> FaultServer:
+        servers.append(FaultServer(*replies))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+    for server in servers:
+        assert [r.headers.get("connection") for r in server.requests] == (
+            ["close"] * len(server.requests)
+        )
+        assert server.connections == len(server.requests)
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The backoff sleeps of the backends, recorded instead of slept."""
+    recorded: list[float] = []
+    monkeypatch.setattr("contrastive_retrieval.backends.time.sleep", recorded.append)
+    return recorded
 
 
 def test_estimate_output_tokens_is_ceil_of_quarter_chars():
@@ -45,84 +68,71 @@ def test_estimate_output_tokens_is_ceil_of_quarter_chars():
     assert estimate_output_tokens("x" * 16) == 4
 
 
-def test_http_generator_success(monkeypatch):
-    captured = {}
-
-    def fake_post(url, json=None, headers=None, timeout=0):
-        captured.update(url=url, payload=json, headers=headers)
-        return DummyResponse(
-            {
-                "choices": [{"message": {"content": "generated text"}}],
-                "usage": {"completion_tokens": 42},
-            }
-        )
-
-    monkeypatch.setattr(requests, "post", fake_post)
+def test_http_generator_success(serve):
+    server = serve(
+        Reply(body={
+            "choices": [{"message": {"content": "generated text"}}],
+            "usage": {"completion_tokens": 42},
+        })
+    )
     backend = HttpGeneratorBackend(
-        "http://host/v1/chat", "test-model", api_key="secret", seed=3, backoff_s=0.0
+        server.url("/v1/chat"), "test-model", api_key="secret", seed=3, backoff_s=0.0
     )
     result = backend.complete(MESSAGES, temperature=0.5)
     assert result.text == "generated text"
     assert result.output_tokens == 42
     assert backend.calls == 1
-    assert captured["url"] == "http://host/v1/chat"
-    assert captured["payload"]["model"] == "test-model"
-    assert captured["payload"]["temperature"] == 0.5
-    assert captured["payload"]["seed"] == 3
-    assert captured["headers"]["Authorization"] == "Bearer secret"
+    [request] = server.requests
+    assert request.path == "/v1/chat"
+    assert request.payload["model"] == "test-model"
+    assert request.payload["messages"] == MESSAGES
+    assert request.payload["temperature"] == 0.5
+    assert request.payload["seed"] == 3
+    assert request.headers["authorization"] == "Bearer secret"
+    assert request.headers["content-type"] == "application/json"
 
 
-def test_http_generator_retries_then_raises(monkeypatch):
-    attempts = []
-
-    def fake_post(url, json=None, headers=None, timeout=0):
-        attempts.append(url)
-        raise requests.ConnectionError("down")
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    backend = HttpGeneratorBackend("http://host", "m", transport_retries=2, backoff_s=0.0)
-    with pytest.raises(BackendUnavailableError):
+def test_http_generator_retries_then_raises(serve):
+    server = serve(Reply(drop=True))
+    backend = HttpGeneratorBackend(server.url(), "m", transport_retries=2, backoff_s=0.0)
+    with pytest.raises(BackendUnavailableError, match="unreachable"):
         backend.complete(MESSAGES)
-    assert len(attempts) == 3
+    assert len(server.requests) == 3
 
 
-def test_http_generator_bad_body_counts_as_failure(monkeypatch):
-    monkeypatch.setattr(
-        requests, "post", lambda *a, **k: DummyResponse({"unexpected": True})
-    )
-    backend = HttpGeneratorBackend("http://host", "m", transport_retries=0, backoff_s=0.0)
+def test_http_generator_bad_body_counts_as_failure(serve):
+    server = serve(Reply(body={"unexpected": True}))
+    backend = HttpGeneratorBackend(server.url(), "m", transport_retries=0, backoff_s=0.0)
     with pytest.raises(BackendUnavailableError):
         backend.complete(MESSAGES)
 
 
-def test_http_embedder_success_and_dimension_tracking(monkeypatch):
-    monkeypatch.setattr(
-        requests,
-        "post",
-        lambda *a, **k: DummyResponse({"data": [{"embedding": [3.0, 4.0]}]}),
+def test_http_embedder_success_and_dimension_tracking(serve):
+    server = serve(
+        Reply(body={"data": [{"embedding": [3.0, 4.0]}]}),
+        Reply(body={"data": [{"embedding": [1.0, 0.0, 0.0]}]}),
     )
-    backend = HttpEmbedderBackend("http://host/emb", "emb-model", backoff_s=0.0)
+    backend = HttpEmbedderBackend(server.url("/v1/emb"), "emb-model", backoff_s=0.0)
     vec = backend.embed("text")
     assert np.allclose(vec, [0.6, 0.8])
     assert backend.dimension == 2
+    assert server.requests[0].path == "/v1/emb"
+    assert server.requests[0].payload == {"model": "emb-model", "input": "text"}
+    assert "authorization" not in server.requests[0].headers
 
-    monkeypatch.setattr(
-        requests,
-        "post",
-        lambda *a, **k: DummyResponse({"data": [{"embedding": [1.0, 0.0, 0.0]}]}),
-    )
-    with pytest.raises(EmbedderFailureError):
+    with pytest.raises(EmbedderFailureError, match="dimension 3, expected 2"):
         backend.embed("other")
+    assert len(server.requests) == 2
 
 
-def test_http_embedder_unreachable(monkeypatch):
-    def fake_post(*a, **k):
-        raise requests.ConnectionError("down")
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    backend = HttpEmbedderBackend("http://host", "m", transport_retries=1, backoff_s=0.0)
-    with pytest.raises(EmbedderFailureError):
+def test_http_embedder_unreachable(serve, sleeps):
+    server = serve(Reply())
+    server.close()  # nothing listens on the port any more: each connect is refused
+    backend = HttpEmbedderBackend(server.url(), "m", transport_retries=1, backoff_s=0.25)
+    with pytest.raises(EmbedderFailureError, match="unreachable"):
         backend.embed("text")
+    assert sleeps == [0.25]  # two attempts
+    assert server.requests == []
 
 
 GENERATOR_BODY = {"choices": [{"message": {"content": "text"}}]}
@@ -138,52 +148,173 @@ HTTP_BACKENDS = (
 )
 
 
-def fake_status_endpoint(monkeypatch, status: int, body: dict):
-    attempts, sleeps = [], []
-
-    def fake_post(*a, **k):
-        attempts.append(status)
-        return DummyResponse(body, status_code=status)
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    monkeypatch.setattr("contrastive_retrieval.backends.time.sleep", sleeps.append)
-    return attempts, sleeps
-
-
 @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
 @pytest.mark.parametrize("cls, call, body, error", HTTP_BACKENDS)
-def test_http_backend_permanent_client_error_fails_fast(monkeypatch, status, cls, call, body,
+def test_http_backend_permanent_client_error_fails_fast(serve, sleeps, status, cls, call, body,
                                                         error):
-    attempts, sleeps = fake_status_endpoint(monkeypatch, status, body)
-    backend = cls("http://host", "m", transport_retries=2, backoff_s=5.0)
+    server = serve(Reply(status, body))
+    backend = cls(server.url(), "m", transport_retries=2, backoff_s=5.0)
     with pytest.raises(error, match=f"HTTP {status}"):
         call(backend)
-    assert attempts == [status]
+    assert len(server.requests) == 1
     assert sleeps == []
 
 
 @pytest.mark.parametrize("status", [408, 429, 500, 503])
 @pytest.mark.parametrize("cls, call, body, error", HTTP_BACKENDS)
-def test_http_backend_transient_status_retries(monkeypatch, status, cls, call, body, error):
-    attempts, sleeps = fake_status_endpoint(monkeypatch, status, body)
-    backend = cls("http://host", "m", transport_retries=2, backoff_s=5.0)
+def test_http_backend_transient_status_retries(serve, sleeps, status, cls, call, body, error):
+    server = serve(Reply(status, body))
+    backend = cls(server.url(), "m", transport_retries=2, backoff_s=5.0)
     with pytest.raises(error, match="unreachable"):
         call(backend)
-    assert len(attempts) == backend.transport_retries + 1
+    assert len(server.requests) == backend.transport_retries + 1
     assert sleeps == [5.0, 10.0]
 
 
 @pytest.mark.parametrize("cls, call, body, error", HTTP_BACKENDS)
-def test_http_backend_retries_until_success(monkeypatch, cls, call, body, error):
-    statuses = [503, 429]
-
-    def fake_post(*a, **k):
-        return DummyResponse(body, status_code=statuses.pop(0) if statuses else 200)
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    backend = cls("http://host", "m", transport_retries=2, backoff_s=0.0)
+def test_http_backend_retries_until_success(serve, cls, call, body, error):
+    server = serve(Reply(503, body), Reply(429, body), Reply(200, body))
+    backend = cls(server.url(), "m", transport_retries=2, backoff_s=0.0)
     call(backend)
-    assert statuses == []
+    assert len(server.requests) == 3
+
+
+@pytest.mark.parametrize("status, retry_after, backoff_s, expected", [
+    (429, "1", 0.01, [1.0]),
+    (503, "1", 0.01, [1.0]),
+    (429, "1", 5.0, [5.0]),  # never shorter than the linear backoff
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.01, [0.01]),  # HTTP-date: linear backoff
+    (503, "soon", 0.01, [0.01]),
+    (429, "\u00b2", 0.01, [0.01]),  # a digit, but not an ASCII one
+    (500, "1", 0.01, [0.01]),  # read only on 429 and 503
+])
+@pytest.mark.parametrize("cls, call, body, error", HTTP_BACKENDS)
+def test_http_backend_honours_retry_after(serve, sleeps, status, retry_after, backoff_s,
+                                          expected, cls, call, body, error):
+    server = serve(Reply(status, headers={"Retry-After": retry_after}), Reply(200, body))
+    backend = cls(server.url(), "m", transport_retries=2, backoff_s=backoff_s)
+    call(backend)
+    assert len(server.requests) == 2
+    assert sleeps == expected
+
+
+@pytest.mark.parametrize("cls, call, body, error", HTTP_BACKENDS)
+def test_http_backend_retry_after_holds_for_one_attempt(serve, sleeps, cls, call, body, error):
+    server = serve(Reply(429, headers={"Retry-After": "7"}), Reply(drop=True), Reply(200, body))
+    backend = cls(server.url(), "m", transport_retries=2, backoff_s=0.5)
+    call(backend)
+    assert len(server.requests) == 3
+    assert sleeps == [7.0, 1.0]
+
+
+@pytest.mark.parametrize("cls, call, body, error", HTTP_BACKENDS)
+def test_http_backend_server_error_then_success(serve, sleeps, cls, call, body, error):
+    server = serve(Reply(500, {"error": "overloaded"}), Reply(200, body))
+    backend = cls(server.url(), "m", transport_retries=2, backoff_s=0.5)
+    call(backend)
+    assert len(server.requests) == 2
+    assert sleeps == [0.5]
+
+
+@pytest.mark.parametrize("truncated", [
+    pytest.param(lambda body: Reply(200, json.dumps(body).encode()[:-7]), id="invalid-json"),
+    pytest.param(lambda body: Reply(200, body, cut_at=12), id="short-transfer"),
+])
+@pytest.mark.parametrize("cls, call, body, error", HTTP_BACKENDS)
+def test_http_backend_truncated_body_then_success(serve, sleeps, truncated, cls, call, body,
+                                                  error):
+    server = serve(truncated(body), Reply(200, body))
+    backend = cls(server.url(), "m", transport_retries=2, backoff_s=0.5)
+    call(backend)
+    assert len(server.requests) == 2
+    assert sleeps == [0.5]
+
+
+@pytest.mark.parametrize("cls, call, body, error", HTTP_BACKENDS)
+def test_http_backend_slow_response_times_out_then_succeeds(serve, sleeps, cls, call, body,
+                                                            error):
+    server = serve(Reply(200, body, delay_s=5.0), Reply(200, body))
+    backend = cls(server.url(), "m", timeout=1.0, transport_retries=1, backoff_s=0.5)
+    call(backend)
+    assert len(server.requests) == 2
+    assert sleeps == [0.5]
+
+
+@pytest.mark.parametrize("cls, call, reply, error, field", [
+    pytest.param(HttpGeneratorBackend, lambda b: b.complete(MESSAGES), {"choices": []},
+                 BackendUnavailableError, "choices[0].message.content", id="generator-empty"),
+    pytest.param(HttpGeneratorBackend, lambda b: b.complete(MESSAGES),
+                 {"choices": [{"message": {"role": "assistant"}}]},
+                 BackendUnavailableError, "choices[0].message.content", id="generator-no-content"),
+    pytest.param(HttpGeneratorBackend, lambda b: b.complete(MESSAGES),
+                 {"choices": [{"message": {"content": None}}]},
+                 BackendUnavailableError, "choices[0].message.content", id="generator-null"),
+    pytest.param(HttpEmbedderBackend, lambda b: b.embed("text"), {"data": [{"vector": [1.0]}]},
+                 EmbedderFailureError, "data[0].embedding", id="embedder-no-embedding"),
+    pytest.param(HttpEmbedderBackend, lambda b: b.embed("text"), ["not", "an", "object"],
+                 EmbedderFailureError, "data[0].embedding", id="embedder-list"),
+    pytest.param(HttpEmbedderBackend, lambda b: b.embed("text"),
+                 {"data": [{"embedding": [0.0, 0.0]}]},
+                 EmbedderFailureError, "data[0].embedding", id="embedder-zero-vector"),
+])
+def test_http_backend_wrong_shape_fails_fast(serve, sleeps, cls, call, reply, error, field):
+    server = serve(Reply(200, reply))
+    backend = cls(server.url(), "m", transport_retries=2, backoff_s=0.5)
+    with pytest.raises(error, match=re.escape(field)):
+        call(backend)
+    assert len(server.requests) == 1
+    assert sleeps == []
+
+
+def test_http_backends_close_every_connection(serve):
+    server = serve(Reply(200, GENERATOR_BODY), Reply(200, EMBEDDER_BODY))
+    HttpGeneratorBackend(server.url(), "m").complete(MESSAGES)
+    HttpEmbedderBackend(server.url(), "m").embed("text")
+    # One connection per request, each asked to close: keep-alive stalls
+    # every response on servers that write headers and body separately.
+    assert [r.headers["connection"] for r in server.requests] == ["close", "close"]
+    assert server.connections == 2
+
+
+def test_https_backend_builds_one_tls_context(sleeps):
+    server = FaultServer(Reply(200, EMBEDDER_BODY))
+    try:
+        backend = HttpEmbedderBackend(server.url().replace("http:", "https:"), "m",
+                                      transport_retries=1, backoff_s=0.0)
+        contexts = []
+        for _ in range(2):
+            # The server speaks plain HTTP, so every TLS handshake fails and retries.
+            with pytest.raises(EmbedderFailureError, match="unreachable"):
+                backend.embed("text")
+            contexts.append(backend._tls)
+        assert isinstance(contexts[0], ssl.SSLContext)
+        assert contexts[1] is contexts[0]
+        assert server.connections == 4
+    finally:
+        server.close()
+
+
+def test_http_backend_rejects_other_url_schemes(sleeps):
+    backend = HttpGeneratorBackend("ftp://127.0.0.1/v1", "m", transport_retries=2)
+    with pytest.raises(BackendUnavailableError, match="'ftp' is not http or https"):
+        backend.complete(MESSAGES)
+    assert sleeps == []
+
+
+def test_http_call_does_not_import_requests(serve):
+    server = serve(Reply(200, EMBEDDER_BODY))
+    code = (
+        "import sys\n"
+        "from contrastive_retrieval.backends import HttpEmbedderBackend\n"
+        f"HttpEmbedderBackend({server.url()!r}, 'm').embed('text')\n"
+        "print('requests' in sys.modules)\n"
+    )
+    src = str(Path(contrastive_retrieval.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
+    assert len(server.requests) == 1
 
 
 def test_mock_embedder_deterministic_unit_and_shared_vocab():
