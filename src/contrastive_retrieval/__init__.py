@@ -48,7 +48,6 @@ from .pipeline import (
 )
 from .retrieval import (
     Corpus,
-    Document,
     RankedResult,
     retrieve_chr,
     retrieve_h_plus_only,
@@ -66,7 +65,6 @@ __all__ = [
     "CostEntry",
     "CostReport",
     "Corpus",
-    "Document",
     "EvalRecord",
     "GenerationResult",
     "HttpEmbedderBackend",

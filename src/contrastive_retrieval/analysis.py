@@ -137,6 +137,22 @@ class SweepReport:
             raise ValueError("sweep lambdas must be strictly increasing")
 
 
+def sweep_grid(lambdas: Sequence[float]) -> list[float]:
+    """The sweep's weights in ascending order.
+
+    Raises ValueError unless there is at least one weight and the weights
+    are nonnegative and distinct.
+    """
+    if not lambdas:
+        raise ValueError("need at least one lambda")
+    lams = sorted(lambdas)
+    if any(lam < 0 for lam in lams):
+        raise ValueError("lambdas must be nonnegative")
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise ValueError("lambdas must be distinct")
+    return lams
+
+
 def lambda_sweep(
     dataset: Sequence[QAItem],
     lambdas: Sequence[float],
@@ -163,13 +179,7 @@ def lambda_sweep(
     h_plus_only runs filled, so the sweep ranks with the same pairs and
     generates none. Without it the sweep keeps its own.
     """
-    if not lambdas:
-        raise ValueError("need at least one lambda")
-    lams = sorted(lambdas)
-    if any(lam < 0 for lam in lams):
-        raise ValueError("lambdas must be nonnegative")
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise ValueError("lambdas must be distinct")
+    lams = sweep_grid(lambdas)
     if not dataset:
         raise EmptyInputError("dataset must contain at least one item")
 

@@ -27,7 +27,14 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .analysis import SweepReport, cost_report, lambda_sweep, retrieval_shift, stratified_accuracy
+from .analysis import (
+    SweepReport,
+    cost_report,
+    lambda_sweep,
+    retrieval_shift,
+    stratified_accuracy,
+    sweep_grid,
+)
 from .backends import (
     EmbedderBackend,
     GeneratorBackend,
@@ -53,7 +60,8 @@ from .dataio import (
     write_json,
     write_text,
 )
-from .errors import ContrastiveRetrievalError, NoQualifyingCasesError
+from .errors import ContrastiveRetrievalError, NoQualifyingCasesError, UnknownItemIdError
+from .hypotheses import QAItem
 from .pipeline import PairCache, run_benchmark
 from .reports import (
     cost_to_dict,
@@ -193,7 +201,11 @@ def _make_backends(config: RunConfig) -> tuple[GeneratorBackend, EmbedderBackend
     )
 
 
-def _resolve_inputs(config: RunConfig, embedder: EmbedderBackend):
+def _resolve_inputs(config: RunConfig) -> tuple[list[QAItem], str, str]:
+    """The dataset's items and name, and the path of the corpus to load.
+
+    The bundled fixture stands in for either path only under --mock.
+    """
     dataset_path = config.dataset_path or (
         str(bundled_path(DATASET_FILE)) if config.mock else ""
     )
@@ -205,9 +217,25 @@ def _resolve_inputs(config: RunConfig, embedder: EmbedderBackend):
             "dataset and corpus paths are required (the bundled fixture is used "
             "only with --mock)"
         )
-    items = load_dataset(dataset_path)
-    corpus = load_corpus(corpus_path, embedder=embedder, cache_path=config.cache_path or None)
-    return items, corpus, Path(dataset_path).stem
+    return load_dataset(dataset_path), Path(dataset_path).stem, corpus_path
+
+
+def _run_ratings(config: RunConfig, items: list[QAItem]) -> tuple[dict, set] | None:
+    """The strata report's (ratings, exclusions), or None without a sheet.
+
+    Read and checked against the dataset before the run, so a bad sheet
+    costs no backend call. The bundled sheet rates the bundled items only.
+    """
+    path = config.ratings_path or (
+        str(bundled_path(RATINGS_FILE)) if config.mock and not config.dataset_path else ""
+    )
+    if not path:
+        return None
+    ratings, exclusions = load_ratings(path)
+    unknown = sorted((set(ratings) | exclusions) - {item.id for item in items})
+    if unknown:
+        raise UnknownItemIdError(f"{path}: rated item {unknown[0]!r} is not in the dataset")
+    return ratings, exclusions
 
 
 def _clock(config: RunConfig):
@@ -218,8 +246,10 @@ def _clock(config: RunConfig):
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     generator, embedder = _make_backends(config)
-    items, corpus, dataset_name = _resolve_inputs(config, embedder)
     methods = METHODS if args.method == "all" else (_CLI_METHODS[args.method],)
+    items, dataset_name, corpus_path = _resolve_inputs(config)
+    ratings = _run_ratings(config, items) if len(methods) > 1 else None
+    corpus = load_corpus(corpus_path, embedder=embedder, cache_path=config.cache_path or None)
     out = Path(config.out_dir)
     clock = _clock(config)
     # chr, h_plus_only and the sweep rank with each item's one pair.
@@ -268,13 +298,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             dataset_name=dataset_name,
             clock=clock,
         )
-        reports = _run_reports(config, all_records, sweep)
+        reports = _run_reports(config, all_records, sweep, ratings)
     _write_reports(out, reports)
     return 0
 
 
 def _run_reports(
-    config: RunConfig, all_records: dict[str, list], sweep: SweepReport
+    config: RunConfig,
+    all_records: dict[str, list],
+    sweep: SweepReport,
+    ratings: tuple[dict, set] | None,
 ) -> list[tuple]:
     """The overlap, cost, sweep and strata reports of a multi-method run."""
     reports: list[tuple] = []
@@ -290,13 +323,8 @@ def _run_reports(
     reports.append(("cost", cost, cost_to_dict, render_cost_table, None))
     reports.append(("sweep", sweep, sweep_to_dict, render_sweep_table, render_sweep_svg))
 
-    # The bundled ratings sheet rates the bundled items only.
-    ratings_path = config.ratings_path or (
-        str(bundled_path(RATINGS_FILE)) if config.mock and not config.dataset_path else ""
-    )
-    if ratings_path:
-        ratings, exclusions = load_ratings(ratings_path)
-        strata = stratified_accuracy(all_records[METHOD_CHR], ratings, exclusions)
+    if ratings is not None:
+        strata = stratified_accuracy(all_records[METHOD_CHR], *ratings)
         reports.append(("strata", strata, strata_to_dict, render_strata_table, None))
     else:
         print("strata report skipped: no ratings file", file=sys.stderr)
@@ -339,8 +367,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lambdas = DEFAULT_SWEEP_GRID
     if args.lambdas:
         lambdas = tuple(float(part) for part in args.lambdas.split(",") if part.strip())
+    # Checked before the baselines, so a bad grid costs no backend call.
+    lambdas = sweep_grid(lambdas)
     generator, embedder = _make_backends(config)
-    items, corpus, dataset_name = _resolve_inputs(config, embedder)
+    items, dataset_name, corpus_path = _resolve_inputs(config)
+    corpus = load_corpus(corpus_path, embedder=embedder, cache_path=config.cache_path or None)
 
     baselines = {}
     for method in (METHOD_STANDARD, METHOD_HYDE):

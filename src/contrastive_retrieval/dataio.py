@@ -31,7 +31,7 @@ from .errors import (
 )
 from .hypotheses import HypothesisPair, QAItem
 from .pipeline import EvalRecord
-from .retrieval import Corpus, Document, RankedResult
+from .retrieval import Corpus, RankedResult
 from .vectors import as_vector, normalize, normalize_rows, row_norms
 
 CACHE_MAGIC = b"CHRE"
@@ -45,12 +45,8 @@ CACHE_NORM_TOL = 1e-5
 # ----------------------------------------------------------------------
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write via `<path>.partial` then rename, so readers never see a torn file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    partial = path.with_name(path.name + ".partial")
-    partial.write_text(text, encoding="utf-8")
-    os.replace(partial, path)
+    """Write ``text`` as UTF-8 through ``write_bytes``."""
+    write_bytes(path, text.encode("utf-8"))
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -58,6 +54,7 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def write_bytes(path: str | Path, blob: bytes) -> None:
+    """Write via `<path>.partial` then rename, so readers never see a torn file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(path.name + ".partial")
@@ -101,8 +98,7 @@ def load_corpus(
     when available, otherwise embedded via ``embedder``; newly computed
     vectors are merged back into the cache. Inline and newly embedded
     vectors are normalized as their line is read; ``Corpus`` then gathers
-    all rows into one matrix and normalizes it again in bulk. No
-    ``Document`` is built.
+    all rows into one matrix and normalizes it again in bulk.
     """
     cache: dict[str, np.ndarray] = {}
     if cache_path and Path(cache_path).exists():
@@ -153,16 +149,6 @@ def load_corpus(
         cache_embeddings(cache_path, cache)
     # Corpus gathers the rows itself, so its copy is the only one made.
     return Corpus(ids, texts, rows)
-
-
-def save_corpus(path: str | Path, documents: Iterable[Document], with_embeddings: bool = False) -> None:
-    lines = []
-    for doc in documents:
-        obj: dict = {"id": doc.id, "text": doc.text}
-        if with_embeddings:
-            obj["embedding"] = [float(x) for x in doc.embedding]
-        lines.append(json.dumps(obj, sort_keys=True))
-    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path: str | Path) -> list[QAItem]:

@@ -62,7 +62,7 @@ class NoQualifyingCasesError(ContrastiveRetrievalError):
 
 
 class UnknownItemIdError(ContrastiveRetrievalError):
-    """A rating references an item id absent from the records."""
+    """A rating references an item id absent from the records or the dataset."""
 
 
 # --- ingestion / persistence ---

@@ -18,6 +18,11 @@ factor and cannot change the ranking) up to float64 rounding. A single
 weight of a pair not scored just before costs two products where the
 shifted query took one.
 
+A corpus is ``Corpus(ids, texts, matrix)``; a ragged row raises
+DimensionMismatchError naming its document. Every method scores through
+``Corpus._product``, the one check of a vector against the corpus
+dimension; only chr and h_plus_only keep its products in the memos.
+
 Retrieval is an exhaustive scan with no approximate index. Selection
 partitions the scores around the k-th largest in O(N), keeps every document
 scoring at least that much, and orders only those candidates: score
@@ -28,8 +33,8 @@ inputs.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +47,7 @@ from .errors import (
     UnknownDocIdError,
 )
 from .hypotheses import HypothesisPair, QAItem
-from .vectors import as_vector, mean_embedding, normalize, normalize_rows
+from .vectors import mean_embedding, normalize, normalize_rows
 
 METHOD_STANDARD = "standard"
 METHOD_HYDE = "hyde"
@@ -55,37 +60,24 @@ METHODS = (METHOD_STANDARD, METHOD_HYDE, METHOD_QUERY2DOC, METHOD_CHR, METHOD_H_
 QUERY2DOC_SEPARATOR = "\n\n"
 
 
-@dataclass(frozen=True)
-class Document:
-    """One corpus chunk. The corpus normalizes embeddings at ingest."""
-
-    id: str
-    text: str
-    embedding: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("document id must be nonempty")
-        object.__setattr__(self, "embedding", as_vector(self.embedding))
-
-
 class Corpus:
     """Immutable document collection backed by a dense unit-norm matrix.
 
     A corpus stores its documents as three aligned columns: ``ids``,
     ``texts`` and ``matrix``, whose rows are the embeddings normalized in
     float64, in insertion order, so similarity against a query vector is one
-    matrix product. The whole matrix is validated and normalized in one pass;
-    ``Document`` objects are built on demand by iteration and ``get``.
-    The corpus also memoizes the last target and mimic products it computed
-    (see ``_target_product`` and ``_mimic_product``).
+    matrix product. The whole matrix is validated and normalized in one pass.
+    Every score is a product checked by ``_product``; the corpus memoizes
+    the last target and mimic products it computed (see ``_target_product``
+    and ``_mimic_product``).
 
     ``Corpus(ids, texts, matrix)`` takes one row of ``matrix`` per id, as a
     2-D array or a sequence of equal-length rows, and copies it, so the
     caller's array is left untouched. It raises EmptyCorpusError for no
     ids, DuplicateIdError for a repeated id, DimensionMismatchError when the
-    lengths or the matrix shape disagree, and ZeroVectorError naming the
-    first document whose row is zero or not finite.
+    lengths or the matrix shape disagree (for ragged rows, naming the first
+    document whose row differs from the first row), and ZeroVectorError
+    naming the first document whose row is zero or not finite.
     """
 
     def __init__(
@@ -107,7 +99,18 @@ class Corpus:
                 seen.add(doc_id)
         if not all(isinstance(doc_id, str) and doc_id for doc_id in ids):
             raise ValueError("document id must be nonempty")
-        matrix = np.array(matrix, dtype=np.float64, order="C")
+        try:
+            matrix = np.array(matrix, dtype=np.float64, order="C")
+        except ValueError:
+            # Rows are compared only after a failure: a loop would slow every build.
+            first = np.shape(matrix[0])
+            for doc_id, row in zip(ids, matrix):
+                if np.shape(row) != first:
+                    raise DimensionMismatchError(
+                        f"document {doc_id!r} has shape {np.shape(row)}, "
+                        f"the first row has shape {first}"
+                    ) from None
+            raise
         if matrix.ndim != 2 or matrix.shape[0] != len(ids) or len(texts) != len(ids):
             raise DimensionMismatchError(
                 f"{len(ids)} ids and {len(texts)} texts need a ({len(ids)}, d) matrix, "
@@ -125,45 +128,15 @@ class Corpus:
         self._target: tuple[bytes, np.ndarray] | None = None
         self._mimic: tuple[bytes, np.ndarray] | None = None
 
-    @classmethod
-    def from_documents(cls, documents: Iterable[Document]) -> Corpus:
-        """Build a corpus from ``Document`` objects, stacking their embeddings."""
-        docs = list(documents)
-        for doc in docs[1:]:
-            if doc.embedding.shape != docs[0].embedding.shape:
-                raise DimensionMismatchError(
-                    f"document {doc.id!r} has dimension {doc.embedding.shape[0]}, "
-                    f"corpus dimension is {docs[0].embedding.shape[0]}"
-                )
-        return cls(
-            [doc.id for doc in docs],
-            [doc.text for doc in docs],
-            [doc.embedding for doc in docs],
-        )
-
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self) -> Iterator[Document]:
-        for doc_id, text, row in zip(self.ids, self.texts, self.matrix):
-            yield Document(id=doc_id, text=text, embedding=row)
-
-    def _position(self, doc_id: str) -> int:
+    def text(self, doc_id: str) -> str:
+        """The text of one document; UnknownDocIdError for an id not in the corpus."""
         pos = self._index.get(doc_id)
         if pos is None:
             raise UnknownDocIdError(f"no document with id {doc_id!r}")
-        return pos
-
-    def get(self, doc_id: str) -> Document:
-        pos = self._position(doc_id)
-        return Document(id=doc_id, text=self.texts[pos], embedding=self.matrix[pos])
-
-    def text(self, doc_id: str) -> str:
-        """The text of one document, without building a ``Document``."""
-        return self.texts[self._position(doc_id)]
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._index
+        return self.texts[pos]
 
     def _target_product(self, pair: HypothesisPair) -> np.ndarray:
         """``a = matrix @ h_plus``, read-only, memoized on the embedding's bytes."""
@@ -182,9 +155,11 @@ class Corpus:
     ) -> tuple[bytes, np.ndarray]:
         """The memo entry for ``matrix @ embedding``: ``memo`` itself on a hit.
 
-        An embedding changed in place has new bytes and misses. Raises
-        DimensionMismatchError, naming the hypothesis, when the embedding is
-        not a vector of the corpus dimension.
+        Every ``retrieve_*`` scores with it; the query methods pass ``memo``
+        None, which always misses. An embedding changed in place has new
+        bytes and misses. Raises DimensionMismatchError, naming the embedding
+        (``h_plus``, ``h_minus`` or ``query``), when it is not a vector of the
+        corpus dimension.
         """
         vector = np.asarray(embedding, dtype=np.float64)
         if vector.shape != (self.dimension,):
@@ -267,11 +242,7 @@ def _ranked(
 
 
 def _rank_by_query(corpus: Corpus, query: np.ndarray, k: int, method: str) -> RankedResult:
-    if query.shape[0] != corpus.dimension:
-        raise DimensionMismatchError(
-            f"query dimension {query.shape[0]} vs corpus dimension {corpus.dimension}"
-        )
-    return _ranked(corpus, corpus.matrix @ query, k, method)
+    return _ranked(corpus, corpus._product(None, query, "query")[1], k, method)
 
 
 def retrieve_chr(pair: HypothesisPair, corpus: Corpus, lam: float, k: int) -> RankedResult:

@@ -15,7 +15,6 @@ from pathlib import Path
 from .hypotheses import QAItem
 
 N_ITEMS = 20
-DOCS_PER_ITEM = 7  # 4 condition documents + 3 filler documents
 
 DATASET_FILE = "qa20.jsonl"
 CORPUS_FILE = "corpus140.jsonl"

@@ -39,7 +39,6 @@ from contrastive_retrieval.pipeline import (
 )
 from contrastive_retrieval.retrieval import (
     Corpus,
-    Document,
     RankedResult,
     shifted_query,
     top_k_from_scores,
@@ -100,11 +99,11 @@ def scaled_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 
 
 def random_corpus(rng: np.random.Generator, n: int, dim: int, prefix: str = "doc") -> Corpus:
-    docs = [
-        Document(id=f"{prefix}{i:04d}", text=f"passage {i}", embedding=unit(rng, dim))
-        for i in range(n)
-    ]
-    return Corpus.from_documents(docs)
+    return Corpus(
+        [f"{prefix}{i:04d}" for i in range(n)],
+        [f"passage {i}" for i in range(n)],
+        [unit(rng, dim) for _ in range(n)],
+    )
 
 
 def injected_pair(rng: np.random.Generator, dim: int) -> HypothesisPair:
@@ -164,9 +163,7 @@ def _cos(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b)) / (na * nb)
 
 
-def contrastive_score(
-    doc: Document | np.ndarray, pair: HypothesisPair, lam: float
-) -> float:
+def contrastive_score(emb: np.ndarray, pair: HypothesisPair, lam: float) -> float:
     """Score one document: cos(d, H_plus) - lam * cos(d, H_minus).
 
     A pair without a mimic embedding (fallback pairs) scores as cos(d, H_plus)
@@ -176,7 +173,6 @@ def contrastive_score(
         raise ValueError("lambda must be nonnegative")
     if pair.h_plus_emb is None:
         raise MissingEmbeddingError("pair has no h_plus embedding; call embed_pair first")
-    emb = doc.embedding if isinstance(doc, Document) else doc
     if emb.shape != pair.h_plus_emb.shape:
         raise DimensionMismatchError(
             f"dimensions differ: {emb.shape[0]} vs {pair.h_plus_emb.shape[0]}"
@@ -202,9 +198,9 @@ def cosine_sim(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray)
 
 
 def retrieve_top_k(
-    score_fn: Callable[[Document], float], corpus: Corpus, k: int
+    score_fn: Callable[[np.ndarray], float], corpus: Corpus, k: int
 ) -> tuple[tuple[str, float], ...]:
-    """Exhaustively score every document and keep the top k (id, score) hits.
+    """Exhaustively score every corpus row and keep the top k (id, score) hits.
 
     Short corpora return all documents ranked. Selection is the package's
     ``top_k_from_scores``, so a custom score function exercises it directly.
@@ -212,7 +208,7 @@ def retrieve_top_k(
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot retrieve from an empty corpus")
     scores = np.fromiter(
-        (score_fn(doc) for doc in corpus), dtype=np.float64, count=len(corpus)
+        (score_fn(row) for row in corpus.matrix), dtype=np.float64, count=len(corpus)
     )
     return top_k_from_scores(corpus.ids, scores, k)
 
@@ -269,16 +265,17 @@ def make_planted_corpus(
     m = np.zeros(dim)
     m[0], m[1] = 0.8, 0.6
 
-    documents: list[Document] = []
-    for idx in range(n_target):
-        vec = normalize(t + eps * rng.standard_normal(dim))
-        documents.append(Document(id=f"T{idx:03d}", text=f"target evidence passage {idx}", embedding=vec))
-    for idx in range(n_mimic):
-        vec = normalize(m + eps * rng.standard_normal(dim))
-        documents.append(Document(id=f"M{idx:03d}", text=f"mimic evidence passage {idx}", embedding=vec))
-    for idx in range(n_noise):
-        vec = normalize(rng.standard_normal(dim))
-        documents.append(Document(id=f"N{idx:03d}", text=f"background passage {idx}", embedding=vec))
+    rows = [normalize(t + eps * rng.standard_normal(dim)) for _ in range(n_target)]
+    rows += [normalize(m + eps * rng.standard_normal(dim)) for _ in range(n_mimic)]
+    rows += [normalize(rng.standard_normal(dim)) for _ in range(n_noise)]
+    ids, texts = [], []
+    for prefix, label, count in (
+        ("T", "target evidence", n_target),
+        ("M", "mimic evidence", n_mimic),
+        ("N", "background", n_noise),
+    ):
+        ids += [f"{prefix}{idx:03d}" for idx in range(count)]
+        texts += [f"{label} passage {idx}" for idx in range(count)]
 
     pair = HypothesisPair(
         h_plus="hypothesis leaning toward the mimic presentation",
@@ -289,7 +286,7 @@ def make_planted_corpus(
     )
     target_ids = frozenset(f"T{idx:03d}" for idx in range(n_target))
     mimic_ids = frozenset(f"M{idx:03d}" for idx in range(n_mimic))
-    return Corpus.from_documents(documents), pair, target_ids, mimic_ids
+    return Corpus(ids, texts, rows), pair, target_ids, mimic_ids
 
 
 # ----------------------------------------------------------------------

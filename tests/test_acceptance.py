@@ -40,7 +40,6 @@ from contrastive_retrieval.reports import (
 )
 from contrastive_retrieval.retrieval import (
     Corpus,
-    Document,
     retrieve_chr,
     retrieve_h_plus_only,
     retrieve_hyde,
@@ -68,7 +67,7 @@ LAMBDA_GRID = (0.0, 0.5, 1.0, 1.4)
 def oracle_top_k(corpus: Corpus, score_fn, k: int = 5) -> list[str]:
     """Independent full sort: score descending, ties by ascending id."""
     scored = sorted(
-        ((doc.id, score_fn(doc)) for doc in corpus),
+        zip(corpus.ids, map(score_fn, corpus.matrix)),
         key=lambda hit: (-hit[1], hit[0]),
     )
     return [doc_id for doc_id, _ in scored[:k]]
@@ -86,11 +85,8 @@ def bundled_dataset():
 
 @pytest.fixture(scope="module")
 def bundled_corpus(mock_embedder) -> Corpus:
-    docs = [
-        Document(id=doc_id, text=text, embedding=mock_embedder.embed(text))
-        for doc_id, text in build_bundled_corpus_texts()
-    ]
-    return Corpus.from_documents(docs)
+    ids, texts = zip(*build_bundled_corpus_texts())
+    return Corpus(ids, texts, [mock_embedder.embed(text) for text in texts])
 
 
 def test_a1_score_equals_shifted_query_dot():
@@ -137,12 +133,11 @@ def test_a2_retrieval_matches_full_sort_oracle():
             # Exact duplicates force score ties that only the id rule breaks.
             vecs[500] = vecs[10]
             vecs[750] = vecs[10]
-            docs = [
-                Document(id=f"doc{i:04d}", text=f"passage {i} of corpus {corpus_no}",
-                         embedding=vecs[i])
-                for i in range(n_docs)
-            ]
-            corpus = Corpus.from_documents(docs)
+            corpus = Corpus(
+                [f"doc{i:04d}" for i in range(n_docs)],
+                [f"passage {i} of corpus {corpus_no}" for i in range(n_docs)],
+                vecs,
+            )
             embedder = MockEmbedderBackend(dimension=dim, seed=corpus_no)
             pair = injected_pair(rng, dim)
             lam = float(rng.choice(LAMBDA_GRID))
@@ -161,22 +156,22 @@ def test_a2_retrieval_matches_full_sort_oracle():
 
             checks = [
                 (retrieve_chr(pair, corpus, lam, k),
-                 lambda d: contrastive_score(d, pair, lam)),
+                 lambda row: contrastive_score(row, pair, lam)),
                 (retrieve_h_plus_only(pair, corpus, k),
-                 lambda d: cosine_sim(d.embedding, pair.h_plus_emb)),
+                 lambda row: cosine_sim(row, pair.h_plus_emb)),
                 (retrieve_standard(item, corpus, k, embedder),
-                 lambda d: cosine_sim(d.embedding, standard_q)),
+                 lambda row: cosine_sim(row, standard_q)),
                 (retrieve_hyde(drafts, corpus, k, embedder),
-                 lambda d: cosine_sim(d.embedding, hyde_q)),
+                 lambda row: cosine_sim(row, hyde_q)),
                 (retrieve_query2doc(item, pseudo, corpus, k, embedder),
-                 lambda d: cosine_sim(d.embedding, q2d_q)),
+                 lambda row: cosine_sim(row, q2d_q)),
             ]
             for ranked, score_fn in checks:
                 assert list(ranked.doc_ids()) == oracle_top_k(corpus, score_fn, k), (
                     f"corpus {corpus_no}, method {ranked.method}"
                 )
             # All-tied scores: the ranking must be the k smallest ids.
-            flat = retrieve_top_k(lambda d: 0.0, corpus, k)
+            flat = retrieve_top_k(lambda row: 0.0, corpus, k)
             assert [doc_id for doc_id, _ in flat] == sorted(corpus.ids)[:k]
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0
@@ -193,11 +188,9 @@ def test_a3_lambda_zero_reduces_to_target_only(bundled_dataset, bundled_corpus, 
         rng = np.random.default_rng(3)
         dim = 32
         vecs = [unit(rng, dim) for _ in range(300)]
-        docs = [
-            Document(id=f"d{i:03d}", text=f"text {i}", embedding=vecs[i])
-            for i in range(300)
-        ]
-        corpus = Corpus.from_documents(docs)
+        corpus = Corpus(
+            [f"d{i:03d}" for i in range(300)], [f"text {i}" for i in range(300)], vecs
+        )
         for trial in range(20):
             pair = injected_pair(rng, dim)
             chr_hits = retrieve_chr(pair, corpus, lam=0.0, k=5).hits
@@ -245,7 +238,7 @@ def test_a4_mimic_suppression_flips_cluster():
         assert target_hits >= 4, f"lam=1 top-5 {top_at_one}"
         # Cross-check both rankings against the brute-force oracle.
         for lam, ranked in ((0.0, top_at_zero), (1.0, top_at_one)):
-            oracle = oracle_top_k(corpus, lambda d: contrastive_score(d, pair, lam), 5)
+            oracle = oracle_top_k(corpus, lambda row: contrastive_score(row, pair, lam), 5)
             assert list(ranked) == oracle
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0
@@ -437,11 +430,11 @@ def test_a8_parser_fuzz_and_fallback_degradation():
         assert cost.llm_calls == 3
         embedder = MockEmbedderBackend(dimension=32, seed=5)
         pair = embed_pair(pair, embedder)
-        docs = [
-            Document(id=f"d{i}", text=f"note {i}", embedding=unit(rng, 32))
-            for i in range(50)
-        ]
-        corpus = Corpus.from_documents(docs)
+        corpus = Corpus(
+            [f"d{i}" for i in range(50)],
+            [f"note {i}" for i in range(50)],
+            [unit(rng, 32) for _ in range(50)],
+        )
         for lam in LAMBDA_GRID:
             assert retrieve_chr(pair, corpus, lam, 5).hits == \
                 retrieve_h_plus_only(pair, corpus, 5).hits

@@ -22,7 +22,7 @@ from contrastive_retrieval.errors import (
     UnknownItemIdError,
 )
 from contrastive_retrieval.pipeline import run_benchmark
-from contrastive_retrieval.retrieval import Corpus, Document
+from contrastive_retrieval.retrieval import Corpus
 from contrastive_retrieval.synthdata import (
     build_bundled_corpus_texts,
     build_bundled_dataset,
@@ -42,11 +42,8 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def corpus(embedder) -> Corpus:
-    docs = [
-        Document(id=doc_id, text=text, embedding=embedder.embed(text))
-        for doc_id, text in build_bundled_corpus_texts()
-    ]
-    return Corpus.from_documents(docs)
+    ids, texts = zip(*build_bundled_corpus_texts())
+    return Corpus(ids, texts, [embedder.embed(text) for text in texts])
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ PUBLIC_NAMES = {
     "CostEntry",
     "CostReport",
     "Corpus",
-    "Document",
     "EvalRecord",
     "GenerationResult",
     "HttpEmbedderBackend",
@@ -58,7 +57,8 @@ def test_public_names_are_pinned_and_resolve():
         assert getattr(contrastive_retrieval, name) is not None, name
 
 
-# Test oracles and doubles live in tests/helpers.py, not in the package.
+# Test oracles and doubles live in tests/helpers.py, not in the package, and
+# removed API stays removed.
 @pytest.mark.parametrize("module, name", [
     ("contrastive_retrieval", "contrastive_score"),
     ("contrastive_retrieval", "retrieve_top_k"),
@@ -72,6 +72,9 @@ def test_public_names_are_pinned_and_resolve():
     ("contrastive_retrieval.backends", "OracleGeneratorBackend"),
     ("contrastive_retrieval.backends", "AdversarialGeneratorBackend"),
     ("contrastive_retrieval.synthdata", "make_planted_corpus"),
+    ("contrastive_retrieval", "Document"),
+    ("contrastive_retrieval.retrieval", "Document"),
+    ("contrastive_retrieval.dataio", "save_corpus"),
 ])
 def test_test_only_names_are_not_importable(module, name):
     assert not hasattr(importlib.import_module(module), name)

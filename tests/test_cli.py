@@ -2,10 +2,17 @@ from __future__ import annotations
 
 import json
 
-from contrastive_retrieval.backends import ANSWER_MARKER, PAIR_MARKER, MockGeneratorBackend
+import pytest
+
+from contrastive_retrieval.backends import (
+    ANSWER_MARKER,
+    PAIR_MARKER,
+    MockEmbedderBackend,
+    MockGeneratorBackend,
+)
 from contrastive_retrieval.cli import _make_backends, _resolve_inputs, main_cli
 from contrastive_retrieval.config import RunConfig
-from contrastive_retrieval.dataio import load_cache, load_records
+from contrastive_retrieval.dataio import load_cache, load_corpus, load_records
 from contrastive_retrieval.hypotheses import embed_pair
 from contrastive_retrieval.synthdata import DATASET_FILE, RATINGS_FILE, bundled_path
 from helpers import shifted_query_answer
@@ -13,6 +20,26 @@ from helpers import shifted_query_answer
 
 def run_cli(*argv: str) -> int:
     return main_cli(list(argv))
+
+
+@pytest.fixture
+def backend_calls(monkeypatch) -> list[str]:
+    """Names the mock backend calls a command makes, in order."""
+    calls: list[str] = []
+    complete = MockGeneratorBackend.complete
+    embed = MockEmbedderBackend.embed
+
+    def counting_complete(self, messages, temperature=0.0):
+        calls.append("complete")
+        return complete(self, messages, temperature)
+
+    def counting_embed(self, text):
+        calls.append("embed")
+        return embed(self, text)
+
+    monkeypatch.setattr(MockGeneratorBackend, "complete", counting_complete)
+    monkeypatch.setattr(MockEmbedderBackend, "embed", counting_embed)
+    return calls
 
 
 def test_run_single_method(tmp_path, capsys):
@@ -80,7 +107,8 @@ def test_run_chr_records_match_shifted_query_ranking(tmp_path):
     assert run_cli("run", "--mock", "--seed", "0", "--out", str(out)) == 0
     config = RunConfig(mock=True, seed=0)
     generator, embedder = _make_backends(config)
-    items, corpus, _ = _resolve_inputs(config, embedder)
+    items, _, corpus_path = _resolve_inputs(config)
+    corpus = load_corpus(corpus_path, embedder=embedder)
     by_id = {item.id: item for item in items}
     records = load_records(out / "records_chr.jsonl")
     assert len(records) == len(items)
@@ -111,6 +139,26 @@ def test_run_mock_own_dataset_skips_bundled_ratings(tmp_path, capsys):
     assert len(load_records(out / "records_chr.jsonl")) == 20
     assert (out / "report_sweep.json").exists()
     assert not (out / "report_strata.json").exists()
+
+
+@pytest.mark.parametrize("sheet, message", [
+    ("q01\tGood\nq99\tGood\n", "rated item 'q99' is not in the dataset"),
+    ("q01\tGood\nq98\texclude\n", "rated item 'q98' is not in the dataset"),
+    ("q01 Good\n", "line 1: expected item_id<TAB>tier"),
+    (None, "No such file"),
+])
+def test_run_rejects_bad_ratings_before_any_backend_call(
+    tmp_path, capsys, backend_calls, sheet, message
+):
+    ratings = tmp_path / "ratings.tsv"
+    if sheet is not None:
+        ratings.write_text(sheet, encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli("run", "--mock", "--seed", "0", "--ratings", str(ratings), "--out", str(out))
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert backend_calls == []
+    assert not out.exists()
 
 
 def test_run_without_backends_or_mock_fails(tmp_path, capsys):
@@ -173,6 +221,20 @@ def test_sweep_subcommand(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("sweep", "--mock", "--lambdas", "0.5,1.0") == 0
     assert "Lambda" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lambdas, message", [
+    ("0.2,-1", "lambdas must be nonnegative"),
+    ("0.5,0.5", "lambdas must be distinct"),
+])
+def test_sweep_rejects_bad_grid_before_any_backend_call(
+    tmp_path, capsys, backend_calls, lambdas, message
+):
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--mock", "--lambdas", lambdas, "--out", str(out)) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert backend_calls == []
+    assert not out.exists()
 
 
 def test_cost_subcommand(tmp_path, capsys):

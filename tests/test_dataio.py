@@ -19,7 +19,6 @@ from contrastive_retrieval.dataio import (
     load_records,
     record_from_dict,
     record_to_dict,
-    save_corpus,
     save_dataset,
     save_ratings,
     save_records,
@@ -38,6 +37,13 @@ from contrastive_retrieval.errors import (
     ZeroVectorError,
 )
 from contrastive_retrieval.hypotheses import HypothesisPair
+from contrastive_retrieval.synthdata import (
+    CORPUS_FILE,
+    DATASET_FILE,
+    RATINGS_FILE,
+    bundled_path,
+    write_bundled_data,
+)
 from contrastive_retrieval.vectors import normalize
 from helpers import (
     make_record,
@@ -77,6 +83,13 @@ def test_write_text_leaves_no_partial(tmp_path):
     assert list(tmp_path.rglob("*.partial")) == []
 
 
+def test_write_text_writes_utf8_bytes_unchanged(tmp_path):
+    target = tmp_path / "note.txt"
+    text = "caf\u00e9 \u03bb\r\nline two\n"
+    write_text(target, text)
+    assert target.read_bytes() == text.encode("utf-8")
+
+
 def test_write_json_sorted_and_newline_terminated(tmp_path):
     target = tmp_path / "obj.json"
     write_json(target, {"b": 1, "a": 2})
@@ -100,7 +113,7 @@ def test_load_corpus_inline_embeddings(tmp_path):
     corpus = load_corpus(path)
     assert corpus.ids == ("d1", "d2", "d3")
     assert corpus.dimension == 2
-    assert np.allclose(corpus.get("d1").embedding, [0.6, 0.8])
+    assert np.allclose(corpus.matrix[0], [0.6, 0.8])
     assert np.allclose(np.linalg.norm(corpus.matrix, axis=1), 1.0)
 
 
@@ -215,23 +228,6 @@ def test_load_corpus_mock_embedder_matrix_bits(tmp_path, dim):
     corpus = load_corpus(path, embedder=embedder)
     expected = reference_normalize_rows([embedder.embed(t) for t in texts], passes=2)
     assert corpus.matrix.tobytes() == expected.tobytes()
-
-
-def test_save_corpus_round_trip(tmp_path):
-    src = tmp_path / "src.jsonl"
-    write_lines(src, [
-        {"id": "d1", "text": "alpha", "embedding": [3.0, 4.0]},
-        {"id": "d2", "text": "beta", "embedding": [0.0, 2.0]},
-    ])
-    corpus = load_corpus(src)
-    out = tmp_path / "out.jsonl"
-    save_corpus(out, corpus, with_embeddings=True)
-    again = load_corpus(out)
-    assert again.ids == corpus.ids
-    assert np.allclose(again.matrix, corpus.matrix)
-    bare = tmp_path / "bare.jsonl"
-    save_corpus(bare, corpus)
-    assert "embedding" not in bare.read_text(encoding="utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -483,3 +479,14 @@ def test_load_ratings_rejects_bad_lines(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises((MalformedLineError, DuplicateIdError)):
         load_ratings(path)
+
+
+# ----------------------------------------------------------------------
+# Bundled data
+# ----------------------------------------------------------------------
+
+def test_write_bundled_data_reproduces_the_committed_files(tmp_path):
+    # The CLI reads the committed files; the tests build from the generators.
+    write_bundled_data(tmp_path)
+    for name in (DATASET_FILE, CORPUS_FILE, RATINGS_FILE):
+        assert (tmp_path / name).read_bytes() == bundled_path(name).read_bytes(), name

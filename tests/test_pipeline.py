@@ -18,7 +18,7 @@ from contrastive_retrieval.pipeline import (
     run_benchmark,
     summarize,
 )
-from contrastive_retrieval.retrieval import Corpus, Document, RankedResult
+from contrastive_retrieval.retrieval import Corpus, RankedResult
 from contrastive_retrieval.synthdata import (
     build_bundled_corpus_texts,
     build_bundled_dataset,
@@ -45,11 +45,8 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def corpus(embedder) -> Corpus:
-    docs = [
-        Document(id=doc_id, text=text, embedding=embedder.embed(text))
-        for doc_id, text in build_bundled_corpus_texts()
-    ]
-    return Corpus.from_documents(docs)
+    ids, texts = zip(*build_bundled_corpus_texts())
+    return Corpus(ids, texts, [embedder.embed(text) for text in texts])
 
 
 def mock_config(**overrides) -> RunConfig:
@@ -63,11 +60,7 @@ def mock_config(**overrides) -> RunConfig:
 # ----------------------------------------------------------------------
 
 def test_build_answer_prompt_layout():
-    docs = [
-        Document(id="d1", text="alpha evidence", embedding=[1.0, 0.0]),
-        Document(id="d2", text="beta evidence", embedding=[0.0, 1.0]),
-    ]
-    corpus = Corpus.from_documents(docs)
+    corpus = Corpus(["d1", "d2"], ["alpha evidence", "beta evidence"], [[1.0, 0.0], [0.0, 1.0]])
     ranked = RankedResult(hits=(("d2", 0.9), ("d1", 0.1)), method="standard")
     item = two_option_item(stem="Why does the reading spike?")
     prompt = build_answer_prompt(item, ranked, corpus)
@@ -85,7 +78,7 @@ def test_build_answer_prompt_layout():
 
 
 def test_build_answer_prompt_rejects_bad_inputs():
-    corpus = Corpus.from_documents([Document(id="d1", text="alpha", embedding=[1.0, 0.0])])
+    corpus = Corpus(["d1"], ["alpha"], [[1.0, 0.0]])
     item = two_option_item()
     with pytest.raises(ValueError):
         build_answer_prompt(item, RankedResult(hits=(), method="standard"), corpus)

@@ -16,7 +16,6 @@ from contrastive_retrieval.errors import (
 from contrastive_retrieval.hypotheses import HypothesisPair
 from contrastive_retrieval.retrieval import (
     Corpus,
-    Document,
     RankedResult,
     retrieve_chr,
     retrieve_h_plus_only,
@@ -58,28 +57,23 @@ def make_pair(h_plus_emb=None, h_minus_emb=None) -> HypothesisPair:
 # ----------------------------------------------------------------------
 
 def test_corpus_normalizes_rows_and_preserves_order():
-    docs = [
-        Document(id="b", text="second", embedding=[0.0, 2.0]),
-        Document(id="a", text="first", embedding=[3.0, 4.0]),
-    ]
-    corpus = Corpus.from_documents(docs)
+    corpus = Corpus(["b", "a"], ["second", "first"], [[0.0, 2.0], [3.0, 4.0]])
     assert corpus.ids == ("b", "a")
     assert np.allclose(corpus.matrix[0], [0.0, 1.0])
     assert np.allclose(corpus.matrix[1], [0.6, 0.8])
     assert np.allclose(np.linalg.norm(corpus.matrix, axis=1), 1.0)
-    assert corpus.get("a").text == "first"
+    assert corpus.text("a") == "first"
 
 
 def test_corpus_rejects_duplicates_empties_and_mixed_dims():
-    doc = Document(id="a", text="t", embedding=[1.0, 0.0])
     with pytest.raises(DuplicateIdError):
-        Corpus.from_documents([doc, Document(id="a", text="again", embedding=[0.0, 1.0])])
+        Corpus(["a", "a"], ["t", "again"], [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(EmptyCorpusError):
-        Corpus.from_documents([])
+        Corpus([], [], [])
     with pytest.raises(DimensionMismatchError):
-        Corpus.from_documents([doc, Document(id="b", text="t", embedding=[1.0, 0.0, 0.0])])
+        Corpus(["a", "b"], ["t", "t"], [[1.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(UnknownDocIdError):
-        Corpus.from_documents([doc]).get("missing")
+        Corpus(["a"], ["t"], [[1.0, 0.0]]).text("missing")
 
 
 @pytest.mark.parametrize("dim", ORACLE_DIMS)
@@ -94,22 +88,7 @@ def test_corpus_matrix_bits_equal_per_row_normalize(dim):
     assert corpus.matrix.tobytes() == expected
     assert np.array_equal(raw, before)
     assert corpus.matrix.flags["C_CONTIGUOUS"] and not corpus.matrix.flags["WRITEABLE"]
-    docs = [Document(id=i, text=t, embedding=row) for i, t, row in zip(ids, texts, raw)]
-    assert Corpus.from_documents(docs).matrix.tobytes() == expected
-
-
-def test_corpus_builds_documents_on_demand():
-    corpus = Corpus(["b", "a"], ["second", "first"], np.array([[0.0, 2.0], [3.0, 4.0]]))
-    docs = list(corpus)
-    assert [(d.id, d.text) for d in docs] == [("b", "second"), ("a", "first")]
-    assert np.array_equal(docs[1].embedding, corpus.matrix[1])
-    got = corpus.get("a")
-    assert (got.id, got.text) == ("a", "first")
-    assert np.array_equal(got.embedding, [0.6, 0.8])
-    assert corpus.text("a") == "first"
-    assert "a" in corpus and "c" not in corpus
-    with pytest.raises(UnknownDocIdError):
-        corpus.text("c")
+    assert Corpus(ids, texts, list(raw)).matrix.tobytes() == expected
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
@@ -135,45 +114,58 @@ def test_corpus_array_constructor_validation():
         Corpus(["a", ""], ["t", "u"], two)
 
 
+def test_corpus_ragged_rows_name_the_first_ragged_document():
+    ids, texts = ["a", "b", "c", "d"], ["t", "u", "v", "w"]
+    rows = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0, 0.0], [1.0]]
+    with pytest.raises(DimensionMismatchError, match="'c'"):
+        Corpus(ids, texts, rows)
+    with pytest.raises(DimensionMismatchError, match="'c'"):
+        Corpus(ids, texts, [np.array(row) for row in rows])
+    # A row that is not numeric keeps NumPy's own error.
+    with pytest.raises(ValueError) as info:
+        Corpus(["a", "b"], ["t", "u"], [[1.0, 0.0], ["x", 0.0]])
+    assert type(info.value) is ValueError
+
+
 # ----------------------------------------------------------------------
 # Scoring
 # ----------------------------------------------------------------------
 
 def test_contrastive_score_identity_doc_with_orthogonal_mimic():
     pair = make_pair(h_plus_emb=[1.0, 0.0], h_minus_emb=[0.0, 1.0])
-    doc = Document(id="d", text="t", embedding=[1.0, 0.0])
+    doc = np.array([1.0, 0.0])
     assert contrastive_score(doc, pair, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_contrastive_score_hand_value():
     pair = make_pair(h_plus_emb=[1.0, 0.0], h_minus_emb=[0.6, 0.8])
-    doc = Document(id="d", text="t", embedding=[1.0, 0.0])
+    doc = np.array([1.0, 0.0])
     assert contrastive_score(doc, pair, 1.0) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_contrastive_score_lambda_zero_is_plain_similarity():
     rng = np.random.default_rng(3)
     pair = injected_pair(rng, 8)
-    doc = Document(id="d", text="t", embedding=unit(rng, 8))
-    expected = float(np.dot(doc.embedding, pair.h_plus_emb))
+    doc = unit(rng, 8)
+    expected = float(np.dot(doc, pair.h_plus_emb))
     assert contrastive_score(doc, pair, 0.0) == pytest.approx(expected, abs=1e-12)
 
 
 def test_contrastive_score_without_mimic_embedding():
     pair = make_pair(h_plus_emb=[1.0, 0.0])
-    doc = Document(id="d", text="t", embedding=[0.6, 0.8])
+    doc = np.array([0.6, 0.8])
     assert contrastive_score(doc, pair, 1.3) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_contrastive_score_errors():
-    doc = Document(id="d", text="t", embedding=[1.0, 0.0])
+    doc = np.array([1.0, 0.0])
     pair = make_pair(h_plus_emb=[1.0, 0.0], h_minus_emb=[0.0, 1.0])
     with pytest.raises(MissingEmbeddingError):
         contrastive_score(doc, HypothesisPair(h_plus="t", h_minus="m"), 1.0)
     with pytest.raises(ValueError):
         contrastive_score(doc, pair, -0.1)
     with pytest.raises(DimensionMismatchError):
-        contrastive_score(Document(id="e", text="t", embedding=[1.0, 0.0, 0.0]), pair, 1.0)
+        contrastive_score(np.array([1.0, 0.0, 0.0]), pair, 1.0)
 
 
 def test_shifted_query_hand_values():
@@ -267,7 +259,7 @@ def test_top_k_rejects_nan_scores():
 def test_retrieve_top_k_short_corpus_returns_everything():
     rng = np.random.default_rng(0)
     corpus = random_corpus(rng, 3, 4)
-    hits = retrieve_top_k(lambda d: float(d.embedding[0]), corpus, k=5)
+    hits = retrieve_top_k(lambda row: float(row[0]), corpus, k=5)
     assert len(hits) == 3
     scores = [s for _, s in hits]
     assert scores == sorted(scores, reverse=True)
@@ -277,10 +269,10 @@ def test_retrieve_top_k_matches_full_sort_oracle():
     rng = np.random.default_rng(1)
     corpus = random_corpus(rng, 100, 16)
     probe = unit(rng, 16)
-    score = lambda d: float(np.dot(d.embedding, probe))
+    score = lambda row: float(np.dot(row, probe))
     hits = retrieve_top_k(score, corpus, k=5)
     oracle = sorted(
-        ((doc.id, score(doc)) for doc in corpus), key=lambda p: (-p[1], p[0])
+        zip(corpus.ids, map(score, corpus.matrix)), key=lambda p: (-p[1], p[0])
     )[:5]
     assert list(hits) == oracle
 
@@ -452,6 +444,22 @@ def test_wrong_dimension_mimic_is_named_only_where_it_is_used():
     assert hex_hits(retrieve_h_plus_only(target_only, corpus, 5)) == plus
 
 
+def test_wrong_dimension_query_is_named():
+    rng = np.random.default_rng(21)
+    corpus = random_corpus(rng, 20, 8)
+    embedder = MockEmbedderBackend(dimension=9, seed=0)
+    item = two_option_item()
+    calls = (
+        lambda: retrieve_standard(item, corpus, 5, embedder),
+        lambda: retrieve_hyde(["a draft"], corpus, 5, embedder),
+        lambda: retrieve_query2doc(item, "a pseudo document", corpus, 5, embedder),
+    )
+    message = r"query embedding has shape \(9,\), corpus dimension is 8"
+    for call in calls:
+        with pytest.raises(DimensionMismatchError, match=message):
+            call()
+
+
 def test_target_only_scoring_computes_no_mimic_product():
     rng = np.random.default_rng(20)
     corpus = random_corpus(rng, 30, 8)
@@ -467,11 +475,12 @@ def test_target_only_scoring_computes_no_mimic_product():
 def test_increasing_target_similarity_never_lowers_rank():
     # Documents share the mimic component; the target component rises with i.
     pair = make_pair(h_plus_emb=[1.0, 0.0, 0.0], h_minus_emb=[0.0, 1.0, 0.0])
-    docs = []
-    for i, frac in enumerate((0.1, 0.3, 0.5, 0.7, 0.9)):
-        vec = np.array([frac, 0.2, np.sqrt(1.0 - frac * frac - 0.04)])
-        docs.append(Document(id=f"d{i}", text="t", embedding=vec))
-    corpus = Corpus.from_documents(docs)
+    fracs = (0.1, 0.3, 0.5, 0.7, 0.9)
+    corpus = Corpus(
+        [f"d{i}" for i in range(len(fracs))],
+        ["t"] * len(fracs),
+        [np.array([frac, 0.2, np.sqrt(1.0 - frac * frac - 0.04)]) for frac in fracs],
+    )
     ranked = retrieve_chr(pair, corpus, lam=1.0, k=5)
     assert [h[0] for h in ranked.hits] == ["d4", "d3", "d2", "d1", "d0"]
 
@@ -480,8 +489,8 @@ def test_scaling_all_scores_preserves_order():
     rng = np.random.default_rng(8)
     corpus = random_corpus(rng, 50, 8)
     pair = injected_pair(rng, 8)
-    base = retrieve_top_k(lambda d: contrastive_score(d, pair, 1.0), corpus, 5)
-    scaled = retrieve_top_k(lambda d: 37.0 * contrastive_score(d, pair, 1.0), corpus, 5)
+    base = retrieve_top_k(lambda row: contrastive_score(row, pair, 1.0), corpus, 5)
+    scaled = retrieve_top_k(lambda row: 37.0 * contrastive_score(row, pair, 1.0), corpus, 5)
     assert [h[0] for h in base] == [h[0] for h in scaled]
 
 
@@ -489,11 +498,9 @@ def test_retrieve_standard_self_retrieval_and_determinism():
     embedder = MockEmbedderBackend(dimension=32, seed=0)
     stem = "unique query about tidal erosion markers"
     texts = [stem, "unrelated text about orchestras", "another note on gardening"]
-    docs = [
-        Document(id=f"d{i}", text=t, embedding=embedder.embed(t))
-        for i, t in enumerate(texts)
-    ]
-    corpus = Corpus.from_documents(docs)
+    corpus = Corpus(
+        [f"d{i}" for i in range(len(texts))], texts, [embedder.embed(t) for t in texts]
+    )
     item = two_option_item(stem=stem)
     first = retrieve_standard(item, corpus, 2, embedder)
     assert first.hits[0][0] == "d0"
@@ -504,11 +511,11 @@ def test_retrieve_standard_self_retrieval_and_determinism():
 
 def test_retrieve_hyde_singleton_equals_h_plus_only():
     embedder = MockEmbedderBackend(dimension=32, seed=1)
-    docs = [
-        Document(id=f"d{i}", text=f"note {i}", embedding=embedder.embed(f"note {i} body"))
-        for i in range(30)
-    ]
-    corpus = Corpus.from_documents(docs)
+    corpus = Corpus(
+        [f"d{i}" for i in range(30)],
+        [f"note {i}" for i in range(30)],
+        [embedder.embed(f"note {i} body") for i in range(30)],
+    )
     h_plus_text = "a very specific target hypothesis"
     pair = HypothesisPair(
         h_plus=h_plus_text,
@@ -546,11 +553,11 @@ def test_retrieve_query2doc_concatenates_stem_and_pseudo_doc():
     embedder = MockEmbedderBackend(dimension=32, seed=2)
     item = two_option_item(stem="query about reef currents")
     combined = embedder.embed(item.stem + "\n\n" + "a pseudo document on reef currents")
-    docs = [
-        Document(id="match", text="combined evidence", embedding=combined),
-        Document(id="other", text="unrelated", embedding=embedder.embed("opera seating chart")),
-    ]
-    corpus = Corpus.from_documents(docs)
+    corpus = Corpus(
+        ["match", "other"],
+        ["combined evidence", "unrelated"],
+        [combined, embedder.embed("opera seating chart")],
+    )
     ranked = retrieve_query2doc(item, "a pseudo document on reef currents", corpus, 1, embedder)
     assert ranked.hits[0][0] == "match"
     assert ranked.method == "query2doc"
