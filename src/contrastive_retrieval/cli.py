@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import sys
 import time
@@ -62,7 +63,7 @@ from .dataio import (
 )
 from .errors import ContrastiveRetrievalError, NoQualifyingCasesError, UnknownItemIdError
 from .hypotheses import QAItem
-from .pipeline import PairCache, run_benchmark
+from .pipeline import AnswerMemo, PairCache, run_benchmark
 from .reports import (
     cost_to_dict,
     overlap_to_dict,
@@ -136,6 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--k", type=int, default=None)
     p_sweep.add_argument("--hyde-n", dest="hyde_n", type=int, default=None)
+    p_sweep.add_argument(
+        "--baselines", default=None, metavar="SUMMARY_JSON",
+        help="summary.json of an earlier run whose standard and HyDE accuracies "
+             "the report draws as baselines (default: none)",
+    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cost = sub.add_parser("cost", help="expansion cost report over record files")
@@ -238,6 +244,29 @@ def _run_ratings(config: RunConfig, items: list[QAItem]) -> tuple[dict, set] | N
     return ratings, exclusions
 
 
+def _read_baselines(path: str) -> dict[str, float]:
+    """The standard and HyDE accuracies recorded in a run's ``summary.json``."""
+    with open(path, encoding="utf-8") as fh:
+        summary = json.load(fh)
+    baselines = {}
+    for method in (METHOD_STANDARD, METHOD_HYDE):
+        try:
+            value = summary["methods"][method]["accuracy"]
+        except (KeyError, TypeError):
+            raise ValueError(f"{path}: lacks methods.{method}.accuracy") from None
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+            raise ValueError(f"{path}: methods.{method}.accuracy is not a fraction: {value!r}")
+        baselines[method] = float(value)
+    return baselines
+
+
+def _report_memo(memo: AnswerMemo) -> None:
+    print(
+        f"answers: {memo.calls} backend calls, {memo.hits} served from the run's memo",
+        file=sys.stderr,
+    )
+
+
 def _clock(config: RunConfig):
     # Mock runs zero out wall timings so record files stay byte-identical.
     return None if config.mock else time.perf_counter
@@ -248,12 +277,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     generator, embedder = _make_backends(config)
     methods = METHODS if args.method == "all" else (_CLI_METHODS[args.method],)
     items, dataset_name, corpus_path = _resolve_inputs(config)
-    ratings = _run_ratings(config, items) if len(methods) > 1 else None
+    # A sheet named explicitly is checked even when no strata report uses it.
+    ratings = (
+        _run_ratings(config, items) if len(methods) > 1 or config.ratings_path else None
+    )
     corpus = load_corpus(corpus_path, embedder=embedder, cache_path=config.cache_path or None)
     out = Path(config.out_dir)
     clock = _clock(config)
-    # chr, h_plus_only and the sweep rank with each item's one pair.
+    # chr, h_plus_only and the sweep rank with each item's one pair, and
+    # every method and weight shares one memo of answers.
     pair_cache: PairCache = {}
+    answers = AnswerMemo(generator)
 
     all_records: dict[str, list] = {}
     summaries: dict[str, dict] = {}
@@ -264,7 +298,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             corpus,
             config,
             generator=generator,
-            answer_generator=generator,
+            answer_generator=answers,
             embedder=embedder,
             pair_cache=pair_cache,
             dataset_name=dataset_name,
@@ -288,7 +322,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             corpus,
             config,
             generator=generator,
-            answer_generator=generator,
+            answer_generator=answers,
             embedder=embedder,
             pair_cache=pair_cache,
             baselines={
@@ -299,6 +333,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             clock=clock,
         )
         reports = _run_reports(config, all_records, sweep, ratings)
+    elif ratings is not None:
+        print("strata report skipped: needs --method all", file=sys.stderr)
+    _report_memo(answers)
     _write_reports(out, reports)
     return 0
 
@@ -367,26 +404,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lambdas = DEFAULT_SWEEP_GRID
     if args.lambdas:
         lambdas = tuple(float(part) for part in args.lambdas.split(",") if part.strip())
-    # Checked before the baselines, so a bad grid costs no backend call.
+    # Checked before the corpus load, so a bad grid or baselines file costs
+    # no backend call.
     lambdas = sweep_grid(lambdas)
+    baselines = _read_baselines(args.baselines) if args.baselines else {}
     generator, embedder = _make_backends(config)
     items, dataset_name, corpus_path = _resolve_inputs(config)
     corpus = load_corpus(corpus_path, embedder=embedder, cache_path=config.cache_path or None)
 
-    baselines = {}
-    for method in (METHOD_STANDARD, METHOD_HYDE):
-        _, summary = run_benchmark(
-            items, method, corpus, config,
-            generator=generator, answer_generator=generator, embedder=embedder,
-            dataset_name=dataset_name, clock=_clock(config),
-        )
-        baselines[method] = summary["accuracy"]
-
+    answers = AnswerMemo(generator)
     sweep = lambda_sweep(
         items, lambdas, corpus, config,
-        generator=generator, answer_generator=generator, embedder=embedder,
+        generator=generator, answer_generator=answers, embedder=embedder,
         baselines=baselines, dataset_name=dataset_name, clock=_clock(config),
     )
+    _report_memo(answers)
     _write_reports(
         args.out, [("sweep", sweep, sweep_to_dict, render_sweep_table, render_sweep_svg)]
     )

@@ -9,12 +9,21 @@ as incorrect.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .backends import EmbedderBackend, GeneratorBackend, chat_messages, output_tokens_of
+from .backends import (
+    EmbedderBackend,
+    GenerationResult,
+    GeneratorBackend,
+    Message,
+    chat_messages,
+    output_tokens_of,
+)
 from .config import ANSWER_PROMPT_VERSION, RunConfig
 from .costs import CostEntry
 from .errors import ContrastiveRetrievalError, EmptyInputError
@@ -58,6 +67,41 @@ ANSWER_INSTRUCTION = (
 # lambda sweep, so each item's pair is generated once and only the scoring
 # changes; a cached pair keeps the cost of the calls that made it.
 PairCache = dict[str, tuple[HypothesisPair, CostEntry]]
+
+
+class AnswerMemo:
+    """A generator that sends each distinct temperature-0 prompt once.
+
+    Wraps the generator of one run's answer calls. At temperature 0 the
+    reply to a message list is keyed by a 16-byte digest of the whole list,
+    roles included, and a repeat is served from the memo. At any other
+    temperature every call reaches the backend, because a stored reply
+    would change sampling. A call that raises stores nothing, so a repeat
+    asks the backend again. Only answers go through it: a parse retry of a
+    pair prompt resends identical messages and must reach the backend.
+    ``calls`` counts the calls that reached the backend, ``hits`` the
+    replies served from the memo.
+    """
+
+    def __init__(self, generator: GeneratorBackend) -> None:
+        self._generator = generator
+        self._replies: dict[bytes, tuple[str, int | None]] = {}
+        self.calls = 0
+        self.hits = 0
+
+    def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
+        if temperature != 0:
+            self.calls += 1
+            return self._generator.complete(messages, temperature)
+        key = hashlib.blake2b(json.dumps(messages).encode("utf-8"), digest_size=16).digest()
+        reply = self._replies.get(key)
+        if reply is not None:
+            self.hits += 1
+            return GenerationResult(*reply)
+        self.calls += 1
+        result = self._generator.complete(messages, temperature)
+        self._replies[key] = (result.text, result.output_tokens)
+        return result
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from contrastive_retrieval import pipeline
 from contrastive_retrieval.backends import (
     ANSWER_MARKER,
+    HYPO_DOC_MARKER,
     PAIR_MARKER,
+    GenerationResult,
     MockEmbedderBackend,
     MockGeneratorBackend,
 )
@@ -40,6 +43,20 @@ def backend_calls(monkeypatch) -> list[str]:
     monkeypatch.setattr(MockGeneratorBackend, "complete", counting_complete)
     monkeypatch.setattr(MockEmbedderBackend, "embed", counting_embed)
     return calls
+
+
+@pytest.fixture
+def generator_prompts(monkeypatch) -> list[tuple[str, float]]:
+    """The (user prompt, temperature) of each mock generator call, in order."""
+    prompts: list[tuple[str, float]] = []
+    complete = MockGeneratorBackend.complete
+
+    def recording_complete(self, messages, temperature=0.0):
+        prompts.append((messages[-1]["content"], temperature))
+        return complete(self, messages, temperature)
+
+    monkeypatch.setattr(MockGeneratorBackend, "complete", recording_complete)
+    return prompts
 
 
 def test_run_single_method(tmp_path, capsys):
@@ -78,21 +95,17 @@ def test_run_all_methods_emits_reports(tmp_path):
     assert list(out.glob("*.partial")) == []
 
 
-def test_run_all_methods_generates_each_pair_once(tmp_path, monkeypatch):
-    prompts = []
-    complete = MockGeneratorBackend.complete
-
-    def counting_complete(self, messages, temperature=0.0):
-        prompts.append(messages[-1]["content"])
-        return complete(self, messages, temperature)
-
-    monkeypatch.setattr(MockGeneratorBackend, "complete", counting_complete)
+def test_run_all_methods_generates_each_pair_once(tmp_path, capsys, generator_prompts):
     out = tmp_path / "out"
     assert run_cli("run", "--mock", "--seed", "0", "--out", str(out)) == 0
-    # 20 items: one pair each, shared by chr, h_plus_only and the sweep;
-    # one answer per item for each of 5 methods and 7 sweep weights.
+    prompts = [prompt for prompt, _ in generator_prompts]
+    # 20 items: one pair each, shared by chr, h_plus_only and the sweep.
+    # Of the 240 answers (5 methods and 7 sweep weights per item), only the
+    # 211 distinct prompts reach the backend.
     assert sum(PAIR_MARKER in p for p in prompts) == 20
-    assert sum(ANSWER_MARKER in p for p in prompts) == 240
+    answer_prompts = [p for p in prompts if ANSWER_MARKER in p]
+    assert len(answer_prompts) == len(set(answer_prompts)) == 211
+    assert "answers: 211 backend calls, 29 served from the run's memo" in capsys.readouterr().err
 
     def pairs(method):
         lines = (out / f"records_{method}.jsonl").read_text(encoding="utf-8").splitlines()
@@ -100,6 +113,37 @@ def test_run_all_methods_generates_each_pair_once(tmp_path, monkeypatch):
 
     assert pairs("h_plus_only") == pairs("chr")
     assert all(pair is not None for pair in pairs("chr").values())
+
+
+def test_run_at_nonzero_temperature_sends_every_answer(tmp_path, capsys, generator_prompts):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"mock": True, "temperature": 0.7}), encoding="utf-8")
+    assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 0
+    answers = [temperature for prompt, temperature in generator_prompts if ANSWER_MARKER in prompt]
+    assert answers == [0.7] * 240
+    assert "answers: 240 backend calls, 0 served from the run's memo" in capsys.readouterr().err
+
+
+def test_run_resends_a_pair_prompt_that_failed_to_parse(tmp_path, monkeypatch):
+    # A garbled pair reply is asked again, never replayed from the memo.
+    pair_calls = []
+    complete = MockGeneratorBackend.complete
+
+    def garble_first_pair(self, messages, temperature=0.0):
+        if PAIR_MARKER in messages[-1]["content"]:
+            pair_calls.append(messages)
+            if len(pair_calls) == 1:
+                return GenerationResult(text="not a pair")
+        return complete(self, messages, temperature)
+
+    monkeypatch.setattr(MockGeneratorBackend, "complete", garble_first_pair)
+    out = tmp_path / "out"
+    assert run_cli("run", "--mock", "--seed", "0", "--out", str(out)) == 0
+    assert len(pair_calls) == 21
+    assert pair_calls[1] == pair_calls[0]
+    records = load_records(out / "records_chr.jsonl")
+    assert all(r.cost.llm_calls == 1 for r in records[1:])
+    assert records[0].cost.llm_calls == 2
 
 
 def test_run_chr_records_match_shifted_query_ranking(tmp_path):
@@ -161,6 +205,22 @@ def test_run_rejects_bad_ratings_before_any_backend_call(
     assert not out.exists()
 
 
+def test_single_method_run_checks_ratings(tmp_path, capsys, backend_calls):
+    out = tmp_path / "out"
+    code = run_cli("run", "--mock", "--method", "chr", "--ratings",
+                   str(tmp_path / "missing.tsv"), "--out", str(out))
+    assert code == 1
+    assert "No such file" in capsys.readouterr().err
+    assert backend_calls == []
+    assert not out.exists()
+
+    code = run_cli("run", "--mock", "--method", "chr", "--ratings",
+                   str(bundled_path(RATINGS_FILE)), "--out", str(out))
+    assert code == 0
+    assert "strata report skipped: needs --method all" in capsys.readouterr().err
+    assert not (out / "report_strata.json").exists()
+
+
 def test_run_without_backends_or_mock_fails(tmp_path, capsys):
     code = run_cli("run", "--method", "chr", "--out", str(tmp_path / "out"))
     assert code == 1
@@ -211,16 +271,64 @@ def test_compare_subcommand(tmp_path, capsys):
 
 
 def test_sweep_subcommand(tmp_path, capsys):
+    run_out = tmp_path / "run"
+    assert run_cli("run", "--mock", "--seed", "0", "--out", str(run_out)) == 0
+    summary = json.loads((run_out / "summary.json").read_text(encoding="utf-8"))
     out = tmp_path / "sweep"
-    code = run_cli("sweep", "--mock", "--lambdas", "0.2,0.6,1.0", "--out", str(out))
+    code = run_cli("sweep", "--mock", "--lambdas", "0.2,0.6,1.0",
+                   "--baselines", str(run_out / "summary.json"), "--out", str(out))
     assert code == 0
     payload = json.loads((out / "report_sweep.json").read_text(encoding="utf-8"))
     assert [point[0] for point in payload["points"]] == [0.2, 0.6, 1.0]
-    assert set(payload["baselines"]) == {"standard", "hyde"}
+    assert payload["baselines"] == {
+        method: summary["methods"][method]["accuracy"] for method in ("hyde", "standard")
+    }
     assert (out / "report_sweep.svg").read_text(encoding="utf-8").startswith("<svg")
     capsys.readouterr()
     assert run_cli("sweep", "--mock", "--lambdas", "0.5,1.0") == 0
     assert "Lambda" in capsys.readouterr().out
+
+
+def test_sweep_without_baselines_runs_only_the_sweep(
+    tmp_path, capsys, monkeypatch, generator_prompts
+):
+    retrieved = []
+    for name in ("retrieve_standard", "retrieve_hyde"):
+        monkeypatch.setattr(pipeline, name, lambda *args, name=name: retrieved.append(name))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--mock", "--lambdas", "0.2,0.6,1.0", "--out", str(out)) == 0
+    assert retrieved == []
+    prompts = [prompt for prompt, _ in generator_prompts]
+    assert not any(HYPO_DOC_MARKER in p for p in prompts)
+    answer_prompts = [p for p in prompts if ANSWER_MARKER in p]
+    assert len(answer_prompts) == len(set(answer_prompts)) <= 60
+    assert sum(PAIR_MARKER in p for p in prompts) == 20
+    assert len(prompts) == 20 + len(answer_prompts)
+    payload = json.loads((out / "report_sweep.json").read_text(encoding="utf-8"))
+    assert payload["baselines"] == {}
+    assert "baseline" not in (out / "report_sweep.txt").read_text(encoding="utf-8")
+    err = capsys.readouterr().err
+    assert f"answers: {len(answer_prompts)} backend calls, " in err
+
+
+@pytest.mark.parametrize("summary, message", [
+    ({"methods": {"standard": {"accuracy": 0.5}}}, "lacks methods.hyde.accuracy"),
+    ([], "lacks methods.standard.accuracy"),
+    ({"methods": {"standard": {"accuracy": 0.5}, "hyde": {"accuracy": 2}}},
+     "methods.hyde.accuracy is not a fraction: 2"),
+    (None, "No such file"),
+])
+def test_sweep_rejects_bad_baselines_before_any_backend_call(
+    tmp_path, capsys, backend_calls, summary, message
+):
+    path = tmp_path / "summary.json"
+    if summary is not None:
+        path.write_text(json.dumps(summary), encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--mock", "--baselines", str(path), "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert backend_calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lambdas, message", [

@@ -5,13 +5,23 @@ import random
 import pytest
 
 from contrastive_retrieval.analysis import lambda_sweep
-from contrastive_retrieval.backends import MockEmbedderBackend, MockGeneratorBackend
+from contrastive_retrieval.backends import (
+    GenerationResult,
+    MockEmbedderBackend,
+    MockGeneratorBackend,
+    chat_messages,
+)
 from contrastive_retrieval.config import RunConfig
 from contrastive_retrieval.dataio import record_to_dict
-from contrastive_retrieval.errors import EmptyInputError, UnknownDocIdError
+from contrastive_retrieval.errors import (
+    BackendUnavailableError,
+    EmptyInputError,
+    UnknownDocIdError,
+)
 from contrastive_retrieval.pipeline import (
     ABSTAIN,
     ANSWER_INSTRUCTION,
+    AnswerMemo,
     accuracy,
     build_answer_prompt,
     extract_answer,
@@ -385,6 +395,83 @@ def test_lambda_sweep_uses_given_pair_cache(dataset, corpus, embedder):
     swept = report.records_by_lambda[1.0]
     assert [r.pair for r in swept] == [r.pair for r in chr_records]
     assert [r.cost for r in swept] == [r.cost for r in chr_records]
+
+
+# ----------------------------------------------------------------------
+# Answer memo
+# ----------------------------------------------------------------------
+
+class CountingGenerator:
+    """Answers with its call number as the token count; the first ``failures`` calls raise."""
+
+    def __init__(self, failures: int = 0) -> None:
+        self.failures = failures
+        self.calls = 0
+
+    def complete(self, messages, temperature=0.0):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise BackendUnavailableError("transient")
+        return GenerationResult(text=f"Answer: A ({self.calls})", output_tokens=self.calls)
+
+
+def test_answer_memo_sends_each_temperature_0_prompt_once():
+    backend = CountingGenerator()
+    memo = AnswerMemo(backend)
+    first = memo.complete(chat_messages("sys", "q1"))
+    assert memo.complete(chat_messages("sys", "q1")) == first
+    assert memo.complete(chat_messages("sys", "q1"), temperature=0.0) == first
+    memo.complete(chat_messages("sys", "q2"))
+    assert backend.calls == memo.calls == 2
+    assert memo.hits == 2
+
+
+def test_answer_memo_keys_on_every_message():
+    backend = CountingGenerator()
+    memo = AnswerMemo(backend)
+    a = memo.complete(chat_messages("system one", "same question"))
+    b = memo.complete(chat_messages("system two", "same question"))
+    assert a != b
+    assert backend.calls == memo.calls == 2
+    assert memo.hits == 0
+
+
+def test_answer_memo_passes_sampled_calls_through():
+    backend = CountingGenerator()
+    memo = AnswerMemo(backend)
+    a = memo.complete(chat_messages("sys", "q1"), temperature=0.7)
+    b = memo.complete(chat_messages("sys", "q1"), temperature=0.7)
+    assert a != b
+    assert backend.calls == memo.calls == 2
+    assert memo.hits == 0
+
+
+def test_answer_memo_stores_nothing_for_a_failed_call():
+    backend = CountingGenerator(failures=1)
+    memo = AnswerMemo(backend)
+    with pytest.raises(BackendUnavailableError):
+        memo.complete(chat_messages("sys", "q1"))
+    result = memo.complete(chat_messages("sys", "q1"))
+    assert result == GenerationResult(text="Answer: A (2)", output_tokens=2)
+    assert memo.complete(chat_messages("sys", "q1")) == result
+    assert backend.calls == memo.calls == 2
+    assert memo.hits == 1
+
+
+def test_answer_memo_hit_keeps_the_record_answer_cost(dataset, corpus, embedder):
+    cache = {}
+    gen = MockGeneratorBackend(seed=0, embedder=embedder)
+    answers = AnswerMemo(MockGeneratorBackend(seed=0, embedder=embedder))
+    chr_records, _ = run_benchmark(dataset, "chr", corpus, mock_config(), generator=gen,
+                                   answer_generator=answers, embedder=embedder,
+                                   pair_cache=cache, clock=None)
+    report = lambda_sweep(dataset, [1.0], corpus, mock_config(), generator=gen,
+                          answer_generator=answers, embedder=embedder,
+                          pair_cache=cache, clock=None)
+    assert answers.calls == answers.hits == len(dataset)
+    swept = report.records_by_lambda[1.0]
+    assert [record_to_dict(r) for r in swept] == [record_to_dict(r) for r in chr_records]
+    assert all(r.answer_cost.llm_calls == 1 for r in swept)
 
 
 # ----------------------------------------------------------------------
