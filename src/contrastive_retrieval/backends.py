@@ -61,6 +61,9 @@ class GeneratorBackend(Protocol):
 
 class EmbedderBackend(Protocol):
     dimension: int
+    # Identity of the vectors: the embedding cache reuses a vector only
+    # under the identity that wrote it.
+    model: str
 
     def embed(self, text: str) -> np.ndarray:
         ...
@@ -299,6 +302,8 @@ class MockEmbedderBackend:
             raise ValueError("mock embedder dimension must be >= 2")
         self.dimension = dimension
         self.seed = seed
+        # The vectors depend on the seed and the dimension, so both name them.
+        self.model = f"mock-embedder-seed{seed}-dim{dimension}"
         self._token_cache: dict[str, np.ndarray] = {}
 
     def _token_vector(self, token: str) -> np.ndarray:

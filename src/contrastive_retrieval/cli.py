@@ -51,8 +51,11 @@ from .config import (
     RunConfig,
     load_config,
 )
-from .dataio import (
+# cache_embeddings is not called here; perfbench/tracing.py wraps it under
+# this module's name too.
+from .dataio import (  # noqa: F401
     cache_embeddings,
+    load_cache,
     load_corpus,
     load_dataset,
     load_ratings,
@@ -244,8 +247,20 @@ def _run_ratings(config: RunConfig, items: list[QAItem]) -> tuple[dict, set] | N
     return ratings, exclusions
 
 
-def _read_baselines(path: str) -> dict[str, float]:
-    """The standard and HyDE accuracies recorded in a run's ``summary.json``."""
+# The settings a baseline accuracy depends on: a summary whose run differs
+# from the sweep in any of them measured another experiment.
+_BASELINE_KEYS = (
+    "k", "hyde_n", "seed", "mock", "mock_dimension", "temperature", "max_retries",
+    "generator_model", "embedder_model", "answer_prompt_version", "dataset_path",
+    "corpus_path",
+)
+
+
+def _read_baselines(path: str, config: RunConfig) -> dict[str, float]:
+    """The standard and HyDE accuracies recorded in a run's ``summary.json``.
+
+    The run's ``config`` must equal ``config`` on every key in _BASELINE_KEYS.
+    """
     with open(path, encoding="utf-8") as fh:
         summary = json.load(fh)
     baselines = {}
@@ -257,6 +272,15 @@ def _read_baselines(path: str) -> dict[str, float]:
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
             raise ValueError(f"{path}: methods.{method}.accuracy is not a fraction: {value!r}")
         baselines[method] = float(value)
+    run = summary.get("config")
+    if not isinstance(run, dict):
+        raise ValueError(f"{path}: lacks the run's config")
+    ours = dataclasses.asdict(config)
+    for key in _BASELINE_KEYS:
+        if run.get(key) != ours[key]:
+            raise ValueError(
+                f"{path}: the run's {key} is {run.get(key)!r}, this sweep's is {ours[key]!r}"
+            )
     return baselines
 
 
@@ -407,7 +431,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Checked before the corpus load, so a bad grid or baselines file costs
     # no backend call.
     lambdas = sweep_grid(lambdas)
-    baselines = _read_baselines(args.baselines) if args.baselines else {}
+    baselines = _read_baselines(args.baselines, config) if args.baselines else {}
     generator, embedder = _make_backends(config)
     items, dataset_name, corpus_path = _resolve_inputs(config)
     corpus = load_corpus(corpus_path, embedder=embedder, cache_path=config.cache_path or None)
@@ -443,9 +467,11 @@ def cmd_stratify(args: argparse.Namespace) -> int:
 def cmd_embed(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, embedder = _make_backends(config)
-    corpus = load_corpus(args.corpus, embedder=embedder)
-    cache_embeddings(args.cache, dict(zip(corpus.ids, corpus.matrix)))
-    print(f"cached {len(corpus)} embeddings (dimension {corpus.dimension}) to {args.cache}")
+    # Ingest embeds only what the cache cannot vouch for and writes it back;
+    # inline embeddings are never cached.
+    corpus = load_corpus(args.corpus, embedder=embedder, cache_path=args.cache)
+    cached = len(load_cache(args.cache).ids) if Path(args.cache).exists() else 0
+    print(f"cached {cached} embeddings (dimension {corpus.dimension}) to {args.cache}")
     return 0
 
 

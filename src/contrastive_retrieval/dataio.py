@@ -5,14 +5,23 @@ records), a compact little-endian binary file for the one large artifact
 (the embedding cache), and tab-separated ratings. Writers go through a
 ``.partial`` temp file renamed into place, so an interrupted run leaves a
 clearly-labeled partial artifact instead of a corrupt final one.
+
+The embedding cache is content-addressed: each vector is stored with the
+sha256 of the text it embeds, under the identity of the embedder that
+wrote the file, so ingest reuses a vector only for the same text and the
+same embedder (see ``load_corpus``). Its vectors are one float32 block,
+read in bulk.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
+import sys
 from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +35,7 @@ from .errors import (
     DuplicateIdError,
     MalformedLineError,
     NormDriftError,
+    StaleEmbeddingError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -35,9 +45,14 @@ from .retrieval import Corpus, RankedResult
 from .vectors import as_vector, normalize, normalize_rows, row_norms
 
 CACHE_MAGIC = b"CHRE"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 # Unit norm must survive the float32 round-trip within this tolerance.
 CACHE_NORM_TOL = 1e-5
+DIGEST_SIZE = 32
+# The digest of a record written without its text.
+NO_DIGEST = bytes(DIGEST_SIZE)
+# Magic, version, dimension, count, identity length; the identity follows.
+_CACHE_HEADER = struct.Struct("<4sIIQI")
 
 
 # ----------------------------------------------------------------------
@@ -94,61 +109,206 @@ def load_corpus(
 ) -> Corpus:
     """Read a JSONL corpus of {"id", "text", "embedding"?} objects.
 
-    Documents without an inline embedding are resolved from the cache file
-    when available, otherwise embedded via ``embedder``; newly computed
-    vectors are merged back into the cache. Inline and newly embedded
-    vectors are normalized as their line is read; ``Corpus`` then gathers
-    all rows into one matrix and normalizes it again in bulk.
-    """
-    cache: dict[str, np.ndarray] = {}
-    if cache_path and Path(cache_path).exists():
-        cache = load_cache(cache_path)
+    A document without an inline embedding takes its vector from the cache
+    file when the cache holds a record for its id whose text digest equals
+    the sha256 of its text, written by an embedder whose identity equals
+    ``embedder.model``; every other document is embedded via ``embedder``.
+    Without an embedder nothing can be re-embedded, so records are taken by
+    id, but a record whose digest is set and differs from the text raises
+    StaleEmbeddingError naming the document and its line. A version 1 cache
+    has no digests: with an embedder it counts as empty (one stderr line),
+    without one it raises VersionMismatchError.
 
+    Newly embedded vectors are written back once, the corpus's documents in
+    file order ahead of the file's other records. If embedding fails at a
+    document, the vectors already paid for are written the same way before
+    the error propagates, so a rerun embeds only the rest.
+
+    Inline and newly embedded vectors are normalized as they are read.
+    Cached rows are gathered from the float32 block in file order, converted
+    to float64, checked against unit norm (NormDriftError names the first
+    drifting document) and renormalized. ``Corpus`` then gets one matrix and
+    normalizes it again in bulk.
+    """
     ids: list[str] = []
     texts: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: dict[str, int] = {}
-    dimension: int | None = None
-    newly_embedded = False
+    inline: dict[int, np.ndarray] = {}
+    lines: dict[str, int] = {}
     for line_no, obj in _iter_jsonl(path):
         doc_id = _require(obj, "id", str, line_no)
         text = _require(obj, "text", str, line_no)
-        if doc_id in seen:
+        if doc_id in lines:
             raise DuplicateIdError(line_no, doc_id)
-        seen[doc_id] = line_no
-
+        lines[doc_id] = line_no
         raw = obj.get("embedding")
         if raw is not None:
             if not isinstance(raw, list):
                 raise MalformedLineError(line_no, "embedding must be an array of numbers")
             try:
-                vec = normalize(as_vector(raw))
+                inline[len(ids)] = normalize(as_vector(raw))
             except Exception as exc:
                 raise MalformedLineError(line_no, f"bad embedding ({exc})") from exc
-        elif doc_id in cache:
-            vec = cache[doc_id]
-        elif embedder is not None:
-            vec = normalize(embedder.embed(text))
-            cache[doc_id] = vec
-            newly_embedded = True
-        else:
-            raise MalformedLineError(
-                line_no, f"document {doc_id!r} has no embedding and no embedder is configured"
-            )
-        if dimension is None:
-            dimension = vec.shape[0]
-        elif vec.shape[0] != dimension:
-            raise DimensionMismatchError(
-                f"line {line_no}: embedding dimension {vec.shape[0]} != {dimension}"
-            )
         ids.append(doc_id)
         texts.append(text)
-        rows.append(vec)
 
-    if cache_path and newly_embedded:
-        cache_embeddings(cache_path, cache)
-    # Corpus gathers the rows itself, so its copy is the only one made.
-    return Corpus(ids, texts, rows)
+    cache = _reusable_cache(cache_path, embedder)
+    hit_rows, hit_pos, misses = _match_cache(cache, embedder, ids, texts, lines, inline)
+    fresh: dict[int, np.ndarray] = {}
+    try:
+        for row in misses:
+            fresh[row] = normalize(embedder.embed(texts[row]))
+    finally:
+        if cache_path and fresh:
+            _write_back(cache_path, embedder.model, cache, hit_rows, hit_pos, fresh, ids, texts)
+
+    vectors = {**inline, **fresh}
+    dimension = _check_dimensions(cache, hit_rows, vectors, ids, lines)
+    if not hit_rows:
+        matrix = np.empty((len(ids), dimension))
+    else:
+        rows = _gather(cache.vectors, hit_pos)
+        cache = None  # release the file's bytes before the rows are converted
+        rows = _unit_rows(rows, hit_rows, ids, cache_path)
+        if len(hit_rows) == len(ids):
+            matrix = rows
+        else:
+            matrix = np.empty((len(ids), dimension))
+            matrix[hit_rows] = rows
+    for row, vec in vectors.items():
+        matrix[row] = vec
+    return Corpus(ids, texts, matrix, copy=False)
+
+
+def _reusable_cache(
+    path: str | Path | None, embedder: EmbedderBackend | None
+) -> CacheFile | None:
+    """The cache at ``path`` if ``embedder`` may reuse its records, else None."""
+    if not path or not Path(path).exists():
+        return None
+    try:
+        cache = load_cache(path)
+    except VersionMismatchError as exc:
+        if embedder is None or exc.version != 1:
+            raise
+        print(f"{path}: version 1 cache has no text digests; re-embedding every document",
+              file=sys.stderr)
+        return None
+    if embedder is not None and cache.model != embedder.model:
+        print(f"{path}: written by embedder {cache.model!r}, not {embedder.model!r}; "
+              f"re-embedding every document", file=sys.stderr)
+        return None
+    return cache
+
+
+def _match_cache(
+    cache: CacheFile | None,
+    embedder: EmbedderBackend | None,
+    ids: list[str],
+    texts: list[str],
+    lines: dict[str, int],
+    inline: dict[int, np.ndarray],
+) -> tuple[list[int], list[int], list[int]]:
+    """Split the documents without an inline embedding into hits and misses.
+
+    Returns the hit rows, their cache positions and the miss rows, all in
+    file order. A text is hashed only when a record's digest is compared.
+    """
+    index = dict(zip(cache.ids, range(len(cache.ids)))) if cache is not None else {}
+    hit_rows: list[int] = []
+    hit_pos: list[int] = []
+    misses: list[int] = []
+    for row, doc_id in enumerate(ids):
+        if row in inline:
+            continue
+        pos = index.get(doc_id)
+        if pos is not None:
+            stored = cache.digest(pos)
+            if (embedder is None and stored == NO_DIGEST) or stored == text_digest(texts[row]):
+                hit_rows.append(row)
+                hit_pos.append(pos)
+                continue
+            if embedder is None:
+                raise StaleEmbeddingError(lines[doc_id], doc_id)
+        if embedder is None:
+            raise MalformedLineError(
+                lines[doc_id], f"document {doc_id!r} has no embedding and no embedder is configured"
+            )
+        misses.append(row)
+    return hit_rows, hit_pos, misses
+
+
+def _write_back(
+    path: str | Path,
+    model: str,
+    cache: CacheFile | None,
+    hit_rows: list[int],
+    hit_pos: list[int],
+    fresh: dict[int, np.ndarray],
+    ids: list[str],
+    texts: list[str],
+) -> None:
+    """Rewrite the cache with the corpus's vectors, then the file's other records."""
+    kept = dict(zip(hit_rows, hit_pos))
+    entries: dict[str, np.ndarray] = {}
+    digests: dict[str, bytes] = {}
+    for row in sorted([*kept, *fresh]):
+        entries[ids[row]] = fresh[row] if row in fresh else cache.vectors[kept[row]]
+        digests[ids[row]] = text_digest(texts[row])
+    if cache is not None:
+        for pos, doc_id in enumerate(cache.ids):
+            if doc_id not in entries:
+                entries[doc_id] = cache.vectors[pos]
+                digests[doc_id] = cache.digest(pos)
+    cache_embeddings(path, entries, digests, model)
+
+
+def _check_dimensions(
+    cache: CacheFile | None,
+    hit_rows: list[int],
+    vectors: dict[int, np.ndarray],
+    ids: list[str],
+    lines: dict[str, int],
+) -> int:
+    """The corpus dimension; DimensionMismatchError names the first row that differs."""
+    dims = {row: vec.shape[0] for row, vec in vectors.items()}
+    if hit_rows:
+        dims[hit_rows[0]] = cache.dimension
+    if not dims:
+        return 0  # no documents: Corpus raises EmptyCorpusError
+    dimension = dims[min(dims)]
+    bad = [row for row, dim in dims.items() if dim != dimension]
+    if bad:
+        row = min(bad)
+        raise DimensionMismatchError(
+            f"line {lines[ids[row]]}: embedding dimension {dims[row]} != {dimension}"
+        )
+    return dimension
+
+
+def _gather(block: np.ndarray, positions: list[int]) -> np.ndarray:
+    """The rows of ``block`` at ``positions``; ``block`` itself when that is all of it."""
+    pos = np.array(positions, dtype=np.intp)
+    if len(pos) == len(block) and bool((pos == np.arange(len(pos))).all()):
+        return block
+    return np.take(block, pos, axis=0)
+
+
+def _unit_rows(
+    rows: np.ndarray, hit_rows: list[int], ids: list[str], path: str | Path
+) -> np.ndarray:
+    """The cached float32 ``rows`` as float64 unit vectors.
+
+    NormDriftError names the first document whose stored norm strayed from
+    1 by more than CACHE_NORM_TOL (a NaN norm strays too).
+    """
+    rows = rows.astype(np.float64)
+    norms = row_norms(rows)
+    drift = ~(np.abs(norms - 1.0) <= CACHE_NORM_TOL)
+    if drift.any():
+        at = int(np.argmax(drift))
+        raise NormDriftError(f"{path}: entry {ids[hit_rows[at]]!r} has norm {norms[at]:.8f}")
+    rows /= norms[:, None]
+    return rows
 
 
 def load_dataset(path: str | Path) -> list[QAItem]:
@@ -189,17 +349,55 @@ def save_dataset(path: str | Path, items: Iterable[QAItem]) -> None:
 # Binary embedding cache
 # ----------------------------------------------------------------------
 
-def cache_embeddings(path: str | Path, entries: Mapping[str, np.ndarray]) -> None:
-    """Write unit vectors as float32 records under a little-endian header.
+def text_digest(text: str) -> bytes:
+    """The sha256 of ``text`` as UTF-8: the key a cached vector is reused under."""
+    return hashlib.sha256(text.encode("utf-8")).digest()
 
-    Layout: magic "CHRE", version u32, dimension u32, count u64, then per
-    record: id length u32, id bytes (utf-8), dimension float32 values.
-    The entries are stacked, normalized and converted to float32 in bulk;
-    only the record headers are built one by one.
+
+@dataclass(frozen=True)
+class CacheFile:
+    """A cache file as read: its records in file order, not yet verified.
+
+    ``vectors`` is a read-only ``(count, dimension)`` float32 view of the
+    file's bytes; ``digests`` holds DIGEST_SIZE bytes per record, NO_DIGEST
+    for a record written without its text.
+    """
+
+    model: str
+    ids: list[str]
+    digests: bytes
+    vectors: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
+
+    def digest(self, pos: int) -> bytes:
+        return self.digests[pos * DIGEST_SIZE : (pos + 1) * DIGEST_SIZE]
+
+
+def cache_embeddings(
+    path: str | Path,
+    entries: Mapping[str, np.ndarray],
+    digests: Mapping[str, bytes] | None = None,
+    model: str = "",
+) -> None:
+    """Write vectors as a version 2 cache, one record per entry in mapping order.
+
+    ``digests`` maps an id to the ``text_digest`` of the text its vector
+    embeds; an id without one is written with NO_DIGEST. ``model`` is the
+    identity of the embedder that produced the vectors. The vectors are
+    stacked, normalized and converted to float32 in bulk.
+
+    Layout, little-endian: magic "CHRE", version u32, dimension u32, count
+    u64, identity length u32 and the identity's utf-8 bytes; then the id
+    lengths (u32 each), the utf-8 id bytes, the digests (DIGEST_SIZE bytes
+    each), zero padding to a multiple of 4 bytes, and one count x dimension
+    float32 block.
     """
     if not entries:
         raise ValueError("refusing to write an empty embedding cache")
-    ids = sorted(entries)
+    ids = list(entries)
     vectors = [np.asarray(entries[doc_id], dtype=np.float64) for doc_id in ids]
     dimension = as_vector(vectors[0]).shape[0]
     for doc_id, vec in zip(ids, vectors):
@@ -207,75 +405,73 @@ def cache_embeddings(path: str | Path, entries: Mapping[str, np.ndarray]) -> Non
             raise DimensionMismatchError(
                 f"entry {doc_id!r} has shape {vec.shape}, expected ({dimension},)"
             )
-    block = memoryview(normalize_rows(np.array(vectors), ids).astype("<f4")).cast("B")
-    vec_bytes = 4 * dimension
-    chunks = [CACHE_MAGIC, struct.pack("<IIQ", CACHE_VERSION, dimension, len(ids))]
-    for pos, doc_id in enumerate(ids):
-        encoded = doc_id.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(block[pos * vec_bytes : (pos + 1) * vec_bytes])
+    block = normalize_rows(np.array(vectors), ids).astype("<f4")
+    encoded = [doc_id.encode("utf-8") for doc_id in ids]
+    identity = model.encode("utf-8")
+    digests = digests or {}
+    chunks = [
+        _CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, dimension, len(ids), len(identity)),
+        identity,
+        np.array([len(e) for e in encoded], dtype="<u4").tobytes(),
+        *encoded,
+        *(digests.get(doc_id, NO_DIGEST) for doc_id in ids),
+    ]
+    chunks.append(bytes(-sum(map(len, chunks)) % 4))
+    chunks.append(memoryview(block).cast("B"))
     write_bytes(path, b"".join(chunks))
 
 
-def load_cache(path: str | Path) -> dict[str, np.ndarray]:
-    """Read the binary cache back into float64 unit vectors.
+def load_cache(path: str | Path) -> CacheFile:
+    """Read a version 2 cache: its tables, and its vectors as one block.
 
-    Verifies magic, version, record completeness, and that each stored
-    vector's norm stayed within 1 +/- 1e-5 through the float32 round-trip
-    (a NaN norm fails too); vectors are renormalized in float64 after the
-    check. The vectors are read into one contiguous block, checked and
-    renormalized in bulk, and returned as rows of one matrix.
+    Checks the magic and the version, then every table's size against the
+    file's length before anything is allocated; TruncatedFileError names the
+    part that is cut short, or the bytes left over. A version 1 file raises
+    VersionMismatchError: it has no digests and no identity, so nothing in
+    it can be verified. The vectors are not checked here: ingest checks the
+    rows it uses (see ``load_corpus``).
     """
-    ids, block = _read_cache_records(path)
-    matrix = block.astype(np.float64)
-    norms = row_norms(matrix)
-    drift = ~(np.abs(norms - 1.0) <= CACHE_NORM_TOL)
-    if drift.any():
-        pos = int(np.argmax(drift))
-        raise NormDriftError(f"{path}: entry {ids[pos]!r} has norm {norms[pos]:.8f}")
-    matrix /= norms[:, None]
-    return dict(zip(ids, matrix))
-
-
-def _read_cache_records(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Walk a v1 cache's record headers; copy the vectors into one float32 block."""
     blob = Path(path).read_bytes()
     if blob[:4] != CACHE_MAGIC:
         raise BadMagicError(f"{path}: not an embedding cache (magic {blob[:4]!r})")
-    header_size = 4 + struct.calcsize("<IIQ")
     size = len(blob)
-    if size < header_size:
+    if size >= 8:
+        (version,) = struct.unpack_from("<I", blob, 4)
+        if version != CACHE_VERSION:
+            hint = "; rebuild it with `chr-rag embed`" if version == 1 else ""
+            raise VersionMismatchError(
+                f"{path}: cache version {version}, expected {CACHE_VERSION}{hint}", version
+            )
+    if size < _CACHE_HEADER.size:
         raise TruncatedFileError(f"{path}: header cut short")
-    version, dimension, count = struct.unpack_from("<IIQ", blob, 4)
-    if version != CACHE_VERSION:
-        raise VersionMismatchError(f"{path}: cache version {version}, expected {CACHE_VERSION}")
-    vec_bytes = 4 * dimension
-    # Every record holds at least its id length and its vector; checking that
-    # first keeps a corrupt count from sizing the block.
-    if header_size + count * (4 + vec_bytes) > size:
-        raise TruncatedFileError(f"{path}: {count} records cannot fit in {size} bytes")
-
-    ids: list[str] = []
-    block = np.empty((count, dimension), dtype="<f4")
-    vectors = memoryview(block).cast("B")
-    view = memoryview(blob)
-    unpack_id_len = struct.Struct("<I").unpack_from
-    offset = header_size
-    for pos in range(count):
-        if offset + 4 > size:
-            raise TruncatedFileError(f"{path}: record header cut short at byte {offset}")
-        (id_len,) = unpack_id_len(blob, offset)
-        offset += 4
-        if offset + id_len + vec_bytes > size:
-            raise TruncatedFileError(f"{path}: record cut short at byte {offset}")
-        ids.append(blob[offset : offset + id_len].decode("utf-8"))
-        offset += id_len
-        vectors[pos * vec_bytes : (pos + 1) * vec_bytes] = view[offset : offset + vec_bytes]
-        offset += vec_bytes
-    if offset != size:
-        raise TruncatedFileError(f"{path}: {size - offset} unexpected trailing bytes")
-    return ids, block
+    _, _, dimension, count, identity_len = _CACHE_HEADER.unpack_from(blob)
+    offset = _CACHE_HEADER.size + identity_len
+    if offset > size:
+        raise TruncatedFileError(f"{path}: embedder identity cut short")
+    model = blob[_CACHE_HEADER.size : offset].decode("utf-8")
+    if offset + 4 * count > size:
+        raise TruncatedFileError(f"{path}: id length table cut short ({count} records)")
+    lengths = np.frombuffer(blob, "<u4", count, offset)
+    ends = (np.cumsum(lengths, dtype=np.int64) + offset + 4 * count).tolist()
+    digests_at = ends[-1] if count else offset
+    if digests_at > size:
+        raise TruncatedFileError(f"{path}: id table cut short")
+    block_at = digests_at + DIGEST_SIZE * count
+    if block_at > size:
+        raise TruncatedFileError(f"{path}: digest table cut short")
+    block_at += -block_at % 4
+    end = block_at + 4 * count * dimension
+    if end > size:
+        raise TruncatedFileError(f"{path}: vector block cut short")
+    if end < size:
+        raise TruncatedFileError(f"{path}: {size - end} unexpected trailing bytes")
+    starts = [offset + 4 * count, *ends[:-1]]
+    return CacheFile(
+        model=model,
+        ids=[blob[a:b].decode("utf-8") for a, b in zip(starts, ends)],
+        digests=blob[digests_at : digests_at + DIGEST_SIZE * count],
+        vectors=np.frombuffer(blob, "<f4", count * dimension, block_at).reshape(count, dimension),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -96,7 +96,14 @@ class BadMagicError(ContrastiveRetrievalError):
 
 
 class VersionMismatchError(ContrastiveRetrievalError):
-    """The embedding cache file uses an unsupported format version."""
+    """The embedding cache file uses an unsupported format version.
+
+    Carries the version the file declares in ``version``.
+    """
+
+    def __init__(self, message: str, version: int):
+        super().__init__(message)
+        self.version = version
 
 
 class TruncatedFileError(ContrastiveRetrievalError):
@@ -105,3 +112,15 @@ class TruncatedFileError(ContrastiveRetrievalError):
 
 class NormDriftError(ContrastiveRetrievalError):
     """A cached embedding drifted outside unit norm beyond float32 tolerance."""
+
+
+class StaleEmbeddingError(ContrastiveRetrievalError):
+    """A cached embedding was computed from another text than its document's."""
+
+    def __init__(self, line_no: int, doc_id: str):
+        super().__init__(
+            f"line {line_no}: the cached embedding of {doc_id!r} embeds another text; "
+            f"rebuild the cache with `chr-rag embed`"
+        )
+        self.line_no = line_no
+        self.doc_id = doc_id

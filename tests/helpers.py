@@ -80,17 +80,34 @@ def reference_normalize_rows(rows, passes: int) -> np.ndarray:
     return np.array(out)
 
 
-def reference_cache_bytes(entries) -> bytes:
-    """The v1 embedding cache, written one record at a time."""
-    ids = sorted(entries)
-    dimension = len(entries[ids[0]])
-    chunks = [CACHE_MAGIC, struct.pack("<IIQ", CACHE_VERSION, dimension, len(ids))]
-    for doc_id in ids:
+def cache_file_bytes(records, model: str = "") -> bytes:
+    """A version 2 cache holding ``(id, digest, values)`` records as given.
+
+    The values are stored as float32 without normalizing them, so a test
+    can plant a record no writer of the package would produce.
+    """
+    dimension = len(records[0][2]) if records else 0
+    identity = model.encode("utf-8")
+    head = CACHE_MAGIC + struct.pack("<IIQI", CACHE_VERSION, dimension, len(records), len(identity))
+    head += identity
+    lengths = names = digests = vectors = b""
+    for doc_id, digest, values in records:
         encoded = doc_id.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(normalize(entries[doc_id]).astype("<f4").tobytes())
-    return b"".join(chunks)
+        lengths += struct.pack("<I", len(encoded))
+        names += encoded
+        digests += digest
+        vectors += np.asarray(values, dtype="<f4").tobytes()
+    tables = head + lengths + names + digests
+    return tables + bytes(-len(tables) % 4) + vectors
+
+
+def reference_cache_bytes(entries, digests=None, model: str = "") -> bytes:
+    """The version 2 embedding cache, written one record at a time."""
+    digests = digests or {}
+    records = [
+        (doc_id, digests.get(doc_id, bytes(32)), normalize(vec)) for doc_id, vec in entries.items()
+    ]
+    return cache_file_bytes(records, model)
 
 
 def scaled_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -311,6 +311,20 @@ def test_sweep_without_baselines_runs_only_the_sweep(
     assert f"answers: {len(answer_prompts)} backend calls, " in err
 
 
+def test_sweep_rejects_baselines_of_another_run(tmp_path, capsys, backend_calls):
+    k3 = tmp_path / "k3"
+    assert run_cli("run", "--mock", "--seed", "3", "--k", "3", "--out", str(k3)) == 0
+    backend_calls.clear()
+    capsys.readouterr()
+    out = tmp_path / "sweep"
+    code = run_cli("sweep", "--mock", "--seed", "0", "--baselines", str(k3 / "summary.json"),
+                   "--out", str(out))
+    assert code == 1
+    assert "the run's k is 3, this sweep's is 5" in capsys.readouterr().err
+    assert backend_calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("summary, message", [
     ({"methods": {"standard": {"accuracy": 0.5}}}, "lacks methods.hyde.accuracy"),
     ([], "lacks methods.standard.accuracy"),
@@ -385,8 +399,32 @@ def test_embed_subcommand(tmp_path, capsys):
                    "--mock")
     assert code == 0
     assert "cached 6 embeddings" in capsys.readouterr().out
-    cache = load_cache(cache_path)
-    assert set(cache) == {f"d{i}" for i in range(6)}
+    assert load_cache(cache_path).ids == [f"d{i}" for i in range(6)]
+    inline = tmp_path / "inline.jsonl"
+    inline.write_text(json.dumps({"id": "a", "text": "t", "embedding": [1.0, 0.0]}) + "\n",
+                      encoding="utf-8")
+    assert run_cli("embed", "--corpus", str(inline), "--cache", str(tmp_path / "x.bin"),
+                   "--mock") == 0
+    assert "cached 0 embeddings" in capsys.readouterr().out
+
+
+def test_embed_embeds_only_what_its_cache_cannot_vouch_for(tmp_path, capsys, backend_calls):
+    corpus_path = tmp_path / "corpus.jsonl"
+    rows = [{"id": f"d{i}", "text": f"passage number {i}"} for i in range(6)]
+    embed = ("embed", "--corpus", str(corpus_path), "--cache", str(tmp_path / "emb.bin"), "--mock")
+    for edit, argv, calls in (
+        (None, embed, 6),
+        (None, embed, 0),
+        ("an edited passage", embed, 1),
+        (None, (*embed, "--seed", "1"), 6),
+    ):
+        if edit:
+            rows[2]["text"] = edit
+        corpus_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        backend_calls.clear()
+        assert run_cli(*argv) == 0
+        assert backend_calls.count("embed") == calls, (edit, argv)
+    capsys.readouterr()
 
 
 def test_unknown_method_is_a_usage_error(tmp_path, capsys):

@@ -7,10 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contrastive_retrieval.backends import MockEmbedderBackend
+from contrastive_retrieval.backends import HttpEmbedderBackend, MockEmbedderBackend
 from contrastive_retrieval.dataio import (
     CACHE_MAGIC,
     CACHE_VERSION,
+    NO_DIGEST,
     cache_embeddings,
     load_cache,
     load_corpus,
@@ -22,6 +23,7 @@ from contrastive_retrieval.dataio import (
     save_dataset,
     save_ratings,
     save_records,
+    text_digest,
     write_json,
     write_text,
 )
@@ -29,9 +31,11 @@ from contrastive_retrieval.errors import (
     BadMagicError,
     DimensionMismatchError,
     DuplicateIdError,
+    EmbedderFailureError,
     InvalidAnswerKeyError,
     MalformedLineError,
     NormDriftError,
+    StaleEmbeddingError,
     TruncatedFileError,
     VersionMismatchError,
     ZeroVectorError,
@@ -46,12 +50,14 @@ from contrastive_retrieval.synthdata import (
 )
 from contrastive_retrieval.vectors import normalize
 from helpers import (
+    cache_file_bytes,
     make_record,
     reference_cache_bytes,
     reference_normalize_rows,
     scaled_rows,
     unit,
 )
+from http_faults import FaultServer, Reply
 
 # Dimensions for the bit-identity checks: tiny, odd, and both sides of a
 # BLAS kernel's unroll width.
@@ -63,12 +69,19 @@ def write_lines(path, rows):
 
 
 class CountingEmbedder:
-    def __init__(self, dimension=8, seed=0):
+    """The mock embedder, counting calls; raises ``error`` on call ``fail_on``."""
+
+    def __init__(self, dimension=8, seed=0, fail_on=None, error=EmbedderFailureError):
         self.inner = MockEmbedderBackend(dimension=dimension, seed=seed)
+        self.model = self.inner.model
         self.calls = 0
+        self.fail_on = fail_on
+        self.error = error
 
     def embed(self, text):
         self.calls += 1
+        if self.calls == self.fail_on:
+            raise self.error(f"embed call {self.calls} failed")
         return self.inner.embed(text)
 
 
@@ -209,13 +222,19 @@ def test_load_corpus_inline_matrix_bits(tmp_path, dim):
 
 @pytest.mark.parametrize("dim", ORACLE_DIMS)
 def test_load_corpus_from_cache_matrix_bits(tmp_path, dim):
+    # A cache written without texts or identity, as the benchmark writes
+    # one, is taken by id: in file order, and in reverse.
     ids, raw = _oracle_rows(dim)
+    ids[0] = "é-accented"
     path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
     write_lines(path, [{"id": doc_id, "text": f"text {doc_id}"} for doc_id in ids])
-    cache_embeddings(cache_path, dict(zip(ids, raw)))
     stored = np.array([normalize(row) for row in raw]).astype("<f4")
-    corpus = load_corpus(path, cache_path=cache_path)
-    assert corpus.matrix.tobytes() == reference_normalize_rows(stored, passes=2).tobytes()
+    expected = reference_normalize_rows(stored, passes=2).tobytes()
+    for order in (slice(None), slice(None, None, -1)):
+        cache_embeddings(cache_path, dict(zip(ids[order], raw[order])))
+        corpus = load_corpus(path, cache_path=cache_path)
+        assert corpus.ids == tuple(ids)
+        assert corpus.matrix.tobytes() == expected
 
 
 @pytest.mark.parametrize("dim", ORACLE_DIMS)
@@ -228,6 +247,122 @@ def test_load_corpus_mock_embedder_matrix_bits(tmp_path, dim):
     corpus = load_corpus(path, embedder=embedder)
     expected = reference_normalize_rows([embedder.embed(t) for t in texts], passes=2)
     assert corpus.matrix.tobytes() == expected.tobytes()
+
+
+def _two_docs(tmp_path, first="tidal erosion patterns"):
+    path = tmp_path / "corpus.jsonl"
+    write_lines(path, [
+        {"id": "d1", "text": first},
+        {"id": "d2", "text": "orchestra seating plans"},
+    ])
+    return path, tmp_path / "emb.bin"
+
+
+def test_load_corpus_reembeds_a_document_whose_text_changed(tmp_path):
+    path, cache_path = _two_docs(tmp_path)
+    load_corpus(path, embedder=CountingEmbedder(), cache_path=cache_path)
+    _two_docs(tmp_path, first="volcanic soil chemistry")
+    edited = CountingEmbedder()
+    corpus = load_corpus(path, embedder=edited, cache_path=cache_path)
+    assert edited.calls == 1
+    fresh = reference_normalize_rows([edited.inner.embed("volcanic soil chemistry")], passes=2)
+    assert corpus.matrix[0].tobytes() == fresh[0].tobytes()
+    again = CountingEmbedder()
+    load_corpus(path, embedder=again, cache_path=cache_path)
+    assert again.calls == 0
+
+
+def test_load_corpus_without_embedder_rejects_a_stale_record(tmp_path):
+    path, cache_path = _two_docs(tmp_path)
+    load_corpus(path, embedder=CountingEmbedder(), cache_path=cache_path)
+    write_lines(path, [
+        {"id": "d1", "text": "tidal erosion patterns"},
+        {"id": "d2", "text": "an edited passage"},
+    ])
+    with pytest.raises(StaleEmbeddingError, match="'d2'") as excinfo:
+        load_corpus(path, cache_path=cache_path)
+    assert excinfo.value.line_no == 2
+
+
+def test_load_corpus_reembeds_under_another_mock_seed(tmp_path, capsys):
+    path, cache_path = _two_docs(tmp_path)
+    load_corpus(path, embedder=CountingEmbedder(seed=0), cache_path=cache_path)
+    other = CountingEmbedder(seed=5)
+    corpus = load_corpus(path, embedder=other, cache_path=cache_path)
+    assert other.calls == 2
+    texts = ["tidal erosion patterns", "orchestra seating plans"]
+    expected = reference_normalize_rows([other.inner.embed(t) for t in texts], passes=2)
+    assert corpus.matrix.tobytes() == expected.tobytes()
+    assert f"{cache_path}: written by embedder {CountingEmbedder(seed=0).model!r}" in (
+        capsys.readouterr().err
+    )
+    assert load_cache(cache_path).model == other.model
+
+
+def test_load_corpus_reembeds_under_another_http_model(tmp_path):
+    path, cache_path = _two_docs(tmp_path)
+    server = FaultServer(Reply(body={"data": [{"embedding": [3.0, 4.0]}]}))
+    try:
+        for model, requests in (("model-a", 2), ("model-b", 2), ("model-b", 0)):
+            before = len(server.requests)
+            embedder = HttpEmbedderBackend(server.url("/v1/embeddings"), model)
+            load_corpus(path, embedder=embedder, cache_path=cache_path)
+            assert len(server.requests) - before == requests, model
+    finally:
+        server.close()
+
+
+def _v1_cache_bytes(entries) -> bytes:
+    """A version 1 cache: per record, id length, id and float32 vector."""
+    dimension = len(next(iter(entries.values())))
+    blob = CACHE_MAGIC + struct.pack("<IIQ", 1, dimension, len(entries))
+    for doc_id, vec in entries.items():
+        blob += struct.pack("<I", len(doc_id)) + doc_id.encode() + np.asarray(vec, "<f4").tobytes()
+    return blob
+
+
+def test_version_1_cache_is_rebuilt_with_an_embedder(tmp_path, capsys):
+    path, cache_path = _two_docs(tmp_path)
+    rng = np.random.default_rng(3)
+    cache_path.write_bytes(_v1_cache_bytes({"d1": unit(rng, 8), "d2": unit(rng, 8)}))
+    embedder = CountingEmbedder()
+    load_corpus(path, embedder=embedder, cache_path=cache_path)
+    assert embedder.calls == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cache_path) in err
+    assert load_cache(cache_path).ids == ["d1", "d2"]
+
+
+def test_version_1_cache_without_an_embedder_asks_for_a_rebuild(tmp_path):
+    path, cache_path = _two_docs(tmp_path)
+    cache_path.write_bytes(_v1_cache_bytes({"d1": [1.0, 0.0], "d2": [0.0, 1.0]}))
+    with pytest.raises(VersionMismatchError, match="chr-rag embed") as excinfo:
+        load_corpus(path, cache_path=cache_path)
+    assert excinfo.value.version == 1
+
+
+@pytest.mark.parametrize("error", [EmbedderFailureError, KeyboardInterrupt])
+def test_interrupted_ingest_keeps_the_vectors_it_paid_for(tmp_path, error):
+    path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
+    write_lines(path, [{"id": f"d{i}", "text": f"passage {i} on tides"} for i in range(1, 7)])
+    with pytest.raises(error):
+        load_corpus(path, embedder=CountingEmbedder(fail_on=4, error=error), cache_path=cache_path)
+    assert load_cache(cache_path).ids == ["d1", "d2", "d3"]
+    assert list(tmp_path.glob("*.partial")) == []
+    rerun = CountingEmbedder()
+    load_corpus(path, embedder=rerun, cache_path=cache_path)
+    assert rerun.calls == 3
+
+
+def test_write_back_puts_the_corpus_first_and_keeps_other_records(tmp_path):
+    path, cache_path = _two_docs(tmp_path)
+    embedder = CountingEmbedder()
+    cache_embeddings(cache_path, {"elsewhere": np.ones(8)}, model=embedder.model)
+    load_corpus(path, embedder=embedder, cache_path=cache_path)
+    cache = load_cache(cache_path)
+    assert cache.ids == ["d1", "d2", "elsewhere"]
+    assert cache.digest(1) == text_digest("orchestra seating plans")
+    assert cache.digest(2) == NO_DIGEST
 
 
 # ----------------------------------------------------------------------
@@ -279,18 +414,18 @@ def test_cache_round_trip_within_float32(tmp_path):
     rng = np.random.default_rng(9)
     entries = {f"d{i}": unit(rng, 24) for i in range(5)}
     path = tmp_path / "emb.bin"
-    cache_embeddings(path, entries)
-    loaded = load_cache(path)
-    assert set(loaded) == set(entries)
-    for doc_id, vec in entries.items():
-        assert np.allclose(loaded[doc_id], normalize(vec), atol=1e-6)
-        assert float(np.linalg.norm(loaded[doc_id])) == pytest.approx(1.0, abs=1e-12)
+    cache_embeddings(path, entries, {"d1": text_digest("one")}, model="m")
+    cache = load_cache(path)
+    assert (cache.ids, cache.model, cache.dimension) == (list(entries), "m", 24)
+    assert (cache.digest(0), cache.digest(1)) == (NO_DIGEST, text_digest("one"))
+    for pos, vec in enumerate(entries.values()):
+        assert np.allclose(cache.vectors[pos], normalize(vec), atol=1e-6)
 
 
 def test_cache_normalizes_on_write(tmp_path):
     path = tmp_path / "emb.bin"
     cache_embeddings(path, {"d1": np.array([3.0, 4.0])})
-    assert np.allclose(load_cache(path)["d1"], [0.6, 0.8], atol=1e-6)
+    assert np.allclose(load_cache(path).vectors[0], [0.6, 0.8], atol=1e-6)
 
 
 @pytest.mark.parametrize("dim", ORACLE_DIMS)
@@ -298,15 +433,15 @@ def test_cache_bytes_and_values_match_per_record_reference(tmp_path, dim):
     ids, raw = _oracle_rows(dim)
     ids[0], ids[1] = "é-accented", "a-much-longer-document-identifier"
     entries = dict(zip(ids, raw))
+    digests = {doc_id: text_digest(f"text {doc_id}") for doc_id in ids[::2]}
     path = tmp_path / "emb.bin"
-    cache_embeddings(path, entries)
-    assert path.read_bytes() == reference_cache_bytes(entries)
-    loaded = load_cache(path)
-    assert sorted(loaded) == sorted(ids)
-    for doc_id in ids:
-        stored = normalize(entries[doc_id]).astype("<f4").astype(np.float64)
-        expected = stored / float(np.linalg.norm(stored))
-        assert loaded[doc_id].tobytes() == expected.tobytes()
+    cache_embeddings(path, entries, digests, model="embedder-λ")
+    assert path.read_bytes() == reference_cache_bytes(entries, digests, "embedder-λ")
+    cache = load_cache(path)
+    assert cache.ids == ids
+    assert cache.digests == b"".join(digests.get(doc_id, NO_DIGEST) for doc_id in ids)
+    stored = np.array([normalize(row) for row in raw]).astype("<f4")
+    assert cache.vectors.tobytes() == stored.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
@@ -337,69 +472,69 @@ def test_cache_version_mismatch(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[4:8] = struct.pack("<I", CACHE_VERSION + 1)
     path.write_bytes(bytes(blob))
-    with pytest.raises(VersionMismatchError):
+    with pytest.raises(VersionMismatchError) as excinfo:
         load_cache(path)
+    assert excinfo.value.version == CACHE_VERSION + 1
 
 
 def test_cache_truncations(tmp_path):
+    # Header 24 B, identity 2, id lengths 8, ids 5, digests 64, padding 1,
+    # vectors 16: 120 bytes.
     path = tmp_path / "emb.bin"
-    cache_embeddings(path, {"d1": np.array([1.0, 0.0]), "d2": np.array([0.0, 1.0])})
+    cache_embeddings(path, {"d1": np.array([1.0, 0.0]), "d22": np.array([0.0, 1.0])}, model="mm")
     blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) - 3])
-    with pytest.raises(TruncatedFileError):
-        load_cache(path)
+    assert len(blob) == 120
+    cuts = {
+        "header": 10,
+        "embedder identity": 25,
+        "id length table": 30,
+        "id table": 36,
+        "digest table": 100,
+        "vector block": 117,
+    }
+    for part, size in cuts.items():
+        path.write_bytes(blob[:size])
+        with pytest.raises(TruncatedFileError, match=f": {part} cut short"):
+            load_cache(path)
     path.write_bytes(blob + b"\x00")
-    with pytest.raises(TruncatedFileError):
+    with pytest.raises(TruncatedFileError, match="1 unexpected trailing bytes"):
         load_cache(path)
-    path.write_bytes(blob[:10])
-    with pytest.raises(TruncatedFileError):
-        load_cache(path)
+
+
+def _load_from_planted_cache(tmp_path, records):
+    """Load a corpus of the records' ids from a cache holding them as given.
+
+    The cache lists the records in reverse, so file order is not cache order.
+    """
+    path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
+    write_lines(path, [{"id": doc_id, "text": f"text {doc_id}"} for doc_id, _ in records])
+    planted = [(doc_id, NO_DIGEST, values) for doc_id, values in reversed(records)]
+    cache_path.write_bytes(cache_file_bytes(planted))
+    return load_corpus(path, cache_path=cache_path)
 
 
 def test_cache_norm_drift(tmp_path):
-    # Hand-built record holding a vector of norm 0.5, past the checker.
-    path = tmp_path / "emb.bin"
-    vec = np.array([0.5, 0.0], dtype="<f4")
-    blob = (
-        CACHE_MAGIC
-        + struct.pack("<IIQ", CACHE_VERSION, 2, 1)
-        + struct.pack("<I", 2)
-        + b"d1"
-        + vec.tobytes()
-    )
-    path.write_bytes(blob)
-    with pytest.raises(NormDriftError):
-        load_cache(path)
-
-
-def _hand_built_cache(path, records, dimension=2):
-    blob = CACHE_MAGIC + struct.pack("<IIQ", CACHE_VERSION, dimension, len(records))
-    for doc_id, values in records:
-        blob += struct.pack("<I", len(doc_id)) + doc_id.encode() + np.array(values, "<f4").tobytes()
-    path.write_bytes(blob)
+    with pytest.raises(NormDriftError, match="norm 0.50000000"):
+        _load_from_planted_cache(tmp_path, [("d1", [0.5, 0.0])])
 
 
 def test_cache_norm_drift_names_first_drifting_entry(tmp_path):
-    path = tmp_path / "emb.bin"
-    _hand_built_cache(path, [("ok", [1.0, 0.0]), ("first", [0.0, 0.5]), ("second", [2.0, 0.0])])
+    records = [("ok", [1.0, 0.0]), ("first", [0.0, 0.5]), ("second", [2.0, 0.0])]
     with pytest.raises(NormDriftError, match="'first'"):
-        load_cache(path)
+        _load_from_planted_cache(tmp_path, records)
 
 
 def test_cache_nan_entry_is_norm_drift(tmp_path):
-    path = tmp_path / "emb.bin"
-    _hand_built_cache(path, [("ok", [1.0, 0.0]), ("bad", [np.nan, 0.0])])
     with pytest.raises(NormDriftError, match="'bad'"):
-        load_cache(path)
+        _load_from_planted_cache(tmp_path, [("ok", [1.0, 0.0]), ("bad", [np.nan, 0.0])])
 
 
 def test_cache_count_beyond_file_size_is_truncation(tmp_path):
     path = tmp_path / "emb.bin"
-    _hand_built_cache(path, [("d1", [1.0, 0.0])])
-    blob = bytearray(path.read_bytes())
+    blob = bytearray(cache_file_bytes([("d1", NO_DIGEST, [1.0, 0.0])]))
     blob[12:20] = struct.pack("<Q", 2**60)
     path.write_bytes(bytes(blob))
-    with pytest.raises(TruncatedFileError):
+    with pytest.raises(TruncatedFileError, match="id length table"):
         load_cache(path)
 
 
