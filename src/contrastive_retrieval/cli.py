@@ -55,7 +55,6 @@ from .config import (
 # this module's name too.
 from .dataio import (  # noqa: F401
     cache_embeddings,
-    load_cache,
     load_corpus,
     load_dataset,
     load_ratings,
@@ -467,11 +466,11 @@ def cmd_stratify(args: argparse.Namespace) -> int:
 def cmd_embed(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, embedder = _make_backends(config)
-    # Ingest embeds only what the cache cannot vouch for and writes it back;
-    # inline embeddings are never cached.
+    # Ingest embeds only what the cache cannot vouch for and writes it back.
+    # Inline embeddings are not cached: the cache's identity is the embedder's.
     corpus = load_corpus(args.corpus, embedder=embedder, cache_path=args.cache)
-    cached = len(load_cache(args.cache).ids) if Path(args.cache).exists() else 0
-    print(f"cached {cached} embeddings (dimension {corpus.dimension}) to {args.cache}")
+    print(f"{len(corpus)} documents (dimension {corpus.dimension}); every vector "
+          f"not given inline is cached in {args.cache}")
     return 0
 
 

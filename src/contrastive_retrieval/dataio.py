@@ -119,16 +119,19 @@ def load_corpus(
     has no digests: with an embedder it counts as empty (one stderr line),
     without one it raises VersionMismatchError.
 
+    Every cached record is converted to float64 and checked against unit
+    norm before anything is embedded (NormDriftError names the first
+    drifting record in file order), so a bad record is never reused or
+    written back; checked records are renormalized.
+
     Newly embedded vectors are written back once, the corpus's documents in
     file order ahead of the file's other records. If embedding fails at a
     document, the vectors already paid for are written the same way before
-    the error propagates, so a rerun embeds only the rest.
+    the error propagates, so a rerun embeds only the rest; a failure to
+    write is then noted on that error rather than replacing it.
 
     Inline and newly embedded vectors are normalized as they are read.
-    Cached rows are gathered from the float32 block in file order, converted
-    to float64, checked against unit norm (NormDriftError names the first
-    drifting document) and renormalized. ``Corpus`` then gets one matrix and
-    normalizes it again in bulk.
+    ``Corpus`` gets one matrix and normalizes it again in bulk.
     """
     ids: list[str] = []
     texts: list[str] = []
@@ -152,31 +155,40 @@ def load_corpus(
         texts.append(text)
 
     cache = _reusable_cache(cache_path, embedder)
+    # Every record is checked before anything is embedded or rewritten.
+    unit = _unit_rows(cache, cache_path) if cache is not None else None
     hit_rows, hit_pos, misses = _match_cache(cache, embedder, ids, texts, lines, inline)
     fresh: dict[int, np.ndarray] = {}
-    try:
-        for row in misses:
-            fresh[row] = normalize(embedder.embed(texts[row]))
-    finally:
+
+    def write_back() -> None:
         if cache_path and fresh:
             _write_back(cache_path, embedder.model, cache, hit_rows, hit_pos, fresh, ids, texts)
 
+    try:
+        for row in misses:
+            fresh[row] = normalize(embedder.embed(texts[row]))
+    except BaseException as exc:
+        # Keep what was paid for, but never let the write hide the failure.
+        try:
+            write_back()
+        except Exception as write_error:
+            exc.add_note(f"{cache_path}: the {len(fresh)} new vectors were not kept ({write_error})")
+        raise
+    write_back()
+    cache = None  # release the file's bytes
+
     vectors = {**inline, **fresh}
-    dimension = _check_dimensions(cache, hit_rows, vectors, ids, lines)
-    if not hit_rows:
-        matrix = np.empty((len(ids), dimension))
+    dimension = _check_dimensions(unit, hit_rows, vectors, ids, lines)
+    if unit is not None and len(hit_rows) == len(ids) and hit_pos == list(range(len(unit))):
+        matrix = unit  # the cache holds exactly the corpus, in file order
     else:
-        rows = _gather(cache.vectors, hit_pos)
-        cache = None  # release the file's bytes before the rows are converted
-        rows = _unit_rows(rows, hit_rows, ids, cache_path)
-        if len(hit_rows) == len(ids):
-            matrix = rows
-        else:
-            matrix = np.empty((len(ids), dimension))
-            matrix[hit_rows] = rows
+        matrix = np.empty((len(ids), dimension))
+        if hit_rows:
+            matrix[hit_rows] = unit[hit_pos]
+    unit = None
     for row, vec in vectors.items():
         matrix[row] = vec
-    return Corpus(ids, texts, matrix, copy=False)
+    return Corpus(ids, texts, matrix, _adopt=True)
 
 
 def _reusable_cache(
@@ -263,7 +275,7 @@ def _write_back(
 
 
 def _check_dimensions(
-    cache: CacheFile | None,
+    unit: np.ndarray | None,
     hit_rows: list[int],
     vectors: dict[int, np.ndarray],
     ids: list[str],
@@ -272,7 +284,7 @@ def _check_dimensions(
     """The corpus dimension; DimensionMismatchError names the first row that differs."""
     dims = {row: vec.shape[0] for row, vec in vectors.items()}
     if hit_rows:
-        dims[hit_rows[0]] = cache.dimension
+        dims[hit_rows[0]] = unit.shape[1]
     if not dims:
         return 0  # no documents: Corpus raises EmptyCorpusError
     dimension = dims[min(dims)]
@@ -285,28 +297,19 @@ def _check_dimensions(
     return dimension
 
 
-def _gather(block: np.ndarray, positions: list[int]) -> np.ndarray:
-    """The rows of ``block`` at ``positions``; ``block`` itself when that is all of it."""
-    pos = np.array(positions, dtype=np.intp)
-    if len(pos) == len(block) and bool((pos == np.arange(len(pos))).all()):
-        return block
-    return np.take(block, pos, axis=0)
+def _unit_rows(cache: CacheFile, path: str | Path) -> np.ndarray:
+    """Every cached vector as a float64 unit row.
 
-
-def _unit_rows(
-    rows: np.ndarray, hit_rows: list[int], ids: list[str], path: str | Path
-) -> np.ndarray:
-    """The cached float32 ``rows`` as float64 unit vectors.
-
-    NormDriftError names the first document whose stored norm strayed from
-    1 by more than CACHE_NORM_TOL (a NaN norm strays too).
+    NormDriftError names the first record, in file order, whose stored norm
+    strayed from 1 by more than CACHE_NORM_TOL (a NaN norm strays too). A
+    bad record is never reused or rewritten, whichever document it holds.
     """
-    rows = rows.astype(np.float64)
+    rows = cache.vectors.astype(np.float64)
     norms = row_norms(rows)
     drift = ~(np.abs(norms - 1.0) <= CACHE_NORM_TOL)
     if drift.any():
         at = int(np.argmax(drift))
-        raise NormDriftError(f"{path}: entry {ids[hit_rows[at]]!r} has norm {norms[at]:.8f}")
+        raise NormDriftError(f"{path}: entry {cache.ids[at]!r} has norm {norms[at]:.8f}")
     rows /= norms[:, None]
     return rows
 

@@ -73,9 +73,7 @@ class Corpus:
 
     ``Corpus(ids, texts, matrix)`` takes one row of ``matrix`` per id, as a
     2-D array or a sequence of equal-length rows, and copies it, so the
-    caller's array is left untouched. With ``copy=False`` a caller that built
-    ``matrix`` for the corpus hands it over: a float64 C-contiguous array is
-    then normalized in place and kept. It raises EmptyCorpusError for no
+    caller's array is left untouched. It raises EmptyCorpusError for no
     ids, DuplicateIdError for a repeated id, DimensionMismatchError when the
     lengths or the matrix shape disagree (for ragged rows, naming the first
     document whose row differs from the first row), and ZeroVectorError
@@ -88,8 +86,10 @@ class Corpus:
         texts: Sequence[str],
         matrix: np.ndarray | Sequence[np.ndarray],
         *,
-        copy: bool = True,
+        _adopt: bool = False,
     ):
+        # ``_adopt=True`` is ingest's hand-over of a float64 matrix it built
+        # for this corpus: the array is normalized in place and kept.
         ids = tuple(ids)
         texts = tuple(texts)
         if not ids:
@@ -104,7 +104,7 @@ class Corpus:
         if not all(isinstance(doc_id, str) and doc_id for doc_id in ids):
             raise ValueError("document id must be nonempty")
         try:
-            matrix = (np.array if copy else np.asarray)(matrix, dtype=np.float64, order="C")
+            matrix = (np.asarray if _adopt else np.array)(matrix, dtype=np.float64, order="C")
         except ValueError:
             # Rows are compared only after a failure: a loop would slow every build.
             first = np.shape(matrix[0])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 
@@ -398,14 +399,21 @@ def test_embed_subcommand(tmp_path, capsys):
     code = run_cli("embed", "--corpus", str(corpus_path), "--cache", str(cache_path),
                    "--mock")
     assert code == 0
-    assert "cached 6 embeddings" in capsys.readouterr().out
+    assert f"6 documents (dimension 64); every vector not given inline is cached in {cache_path}" \
+        in capsys.readouterr().out
     assert load_cache(cache_path).ids == [f"d{i}" for i in range(6)]
+    # An all-inline corpus caches nothing, and an unreadable v1 cache is not read again.
     inline = tmp_path / "inline.jsonl"
     inline.write_text(json.dumps({"id": "a", "text": "t", "embedding": [1.0, 0.0]}) + "\n",
                       encoding="utf-8")
     assert run_cli("embed", "--corpus", str(inline), "--cache", str(tmp_path / "x.bin"),
                    "--mock") == 0
-    assert "cached 0 embeddings" in capsys.readouterr().out
+    assert not (tmp_path / "x.bin").exists()
+    version_1 = tmp_path / "v1.bin"
+    version_1.write_bytes(b"CHRE" + struct.pack("<IIQ", 1, 2, 0))
+    assert run_cli("embed", "--corpus", str(inline), "--cache", str(version_1), "--mock") == 0
+    out, err = capsys.readouterr()
+    assert "1 documents (dimension 2)" in out and str(version_1) in err
 
 
 def test_embed_embeds_only_what_its_cache_cannot_vouch_for(tmp_path, capsys, backend_calls):

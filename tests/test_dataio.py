@@ -365,6 +365,40 @@ def test_write_back_puts_the_corpus_first_and_keeps_other_records(tmp_path):
     assert cache.digest(2) == NO_DIGEST
 
 
+def test_drifted_hit_is_never_rewritten_and_fails_every_run(tmp_path):
+    path, cache_path = _two_docs(tmp_path)
+    embedder = CountingEmbedder()
+    drifted = [("d1", text_digest("tidal erosion patterns"), [0.5] + [0.0] * 7)]
+    cache_path.write_bytes(cache_file_bytes(drifted, embedder.model))
+    before = cache_path.read_bytes()
+    for _ in range(2):
+        with pytest.raises(NormDriftError, match="'d1' has norm 0.50000000"):
+            load_corpus(path, embedder=embedder, cache_path=cache_path)
+        assert cache_path.read_bytes() == before
+    assert embedder.calls == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0])
+def test_bad_record_outside_the_corpus_fails_before_any_embed(tmp_path, bad):
+    path, cache_path = _two_docs(tmp_path)
+    embedder = CountingEmbedder()
+    planted = [("elsewhere", NO_DIGEST, [bad] + [0.0] * 7)]
+    cache_path.write_bytes(cache_file_bytes(planted, embedder.model))
+    before = cache_path.read_bytes()
+    with pytest.raises(NormDriftError, match="'elsewhere'"):
+        load_corpus(path, embedder=embedder, cache_path=cache_path)
+    assert embedder.calls == 0 and cache_path.read_bytes() == before
+
+
+def test_failed_write_back_does_not_replace_the_embedder_error(tmp_path):
+    path, _ = _two_docs(tmp_path)
+    (tmp_path / "not_a_dir").write_text("", encoding="utf-8")
+    cache_path = tmp_path / "not_a_dir" / "emb.bin"
+    with pytest.raises(EmbedderFailureError, match="embed call 2") as excinfo:
+        load_corpus(path, embedder=CountingEmbedder(fail_on=2), cache_path=cache_path)
+    assert any("1 new vectors were not kept" in note for note in excinfo.value.__notes__)
+
+
 # ----------------------------------------------------------------------
 # Dataset
 # ----------------------------------------------------------------------
@@ -502,13 +536,10 @@ def test_cache_truncations(tmp_path):
 
 
 def _load_from_planted_cache(tmp_path, records):
-    """Load a corpus of the records' ids from a cache holding them as given.
-
-    The cache lists the records in reverse, so file order is not cache order.
-    """
+    """Load a corpus of the records' ids, in reverse, from a cache holding them as given."""
     path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
-    write_lines(path, [{"id": doc_id, "text": f"text {doc_id}"} for doc_id, _ in records])
-    planted = [(doc_id, NO_DIGEST, values) for doc_id, values in reversed(records)]
+    write_lines(path, [{"id": doc_id, "text": f"text {doc_id}"} for doc_id, _ in reversed(records)])
+    planted = [(doc_id, NO_DIGEST, values) for doc_id, values in records]
     cache_path.write_bytes(cache_file_bytes(planted))
     return load_corpus(path, cache_path=cache_path)
 

@@ -90,7 +90,7 @@ def test_corpus_matrix_bits_equal_per_row_normalize(dim):
     assert corpus.matrix.flags["C_CONTIGUOUS"] and not corpus.matrix.flags["WRITEABLE"]
     assert Corpus(ids, texts, list(raw)).matrix.tobytes() == expected
     handed_over = raw.copy()
-    owned = Corpus(ids, texts, handed_over, copy=False).matrix
+    owned = Corpus(ids, texts, handed_over, _adopt=True).matrix
     assert owned.tobytes() == expected and np.shares_memory(owned, handed_over)
 
 
