@@ -9,7 +9,7 @@ All are pure functions over immutable record lists.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .backends import EmbedderBackend, GeneratorBackend
 from .config import RunConfig
@@ -185,7 +185,7 @@ def lambda_sweep(
 
     if pair_cache is None:
         pair_cache = {}
-    configs = [config.replace(lam=lam) for lam in lams]
+    configs = [replace(config, lam=lam) for lam in lams]
     by_lambda: dict[float, list[EvalRecord]] = {lam: [] for lam in lams}
     for item in dataset:
         for lam, lam_config in zip(lams, configs):

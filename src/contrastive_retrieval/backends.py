@@ -32,7 +32,7 @@ import math
 import re
 import ssl
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 from urllib.parse import urlsplit
 
@@ -182,7 +182,22 @@ def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exce
     raise error(f"{role} at {backend.url} unreachable: {last_error}")
 
 
-class HttpGeneratorBackend:
+@dataclass(eq=False)
+class _HttpSettings:
+    """Endpoint, identity, auth and retry settings shared by the HTTP backends."""
+
+    url: str
+    model: str
+    api_key: str | None = field(default=None, repr=False)
+    timeout: float = 60.0
+    transport_retries: int = 2
+    backoff_s: float = 0.5
+    # One TLS context, built on the first https call.
+    _tls: ssl.SSLContext | None = field(default=None, init=False, repr=False)
+
+
+@dataclass(eq=False)
+class HttpGeneratorBackend(_HttpSettings):
     """Chat-completion client for an OpenAI-compatible endpoint.
 
     Transient failures, a body that is not JSON included, are retried
@@ -191,25 +206,8 @@ class HttpGeneratorBackend:
     ``choices[0].message.content``, raises it at once.
     """
 
-    def __init__(
-        self,
-        url: str,
-        model: str,
-        api_key: str | None = None,
-        timeout: float = 60.0,
-        transport_retries: int = 2,
-        backoff_s: float = 0.5,
-        seed: int | None = None,
-    ):
-        self.url = url
-        self.model = model
-        self.api_key = api_key
-        self.timeout = timeout
-        self.transport_retries = transport_retries
-        self.backoff_s = backoff_s
-        self.seed = seed
-        self.calls = 0
-        self._tls = None  # one TLS context, built on the first https call
+    seed: int | None = None
+    calls: int = field(default=0, init=False)
 
     def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
         payload: dict = {"model": self.model, "messages": messages, "temperature": temperature}
@@ -229,30 +227,15 @@ class HttpGeneratorBackend:
         return result
 
 
-class HttpEmbedderBackend:
+@dataclass(eq=False)
+class HttpEmbedderBackend(_HttpSettings):
     """Embedding client for an OpenAI-compatible ``/embeddings`` endpoint.
 
     Retries as ``HttpGeneratorBackend`` does, raising EmbedderFailureError;
     a reply without a usable ``data[0].embedding`` raises it at once.
     """
 
-    def __init__(
-        self,
-        url: str,
-        model: str,
-        api_key: str | None = None,
-        timeout: float = 60.0,
-        transport_retries: int = 2,
-        backoff_s: float = 0.5,
-    ):
-        self.url = url
-        self.model = model
-        self.api_key = api_key
-        self.timeout = timeout
-        self.transport_retries = transport_retries
-        self.backoff_s = backoff_s
-        self.dimension = -1  # learned from the first response
-        self._tls = None  # one TLS context, built on the first https call
+    dimension: int = field(default=-1, init=False)  # learned from the first response
 
     def embed(self, text: str) -> np.ndarray:
         def read(body) -> np.ndarray:

@@ -91,13 +91,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--mock", action="store_true", default=None,
         help="use seeded deterministic offline backends",
     )
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
 
 
 def _add_data(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dataset", default=None, help="QA dataset JSONL")
-    parser.add_argument("--corpus", default=None, help="corpus JSONL")
-    parser.add_argument("--cache", default=None, help="embedding cache file")
+    parser.add_argument("--dataset", dest="dataset_path", metavar="DATASET",
+                        help="QA dataset JSONL")
+    parser.add_argument("--corpus", dest="corpus_path", metavar="CORPUS", help="corpus JSONL")
+    parser.add_argument("--cache", dest="cache_path", metavar="CACHE", help="embedding cache file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--k", type=int, default=None, help="documents to retrieve")
     p_run.add_argument("--hyde-n", dest="hyde_n", type=int, default=None,
                        help="hypothetical drafts to average")
-    p_run.add_argument("--ratings", default=None, help="ratings TSV for the strata report")
+    p_run.add_argument("--ratings", dest="ratings_path", metavar="RATINGS",
+                       help="ratings TSV for the strata report")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="overlap report between two record files")
@@ -158,8 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_strat.set_defaults(func=cmd_stratify)
 
     p_embed = sub.add_parser("embed", help="build the embedding cache for a corpus")
-    p_embed.add_argument("--corpus", required=True, help="corpus JSONL")
-    p_embed.add_argument("--cache", required=True, help="cache file to write")
+    p_embed.add_argument("--corpus", dest="corpus_path", metavar="CORPUS", required=True,
+                         help="corpus JSONL")
+    p_embed.add_argument("--cache", dest="cache_path", metavar="CACHE", required=True,
+                         help="cache file to write")
     p_embed.add_argument("--config", default=None)
     p_embed.add_argument("--seed", type=int, default=None)
     p_embed.add_argument("--mock", action="store_true", default=None)
@@ -169,24 +173,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {}
-    for arg_name, field in (
-        ("lam", "lam"),
-        ("k", "k"),
-        ("hyde_n", "hyde_n"),
-        ("seed", "seed"),
-        ("mock", "mock"),
-        ("out", "out_dir"),
-        ("dataset", "dataset_path"),
-        ("corpus", "corpus_path"),
-        ("cache", "cache_path"),
-        ("ratings", "ratings_path"),
-    ):
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[field] = value
-    return config.replace(**overrides)
+    """The ``--config`` file's RunConfig, each field overridden by its flag if given.
+
+    A flag overrides the field named by its argparse ``dest``.
+    """
+    config = load_config(args.config) if args.config else RunConfig()
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(RunConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    return dataclasses.replace(config, **overrides)
 
 
 def _make_backends(config: RunConfig) -> tuple[GeneratorBackend, EmbedderBackend]:
@@ -443,7 +440,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     _report_memo(answers)
     _write_reports(
-        args.out, [("sweep", sweep, sweep_to_dict, render_sweep_table, render_sweep_svg)]
+        args.out_dir, [("sweep", sweep, sweep_to_dict, render_sweep_table, render_sweep_svg)]
     )
     return 0
 
@@ -468,9 +465,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
     _, embedder = _make_backends(config)
     # Ingest embeds only what the cache cannot vouch for and writes it back.
     # Inline embeddings are not cached: the cache's identity is the embedder's.
-    corpus = load_corpus(args.corpus, embedder=embedder, cache_path=args.cache)
+    corpus = load_corpus(config.corpus_path, embedder=embedder, cache_path=config.cache_path)
     print(f"{len(corpus)} documents (dimension {corpus.dimension}); every vector "
-          f"not given inline is cached in {args.cache}")
+          f"not given inline is cached in {config.cache_path}")
     return 0
 
 

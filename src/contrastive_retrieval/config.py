@@ -59,9 +59,6 @@ class RunConfig:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
-    def replace(self, **changes) -> RunConfig:
-        return dataclasses.replace(self, **changes)
-
 
 def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from a plain dict, rejecting unknown keys.

@@ -117,7 +117,8 @@ def load_corpus(
     id, but a record whose digest is set and differs from the text raises
     StaleEmbeddingError naming the document and its line. A version 1 cache
     has no digests: with an embedder it counts as empty (one stderr line),
-    without one it raises VersionMismatchError.
+    without one it raises VersionMismatchError. The cache file is read only
+    when some document lacks an inline embedding.
 
     Every cached record is converted to float64 and checked against unit
     norm before anything is embedded (NormDriftError names the first
@@ -154,7 +155,7 @@ def load_corpus(
         ids.append(doc_id)
         texts.append(text)
 
-    cache = _reusable_cache(cache_path, embedder)
+    cache = _reusable_cache(cache_path, embedder) if len(inline) < len(ids) else None
     # Every record is checked before anything is embedded or rewritten.
     unit = _unit_rows(cache, cache_path) if cache is not None else None
     hit_rows, hit_pos, misses = _match_cache(cache, embedder, ids, texts, lines, inline)

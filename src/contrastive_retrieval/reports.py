@@ -9,10 +9,16 @@ is byte-deterministic: no plotting library, no embedded timestamps.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import asdict
 
-from .analysis import CostReport, OverlapReport, SweepReport, TierStats
-
-RATING_ORDER = ("Excellent", "Good", "Poor")
+from .analysis import (
+    RATING_TIERS,
+    CostReport,
+    OverlapReport,
+    OverlapSlice,
+    SweepReport,
+    TierStats,
+)
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -36,23 +42,15 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 # Overlap
 # ----------------------------------------------------------------------
 
+def _combined(report: OverlapReport) -> OverlapSlice:
+    """The pooled row, which follows the per-dataset rows."""
+    return OverlapSlice("Combined", report.n, report.zero_overlap_pct, report.mean_overlap)
+
+
 def overlap_to_dict(report: OverlapReport) -> dict:
     return {
-        "per_dataset": [
-            {
-                "name": s.name,
-                "n": s.n,
-                "zero_overlap_pct": s.zero_overlap_pct,
-                "mean_overlap": s.mean_overlap,
-            }
-            for s in report.per_dataset
-        ],
-        "combined": {
-            "name": "Combined",
-            "n": report.n,
-            "zero_overlap_pct": report.zero_overlap_pct,
-            "mean_overlap": report.mean_overlap,
-        },
+        "per_dataset": [asdict(s) for s in report.per_dataset],
+        "combined": asdict(_combined(report)),
         "per_case": [[item_id, ratio] for item_id, ratio in report.per_case],
     }
 
@@ -60,16 +58,8 @@ def overlap_to_dict(report: OverlapReport) -> dict:
 def render_overlap_table(report: OverlapReport) -> str:
     rows = [
         [s.name, str(s.n), f"{s.zero_overlap_pct:.1f}%", f"{s.mean_overlap:.2f}"]
-        for s in report.per_dataset
+        for s in (*report.per_dataset, _combined(report))
     ]
-    rows.append(
-        [
-            "Combined",
-            str(report.n),
-            f"{report.zero_overlap_pct:.1f}%",
-            f"{report.mean_overlap:.2f}",
-        ]
-    )
     return _table(["Dataset", "N", "Zero Overlap", "Mean Overlap"], rows)
 
 
@@ -80,14 +70,7 @@ def render_overlap_table(report: OverlapReport) -> str:
 def cost_to_dict(report: CostReport) -> dict:
     return {
         "reference": report.reference,
-        "per_method": {
-            method: {
-                "llm_calls_mean": row.llm_calls_mean,
-                "output_tokens_mean": row.output_tokens_mean,
-                "token_reduction": row.token_reduction,
-            }
-            for method, row in sorted(report.per_method.items())
-        },
+        "per_method": {method: asdict(row) for method, row in sorted(report.per_method.items())},
     }
 
 
@@ -126,13 +109,14 @@ def render_sweep_table(report: SweepReport) -> str:
 
 
 _BASELINE_COLORS = ("#888888", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
+_SVG_WIDTH, _SVG_HEIGHT = 640, 400
 
 
-def render_sweep_svg(report: SweepReport, width: int = 640, height: int = 400) -> str:
+def render_sweep_svg(report: SweepReport) -> str:
     """Line chart of accuracy vs contrastive weight with baseline rules."""
     left, right, top, bottom = 62.0, 16.0, 18.0, 46.0
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = _SVG_WIDTH - left - right
+    plot_h = _SVG_HEIGHT - top - bottom
     lams = [lam for lam, _ in report.points]
     lo, hi = min(lams), max(lams)
     span = (hi - lo) or 1.0
@@ -144,9 +128,9 @@ def render_sweep_svg(report: SweepReport, width: int = 640, height: int = 400) -
         return top + (1.0 - acc) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="12">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
+        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}" font-family="monospace" font-size="12">',
+        f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
         # axes
         f'<line x1="{left:.1f}" y1="{top:.1f}" x2="{left:.1f}" '
         f'y2="{top + plot_h:.1f}" stroke="black"/>',
@@ -172,7 +156,7 @@ def render_sweep_svg(report: SweepReport, width: int = 640, height: int = 400) -
             f'<text x="{xx:.1f}" y="{top + plot_h + 18:.1f}" text-anchor="middle">{lam:g}</text>'
         )
     parts.append(
-        f'<text x="{left + plot_w / 2:.1f}" y="{height - 10:.1f}" '
+        f'<text x="{left + plot_w / 2:.1f}" y="{_SVG_HEIGHT - 10:.1f}" '
         f'text-anchor="middle">lambda</text>'
     )
     parts.append(
@@ -203,19 +187,13 @@ def render_sweep_svg(report: SweepReport, width: int = 640, height: int = 400) -
 # ----------------------------------------------------------------------
 
 def strata_to_dict(strata: dict[str, TierStats]) -> dict:
-    return {
-        tier: {"n": s.n, "correct": s.correct, "accuracy": s.accuracy}
-        for tier, s in sorted(strata.items(), key=lambda kv: RATING_ORDER.index(kv[0]))
-    }
+    return {tier: asdict(strata[tier]) for tier in RATING_TIERS if tier in strata}
 
 
 def render_strata_table(strata: dict[str, TierStats]) -> str:
-    rows = []
-    for tier in RATING_ORDER:
-        stats = strata.get(tier)
-        if stats is None:
-            continue
-        rows.append(
-            [tier, str(stats.n), str(stats.correct), f"{100 * stats.accuracy:.1f}%"]
-        )
+    rows = [
+        [tier, str(s.n), str(s.correct), f"{100 * s.accuracy:.1f}%"]
+        for tier in RATING_TIERS
+        if (s := strata.get(tier)) is not None
+    ]
     return _table(["Tier", "N", "Correct", "Accuracy"], rows)

@@ -10,8 +10,8 @@ corpus products ``a = M @ H_plus`` and ``b = M @ H_minus``, the scores are
 two one-slot memos, each keyed on its embedding's bytes, so a sweep over
 any number of weights for one pair costs two matrix-vector products. ``b``
 is computed only when it counts: target-only scoring, a pair without a
-mimic and lambda = 0 rank by ``a`` itself, one product as before. The
-scores equal the dot products with the shifted query vector
+mimic and lambda = 0 rank by ``a`` itself, one product. The scores equal
+the dot products with the shifted query vector
 ``H_plus - lambda * H_minus`` (``shifted_query``, deliberately not
 renormalized: renormalizing rescales every score by the same positive
 factor and cannot change the ranking) up to float64 rounding. A single
@@ -208,9 +208,10 @@ def shifted_query(pair: HypothesisPair, lam: float) -> np.ndarray:
         raise ValueError("lambda must be nonnegative")
     if pair.h_plus_emb is None:
         raise MissingEmbeddingError("pair has no h_plus embedding; call embed_pair first")
+    h_plus = np.asarray(pair.h_plus_emb, dtype=np.float64)
     if pair.h_minus_emb is None:
-        return pair.h_plus_emb.copy()
-    return pair.h_plus_emb - lam * pair.h_minus_emb
+        return h_plus.copy()
+    return h_plus - lam * np.asarray(pair.h_minus_emb, dtype=np.float64)
 
 
 def top_k_from_scores(

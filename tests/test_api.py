@@ -76,6 +76,7 @@ def test_public_names_are_pinned_and_resolve():
     ("contrastive_retrieval.retrieval", "Document"),
     ("contrastive_retrieval.dataio", "save_corpus"),
     ("contrastive_retrieval.dataio", "_read_cache_records"),
+    ("contrastive_retrieval.reports", "RATING_ORDER"),
 ])
 def test_test_only_names_are_not_importable(module, name):
     assert not hasattr(importlib.import_module(module), name)

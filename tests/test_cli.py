@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
@@ -14,7 +15,13 @@ from contrastive_retrieval.backends import (
     MockEmbedderBackend,
     MockGeneratorBackend,
 )
-from contrastive_retrieval.cli import _make_backends, _resolve_inputs, main_cli
+from contrastive_retrieval.cli import (
+    _config_from_args,
+    _make_backends,
+    _resolve_inputs,
+    build_parser,
+    main_cli,
+)
 from contrastive_retrieval.config import RunConfig
 from contrastive_retrieval.dataio import load_cache, load_corpus, load_records
 from contrastive_retrieval.hypotheses import embed_pair
@@ -252,6 +259,61 @@ def test_run_flag_overrides_config(tmp_path):
     assert all(len(r.ranked.hits) == 7 for r in records)
 
 
+# RunConfig field -> (its flag's argv, the value the flag sets, another value for the file).
+_FIELD_FLAGS = {
+    "lam": (["--lambda", "0.7"], 0.7, 0.5),
+    "k": (["--k", "7"], 7, 3),
+    "hyde_n": (["--hyde-n", "4"], 4, 2),
+    "seed": (["--seed", "9"], 9, 5),
+    "mock": (["--mock"], True, False),
+    "out_dir": (["--out", "flag-out"], "flag-out", "file-out"),
+    "dataset_path": (["--dataset", "flag-qa.jsonl"], "flag-qa.jsonl", "file-qa.jsonl"),
+    "corpus_path": (["--corpus", "flag-docs.jsonl"], "flag-docs.jsonl", "file-docs.jsonl"),
+    "cache_path": (["--cache", "flag.bin"], "flag.bin", "file.bin"),
+    "ratings_path": (["--ratings", "flag.tsv"], "flag.tsv", "file.tsv"),
+}
+_COMMAND_FIELDS = {
+    "run": set(_FIELD_FLAGS),
+    "sweep": set(_FIELD_FLAGS) - {"lam", "ratings_path"},
+    "embed": {"seed", "mock", "corpus_path", "cache_path"},
+}
+# Flags a command cannot parse without.
+_REQUIRED = {"embed": ["corpus_path", "cache_path"]}
+
+
+def _flag_argv(fields) -> list[str]:
+    return [arg for name in sorted(fields) for arg in _FIELD_FLAGS[name][0]]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FIELDS))
+def test_flags_that_set_config_fields_are_named_after_them(command):
+    args = build_parser().parse_args([command, *_flag_argv(_REQUIRED.get(command, []))])
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(vars(args)) & fields == _COMMAND_FIELDS[command]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FIELDS))
+def test_each_flag_overrides_the_config_field_it_names(tmp_path, command):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({name: file_value for name, (_, _, file_value) in _FIELD_FLAGS.items()}),
+        encoding="utf-8",
+    )
+    parser = build_parser()
+
+    def config_with(fields) -> RunConfig:
+        argv = [command, "--config", str(config_path), *_flag_argv(fields)]
+        return _config_from_args(parser.parse_args(argv))
+
+    given = config_with(_COMMAND_FIELDS[command])
+    required = set(_REQUIRED.get(command, []))
+    kept = config_with(required)
+    for name, (_, flag_value, file_value) in _FIELD_FLAGS.items():
+        set_by_flag = name in _COMMAND_FIELDS[command]
+        assert getattr(given, name) == (flag_value if set_by_flag else file_value), name
+        assert getattr(kept, name) == (flag_value if name in required else file_value), name
+
+
 def test_compare_subcommand(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("run", "--method", "chr", "--mock", "--out", str(out)) == 0
@@ -402,7 +464,7 @@ def test_embed_subcommand(tmp_path, capsys):
     assert f"6 documents (dimension 64); every vector not given inline is cached in {cache_path}" \
         in capsys.readouterr().out
     assert load_cache(cache_path).ids == [f"d{i}" for i in range(6)]
-    # An all-inline corpus caches nothing, and an unreadable v1 cache is not read again.
+    # An all-inline corpus caches nothing and leaves a v1 cache it never reads untouched.
     inline = tmp_path / "inline.jsonl"
     inline.write_text(json.dumps({"id": "a", "text": "t", "embedding": [1.0, 0.0]}) + "\n",
                       encoding="utf-8")
@@ -413,7 +475,8 @@ def test_embed_subcommand(tmp_path, capsys):
     version_1.write_bytes(b"CHRE" + struct.pack("<IIQ", 1, 2, 0))
     assert run_cli("embed", "--corpus", str(inline), "--cache", str(version_1), "--mock") == 0
     out, err = capsys.readouterr()
-    assert "1 documents (dimension 2)" in out and str(version_1) in err
+    assert "1 documents (dimension 2)" in out and err == ""
+    assert version_1.read_bytes() == b"CHRE" + struct.pack("<IIQ", 1, 2, 0)
 
 
 def test_embed_embeds_only_what_its_cache_cannot_vouch_for(tmp_path, capsys, backend_calls):

@@ -341,6 +341,22 @@ def test_version_1_cache_without_an_embedder_asks_for_a_rebuild(tmp_path):
     assert excinfo.value.version == 1
 
 
+@pytest.mark.parametrize("embedder", [CountingEmbedder(), None], ids=["embedder", "no_embedder"])
+def test_all_inline_corpus_never_reads_a_version_1_cache(tmp_path, capsys, embedder):
+    path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
+    write_lines(path, [
+        {"id": "d1", "text": "tides", "embedding": [1.0, 0.0]},
+        {"id": "d2", "text": "reefs", "embedding": [0.0, 1.0]},
+    ])
+    blob = _v1_cache_bytes({"d1": [0.0, 1.0]})
+    cache_path.write_bytes(blob)
+    corpus = load_corpus(path, embedder=embedder, cache_path=cache_path)
+    assert np.array_equal(corpus.matrix, [[1.0, 0.0], [0.0, 1.0]])
+    assert cache_path.read_bytes() == blob
+    assert capsys.readouterr().err == ""
+    assert embedder is None or embedder.calls == 0
+
+
 @pytest.mark.parametrize("error", [EmbedderFailureError, KeyboardInterrupt])
 def test_interrupted_ingest_keeps_the_vectors_it_paid_for(tmp_path, error):
     path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"

@@ -186,6 +186,26 @@ def test_shifted_query_is_not_renormalized():
     assert float(np.linalg.norm(shifted_query(pair, 1.0))) == pytest.approx(np.sqrt(2.0))
 
 
+def test_shifted_query_takes_list_embeddings():
+    # The README's library example gives the pair's embeddings as lists.
+    pair = HypothesisPair(
+        h_plus="deep-sea carcass ecosystems",
+        h_minus="shallow reef ecosystems",
+        h_plus_emb=[1.0, 0.0, 0.0],
+        h_minus_emb=[0.0, 1.0, 0.0],
+        provenance="injected",
+    )
+    fallback = HypothesisPair(h_plus="t", h_minus="", h_plus_emb=[0.6, 0.8],
+                              provenance="fallback")
+    for query, expected in (
+        (shifted_query(pair, 1.0), [1.0, -1.0, 0.0]),
+        (shifted_query(pair, 0.25), [1.0, -0.25, 0.0]),
+        (shifted_query(fallback, 2.0), [0.6, 0.8]),
+    ):
+        assert isinstance(query, np.ndarray) and query.dtype == np.float64
+        assert np.array_equal(query, expected)
+
+
 def test_score_equals_dot_with_shifted_query_for_unit_docs():
     rng = np.random.default_rng(17)
     for _ in range(200):
