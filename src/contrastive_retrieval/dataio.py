@@ -77,18 +77,57 @@ def write_bytes(path: str | Path, blob: bytes) -> None:
     os.replace(partial, path)
 
 
+# The scanner ``json.loads`` runs, with the same settings.
+_scan_value = json.JSONDecoder().scan_once
+
+
 def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    """Yield ``(line number, object)`` for each non-blank line, lazily.
+
+    The file is read in one piece and each line scanned in place. A line is
+    taken from the scanner only when its object starts at the line's first
+    character and ends on the line, followed by nothing but spaces or tabs;
+    any other line goes through ``_parse_line``, so what is rejected, where
+    and why is what a line-by-line ``json.loads`` gives. A file that is not
+    valid UTF-8 is read line by line, as that parse reads it.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if (obj := _parse_line(line_no, line)) is not None:
+                    yield line_no, obj
+        return
+    start, line_no, size = 0, 0, len(text)
+    while start < size:
+        line_no += 1
+        stop = text.find("\n", start)
+        stop = size if stop < 0 else stop
+        obj, end = None, size + 1
+        if text.startswith("{", start):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(line_no, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise MalformedLineError(line_no, "expected a JSON object")
+                obj, end = _scan_value(text, start)
+            except (ValueError, RecursionError):
+                pass  # the per-line parse below raises the canonical error
+        if end != stop and (end > stop or text[end:stop].strip(" \t")):
+            obj = _parse_line(line_no, text[start : stop + 1])
+        if obj is not None:
             yield line_no, obj
+        start = stop + 1
+
+
+def _parse_line(line_no: int, line: str) -> dict | None:
+    """One JSONL line as an object, or None for a blank line."""
+    if not line.strip():
+        return None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedLineError(line_no, f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(obj, dict):
+        raise MalformedLineError(line_no, "expected a JSON object")
+    return obj
 
 
 def _require(obj: dict, key: str, kind: type, line_no: int):
@@ -180,11 +219,12 @@ def load_corpus(
 
     vectors = {**inline, **fresh}
     dimension = _check_dimensions(unit, hit_rows, vectors, ids, lines)
-    if unit is not None and len(hit_rows) == len(ids) and hit_pos == list(range(len(unit))):
+    in_order = unit is not None and np.array_equal(hit_pos, np.arange(len(unit)))
+    if in_order and len(hit_rows) == len(ids):
         matrix = unit  # the cache holds exactly the corpus, in file order
     else:
         matrix = np.empty((len(ids), dimension))
-        if hit_rows:
+        if len(hit_rows):
             matrix[hit_rows] = unit[hit_pos]
     unit = None
     for row, vec in vectors.items():
@@ -220,25 +260,34 @@ def _match_cache(
     texts: list[str],
     lines: dict[str, int],
     inline: dict[int, np.ndarray],
-) -> tuple[list[int], list[int], list[int]]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Split the documents without an inline embedding into hits and misses.
 
-    Returns the hit rows, their cache positions and the miss rows, all in
-    file order. A text is hashed only when a record's digest is compared.
+    Returns the hit rows and their cache positions as arrays, and the miss
+    rows as a list, all in file order. Each id is looked up once. Without an
+    embedder a record whose digest is unset is taken by id; every other row
+    goes through the per-row check in file order, so the first bad row
+    raises. A text is hashed only when a record's digest is compared.
     """
-    index = dict(zip(cache.ids, range(len(cache.ids)))) if cache is not None else {}
-    hit_rows: list[int] = []
-    hit_pos: list[int] = []
+    if cache is None:
+        pos = np.full(len(ids), -1)
+    elif cache.ids == ids:
+        pos = np.arange(len(ids))  # the order the write-back leaves
+    else:
+        index = dict(zip(cache.ids, range(len(cache.ids))))
+        pos = np.array([index.get(doc_id, -1) for doc_id in ids], dtype=np.intp)
+    hit = np.zeros(len(ids), dtype=bool)
+    if embedder is None and cache is not None:
+        unset = ~np.frombuffer(cache.digests, np.uint8).reshape(-1, DIGEST_SIZE).any(1)
+        hit = np.append(unset, False)[pos]  # position -1 reads the False
+    checked = ~hit
+    hit[list(inline)] = checked[list(inline)] = False
     misses: list[int] = []
-    for row, doc_id in enumerate(ids):
-        if row in inline:
-            continue
-        pos = index.get(doc_id)
-        if pos is not None:
-            stored = cache.digest(pos)
-            if (embedder is None and stored == NO_DIGEST) or stored == text_digest(texts[row]):
-                hit_rows.append(row)
-                hit_pos.append(pos)
+    for row in np.flatnonzero(checked).tolist():
+        doc_id, at = ids[row], int(pos[row])
+        if at >= 0:
+            if cache.digest(at) == text_digest(texts[row]):
+                hit[row] = True
                 continue
             if embedder is None:
                 raise StaleEmbeddingError(lines[doc_id], doc_id)
@@ -247,21 +296,22 @@ def _match_cache(
                 lines[doc_id], f"document {doc_id!r} has no embedding and no embedder is configured"
             )
         misses.append(row)
-    return hit_rows, hit_pos, misses
+    hit_rows = np.flatnonzero(hit)
+    return hit_rows, pos[hit_rows], misses
 
 
 def _write_back(
     path: str | Path,
     model: str,
     cache: CacheFile | None,
-    hit_rows: list[int],
-    hit_pos: list[int],
+    hit_rows: np.ndarray,
+    hit_pos: np.ndarray,
     fresh: dict[int, np.ndarray],
     ids: list[str],
     texts: list[str],
 ) -> None:
     """Rewrite the cache with the corpus's vectors, then the file's other records."""
-    kept = dict(zip(hit_rows, hit_pos))
+    kept = dict(zip(hit_rows.tolist(), hit_pos.tolist()))
     entries: dict[str, np.ndarray] = {}
     digests: dict[str, bytes] = {}
     for row in sorted([*kept, *fresh]):
@@ -277,15 +327,15 @@ def _write_back(
 
 def _check_dimensions(
     unit: np.ndarray | None,
-    hit_rows: list[int],
+    hit_rows: np.ndarray,
     vectors: dict[int, np.ndarray],
     ids: list[str],
     lines: dict[str, int],
 ) -> int:
     """The corpus dimension; DimensionMismatchError names the first row that differs."""
     dims = {row: vec.shape[0] for row, vec in vectors.items()}
-    if hit_rows:
-        dims[hit_rows[0]] = unit.shape[1]
+    if len(hit_rows):
+        dims[int(hit_rows[0])] = unit.shape[1]
     if not dims:
         return 0  # no documents: Corpus raises EmptyCorpusError
     dimension = dims[min(dims)]

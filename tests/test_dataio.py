@@ -12,6 +12,7 @@ from contrastive_retrieval.dataio import (
     CACHE_MAGIC,
     CACHE_VERSION,
     NO_DIGEST,
+    _iter_jsonl,
     cache_embeddings,
     load_cache,
     load_corpus,
@@ -110,6 +111,108 @@ def test_write_json_sorted_and_newline_terminated(tmp_path):
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == {"a": 2, "b": 1}
+
+
+# ----------------------------------------------------------------------
+# JSONL parse
+# ----------------------------------------------------------------------
+
+def per_line_parse(path):
+    """The line-by-line loop ``_iter_jsonl`` must agree with."""
+    pairs = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedLineError(line_no, f"invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise MalformedLineError(line_no, "expected a JSON object")
+            pairs.append((line_no, obj))
+    return pairs
+
+
+def parse_outcome(parse, path):
+    """What ``parse`` gives: its pairs, or its error's type, line and message.
+
+    Pairs are compared by repr, so NaN equals NaN and 1 differs from 1.0.
+    """
+    try:
+        return "pairs", repr(list(parse(path)))
+    except Exception as exc:  # the error is the outcome
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+
+
+GOOD = b'{"id": "a", "text": "x"}'
+# Files whose lines a bulk parse could misread: each must give exactly what
+# the per-line loop gives.
+ADVERSARIAL_FILES = {
+    "good": GOOD + b"\n" + GOOD.replace(b'"a"', b'"b"') + b"\n",
+    "split_array_pair": b'{"id":"a","text":"x","e":[{}\n{}]}\n',
+    "split_array_pair_with_comma": b'{"id":"a","text":"x","e":[{}\n,{}]}\n',
+    "two_objects": b'{"a": 1}{"b": 2}\n',
+    "two_objects_comma": b'{"a": 1},{"b": 2}\n',
+    "two_objects_space": b'{"a": 1} {"b": 2}\n',
+    "object_over_two_lines": b'{"id": "a",\n"text": "x"}\n',
+    "unterminated_string": GOOD + b'\n{"id": "abc\n' + GOOD + b"\n",
+    "unterminated_string_last_line": b'{"id": "abc',
+    "control_character_in_string": b'{"a": "x\ty"}\n',
+    "lone_brace_lines": b"{\n}\n",
+    "cr_endings": GOOD + b"\r" + GOOD + b"\r\r",
+    "crlf_endings": GOOD + b"\r\n\r\n" + GOOD + b"\r\n",
+    "leading_bom": b"\xef\xbb\xbf" + GOOD + b"\n",
+    "blank_space_tab": GOOD + b"\n \t\n" + GOOD + b"\n",
+    "blank_form_feed": b"\x0c\n" + GOOD + b"\n",
+    "blank_ideographic_space": "\u3000\n".encode() + GOOD + b"\n",
+    "form_feed_before_object": b"\x0c" + GOOD + b"\n",
+    "space_before_object": b" \t" + GOOD + b"\n",
+    "spaces_and_tabs_after_object": GOOD + b" \t \n",
+    "form_feed_after_object": GOOD + b"\x0c\n",
+    "nan_and_infinity": b'{"a": NaN, "b": Infinity, "c": -Infinity}\n',
+    "duplicate_keys": b'{"a": 1, "a": 2.0}\n',
+    "top_level_array": GOOD + b"\n[1, 2]\n",
+    "top_level_scalar": GOOD + b"\n3\n",
+    "top_level_string": b'"text"\n',
+    "malformed_line_2_ahead_of_bad_utf8": GOOD + b"\nnot json\n" + GOOD + b"\n\xff\n",
+    # The bad byte lies beyond the first block a line-by-line reader decodes.
+    "malformed_line_2_far_ahead_of_bad_utf8": (
+        GOOD + b"\nnot json\n" + GOOD.replace(b'"x"', b'"' + b"x" * 20000 + b'"') + b"\n\xff\n"
+    ),
+    "bad_utf8_only": GOOD + b"\n\xc3(\n",
+    "last_line_without_newline": GOOD + b"\n" + GOOD,
+    "line_separators_inside_string": '{"a": "x\u2028y\x85z"}\n'.encode(),
+    "integer_over_the_digit_limit": b'{"a": ' + b"1" * 5000 + b"}\n",
+    "empty_file": b"",
+    "blank_lines_only": b"\n\n \n",
+}
+
+
+@pytest.mark.parametrize("content", ADVERSARIAL_FILES.values(), ids=ADVERSARIAL_FILES)
+def test_iter_jsonl_matches_the_per_line_parse(tmp_path, content):
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(content)
+    assert parse_outcome(_iter_jsonl, path) == parse_outcome(per_line_parse, path)
+
+
+def test_iter_jsonl_deep_nesting_raises_the_per_line_error_type(tmp_path):
+    # The recursion limit is met at another stack depth, so the message
+    # (which container was open) may differ; the type may not.
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(b'{"a": ' + b'[{"a": ' * 1500 + b"1" + b"}]" * 1500 + b"}\n")
+    ours, reference = parse_outcome(_iter_jsonl, path), parse_outcome(per_line_parse, path)
+    assert ours[0] is reference[0] is RecursionError
+
+
+def test_iter_jsonl_yields_a_line_before_reading_the_next(tmp_path):
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(GOOD + b"\nnot json\n")
+    lines = _iter_jsonl(path)
+    assert next(lines) == (1, {"id": "a", "text": "x"})
+    with pytest.raises(MalformedLineError) as excinfo:
+        next(lines)
+    assert excinfo.value.line_no == 2
 
 
 # ----------------------------------------------------------------------
@@ -413,6 +516,102 @@ def test_failed_write_back_does_not_replace_the_embedder_error(tmp_path):
     with pytest.raises(EmbedderFailureError, match="embed call 2") as excinfo:
         load_corpus(path, embedder=CountingEmbedder(fail_on=2), cache_path=cache_path)
     assert any("1 new vectors were not kept" in note for note in excinfo.value.__notes__)
+
+
+# ----------------------------------------------------------------------
+# Cache matching: which record each row takes, and which row fails first
+# ----------------------------------------------------------------------
+
+MATCH_DIM = 6
+
+
+def _match_case(tmp_path, rows, records, model=""):
+    """Write a corpus and a cache; return the corpus path, the cache path and
+    the matrix a row-by-row match gives.
+
+    ``rows`` are ids; an id starting with "inline" carries its vector. A
+    record is ``(id, digest)``, the digest one of "set" (the text's),
+    "unset" or "stale" (another text's). Every id has its own unit vector;
+    a row takes its record's float32 copy, or its inline vector.
+    """
+    names = sorted({*rows, *(doc_id for doc_id, _ in records)})
+    rng = np.random.default_rng(11)
+    vectors = {doc_id: unit(rng, MATCH_DIM) for doc_id in names}
+    digests = {
+        "set": lambda doc_id: text_digest(f"text {doc_id}"),
+        "unset": lambda doc_id: NO_DIGEST,
+        "stale": lambda doc_id: text_digest("another text"),
+    }
+    path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
+    write_lines(path, [
+        {"id": doc_id, "text": f"text {doc_id}",
+         **({"embedding": vectors[doc_id].tolist()} if doc_id.startswith("inline") else {})}
+        for doc_id in rows
+    ])
+    cache_path.write_bytes(cache_file_bytes(
+        [(doc_id, digests[kind](doc_id), vectors[doc_id]) for doc_id, kind in records], model
+    ))
+    expected = reference_normalize_rows(
+        [vectors[doc_id] if doc_id.startswith("inline")
+         else vectors[doc_id].astype("<f4").astype(np.float64) for doc_id in rows],
+        passes=2,
+    )
+    return path, cache_path, expected
+
+
+@pytest.mark.parametrize(
+    ("rows", "records"),
+    [
+        (["d1", "d2", "d3", "d4"],
+         [("d4", "unset"), ("d3", "unset"), ("d2", "unset"), ("d1", "unset")]),
+        (["d1", "d2", "d3"],
+         [("x1", "unset"), ("d3", "unset"), ("x2", "stale"), ("d1", "unset"), ("d2", "unset"),
+          ("x3", "set")]),
+        (["d1", "d2", "d3", "d4"],
+         [("d1", "set"), ("d2", "unset"), ("d3", "set"), ("d4", "unset")]),
+        (["d1", "d2", "d3", "d4"],
+         [("d3", "set"), ("d1", "unset"), ("d4", "set"), ("d2", "unset")]),
+        (["d1", "inline2", "d3"], [("d3", "unset"), ("d1", "unset")]),
+        (["d1", "inline2", "d3"], [("d1", "unset"), ("inline2", "unset"), ("d3", "set")]),
+    ],
+    ids=["reverse_order", "extra_records", "mixed_digests", "mixed_digests_shuffled",
+         "inline_between_cached", "inline_row_also_cached"],
+)
+def test_cache_match_takes_each_row_from_its_own_record(tmp_path, rows, records):
+    path, cache_path, expected = _match_case(tmp_path, rows, records)
+    corpus = load_corpus(path, cache_path=cache_path)
+    assert corpus.ids == tuple(rows)
+    assert corpus.matrix.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    ("records", "error"),
+    [
+        ([("d1", "unset"), ("d3", "stale"), ("d4", "unset")], MalformedLineError),
+        ([("d1", "unset"), ("d2", "stale"), ("d4", "unset")], StaleEmbeddingError),
+    ],
+    ids=["row_2_missing_row_3_stale", "row_2_stale_row_3_missing"],
+)
+def test_cache_match_raises_for_the_first_bad_row(tmp_path, records, error):
+    path, cache_path, _ = _match_case(tmp_path, ["d1", "d2", "d3", "d4"], records)
+    with pytest.raises(error, match="'d2'") as excinfo:
+        load_corpus(path, cache_path=cache_path)
+    assert excinfo.value.line_no == 2
+
+
+def test_cache_match_with_an_embedder_reuses_only_set_digests(tmp_path):
+    embedder = CountingEmbedder(dimension=MATCH_DIM)
+    rows = ["d1", "d2", "inline3", "d4", "d5"]
+    records = [("d5", "set"), ("d4", "unset"), ("d2", "stale"), ("d1", "set")]
+    path, cache_path, expected = _match_case(tmp_path, rows, records, embedder.model)
+    fresh = reference_normalize_rows(
+        [embedder.inner.embed(f"text {doc_id}") for doc_id in ("d2", "d4")], passes=2
+    )
+    expected[[1, 3]] = fresh
+    corpus = load_corpus(path, embedder=embedder, cache_path=cache_path)
+    assert embedder.calls == 2
+    assert corpus.matrix.tobytes() == expected.tobytes()
+    assert load_cache(cache_path).ids == ["d1", "d2", "d4", "d5"]
 
 
 # ----------------------------------------------------------------------
