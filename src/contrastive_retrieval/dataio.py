@@ -15,7 +15,9 @@ read in bulk.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
+import io
 import json
 import os
 import struct
@@ -79,42 +81,62 @@ def write_bytes(path: str | Path, blob: bytes) -> None:
 
 # The scanner ``json.loads`` runs, with the same settings.
 _scan_value = json.JSONDecoder().scan_once
+# Bytes read at a time; a multiple of the 8 KiB a text-mode file decodes at a time.
+_BLOCK_SIZE = 1 << 16
 
 
 def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line, lazily.
 
-    The file is read in one piece and each line scanned in place. A line is
-    taken from the scanner only when its object starts at the line's first
-    character and ends on the line, followed by nothing but spaces or tabs;
-    any other line goes through ``_parse_line``, so what is rejected, where
-    and why is what a line-by-line ``json.loads`` gives. A file that is not
-    valid UTF-8 is read line by line, as that parse reads it.
+    The file is read in blocks of whole lines, decoded as a text-mode file
+    decodes it, and each line is scanned in place. A line is taken from the
+    scanner only when its object starts at the line's first character and
+    ends on the line, followed by nothing but spaces or tabs; any other line
+    goes through ``_parse_line``, so what is rejected, where and why is what
+    a line-by-line ``json.loads`` gives. From a block that is not valid
+    UTF-8 on, the file is read line by line, as that parse reads it.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if (obj := _parse_line(line_no, line)) is not None:
-                    yield line_no, obj
-        return
-    start, line_no, size = 0, 0, len(text)
-    while start < size:
-        line_no += 1
-        stop = text.find("\n", start)
-        stop = size if stop < 0 else stop
-        obj, end = None, size + 1
-        if text.startswith("{", start):
+    decode = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True).decode
+    line_no, pieces = 0, []
+    with open(path, "rb") as fh:
+        while True:
+            raw = fh.read(_BLOCK_SIZE)
             try:
-                obj, end = _scan_value(text, start)
-            except (ValueError, RecursionError):
-                pass  # the per-line parse below raises the canonical error
-        if end != stop and (end > stop or text[end:stop].strip(" \t")):
-            obj = _parse_line(line_no, text[start : stop + 1])
-        if obj is not None:
-            yield line_no, obj
-        start = stop + 1
+                pieces.append(decode(raw, final=not raw))
+            except UnicodeDecodeError:
+                yield from _iter_lines(path, line_no)
+                return
+            if raw and "\n" not in pieces[-1]:
+                continue  # the line goes on into the next block
+            text = "".join(pieces)
+            size = text.rfind("\n") + 1 if raw else len(text)
+            start = 0
+            while start < size:
+                line_no += 1
+                stop = text.find("\n", start, size)
+                stop = size if stop < 0 else stop
+                obj, end = None, size + 1
+                if text.startswith("{", start):
+                    try:
+                        obj, end = _scan_value(text, start)
+                    except (ValueError, RecursionError, StopIteration):
+                        pass  # the per-line parse below raises the canonical error
+                if end != stop and (end > stop or text[end:stop].strip(" \t")):
+                    obj = _parse_line(line_no, text[start : stop + 1])
+                if obj is not None:
+                    yield line_no, obj
+                start = stop + 1
+            if not raw:
+                return
+            pieces = [text[size:]]
+
+
+def _iter_lines(path: str | Path, skip: int) -> Iterable[tuple[int, dict]]:
+    """The line-by-line parse of a text-mode file, after its first ``skip`` lines."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line_no > skip and (obj := _parse_line(line_no, line)) is not None:
+                yield line_no, obj
 
 
 def _parse_line(line_no: int, line: str) -> dict | None:
@@ -219,12 +241,11 @@ def load_corpus(
 
     vectors = {**inline, **fresh}
     dimension = _check_dimensions(unit, hit_rows, vectors, ids, lines)
-    in_order = unit is not None and np.array_equal(hit_pos, np.arange(len(unit)))
-    if in_order and len(hit_rows) == len(ids):
+    if unit is not None and len(hit_rows) == len(ids) and hit_pos == list(range(len(unit))):
         matrix = unit  # the cache holds exactly the corpus, in file order
     else:
         matrix = np.empty((len(ids), dimension))
-        if len(hit_rows):
+        if hit_rows:
             matrix[hit_rows] = unit[hit_pos]
     unit = None
     for row, vec in vectors.items():
@@ -260,14 +281,14 @@ def _match_cache(
     texts: list[str],
     lines: dict[str, int],
     inline: dict[int, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+) -> tuple[list[int], list[int], list[int]]:
     """Split the documents without an inline embedding into hits and misses.
 
-    Returns the hit rows and their cache positions as arrays, and the miss
-    rows as a list, all in file order. Each id is looked up once. Without an
-    embedder a record whose digest is unset is taken by id; every other row
-    goes through the per-row check in file order, so the first bad row
-    raises. A text is hashed only when a record's digest is compared.
+    Returns the hit rows, their cache positions and the miss rows, all in
+    file order. Each id is looked up once. Without an embedder a record
+    whose digest is unset is taken by id; every other row goes through the
+    per-row check in file order, so the first bad row raises. A text is
+    hashed only when a record's digest is compared.
     """
     if cache is None:
         pos = np.full(len(ids), -1)
@@ -279,11 +300,13 @@ def _match_cache(
     hit = np.zeros(len(ids), dtype=bool)
     if embedder is None and cache is not None:
         unset = ~np.frombuffer(cache.digests, np.uint8).reshape(-1, DIGEST_SIZE).any(1)
-        hit = np.append(unset, False)[pos]  # position -1 reads the False
-    checked = ~hit
-    hit[list(inline)] = checked[list(inline)] = False
+        found = pos >= 0
+        hit[found] = unset[pos[found]]
+    hit[list(inline)] = False
     misses: list[int] = []
-    for row in np.flatnonzero(checked).tolist():
+    for row in np.flatnonzero(~hit).tolist():
+        if row in inline:
+            continue
         doc_id, at = ids[row], int(pos[row])
         if at >= 0:
             if cache.digest(at) == text_digest(texts[row]):
@@ -297,21 +320,21 @@ def _match_cache(
             )
         misses.append(row)
     hit_rows = np.flatnonzero(hit)
-    return hit_rows, pos[hit_rows], misses
+    return hit_rows.tolist(), pos[hit_rows].tolist(), misses
 
 
 def _write_back(
     path: str | Path,
     model: str,
     cache: CacheFile | None,
-    hit_rows: np.ndarray,
-    hit_pos: np.ndarray,
+    hit_rows: list[int],
+    hit_pos: list[int],
     fresh: dict[int, np.ndarray],
     ids: list[str],
     texts: list[str],
 ) -> None:
     """Rewrite the cache with the corpus's vectors, then the file's other records."""
-    kept = dict(zip(hit_rows.tolist(), hit_pos.tolist()))
+    kept = dict(zip(hit_rows, hit_pos))
     entries: dict[str, np.ndarray] = {}
     digests: dict[str, bytes] = {}
     for row in sorted([*kept, *fresh]):
@@ -327,15 +350,15 @@ def _write_back(
 
 def _check_dimensions(
     unit: np.ndarray | None,
-    hit_rows: np.ndarray,
+    hit_rows: list[int],
     vectors: dict[int, np.ndarray],
     ids: list[str],
     lines: dict[str, int],
 ) -> int:
     """The corpus dimension; DimensionMismatchError names the first row that differs."""
     dims = {row: vec.shape[0] for row, vec in vectors.items()}
-    if len(hit_rows):
-        dims[int(hit_rows[0])] = unit.shape[1]
+    if hit_rows:
+        dims[hit_rows[0]] = unit.shape[1]
     if not dims:
         return 0  # no documents: Corpus raises EmptyCorpusError
     dimension = dims[min(dims)]
@@ -485,9 +508,13 @@ def load_cache(path: str | Path) -> CacheFile:
     it can be verified. The vectors are not checked here: ingest checks the
     rows it uses (see ``load_corpus``).
     """
-    blob = Path(path).read_bytes()
-    if blob[:4] != CACHE_MAGIC:
-        raise BadMagicError(f"{path}: not an embedding cache (magic {blob[:4]!r})")
+    # NumPy backs a large array with huge pages where the kernel allows, so
+    # the file's bytes land in fewer page faults than a bytes object takes.
+    blob = np.fromfile(path, np.uint8)
+    blob.flags.writeable = False  # the vectors are views of it
+    magic = blob[:4].tobytes()
+    if magic != CACHE_MAGIC:
+        raise BadMagicError(f"{path}: not an embedding cache (magic {magic!r})")
     size = len(blob)
     if size >= 8:
         (version,) = struct.unpack_from("<I", blob, 4)
@@ -502,7 +529,7 @@ def load_cache(path: str | Path) -> CacheFile:
     offset = _CACHE_HEADER.size + identity_len
     if offset > size:
         raise TruncatedFileError(f"{path}: embedder identity cut short")
-    model = blob[_CACHE_HEADER.size : offset].decode("utf-8")
+    model = blob[_CACHE_HEADER.size : offset].tobytes().decode("utf-8")
     if offset + 4 * count > size:
         raise TruncatedFileError(f"{path}: id length table cut short ({count} records)")
     lengths = np.frombuffer(blob, "<u4", count, offset)
@@ -520,10 +547,11 @@ def load_cache(path: str | Path) -> CacheFile:
     if end < size:
         raise TruncatedFileError(f"{path}: {size - end} unexpected trailing bytes")
     starts = [offset + 4 * count, *ends[:-1]]
+    tables = blob[:block_at].tobytes()
     return CacheFile(
         model=model,
-        ids=[blob[a:b].decode("utf-8") for a, b in zip(starts, ends)],
-        digests=blob[digests_at : digests_at + DIGEST_SIZE * count],
+        ids=[tables[a:b].decode("utf-8") for a, b in zip(starts, ends)],
+        digests=tables[digests_at : digests_at + DIGEST_SIZE * count],
         vectors=np.frombuffer(blob, "<f4", count * dimension, block_at).reshape(count, dimension),
     )
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from contrastive_retrieval import dataio
 from contrastive_retrieval.backends import HttpEmbedderBackend, MockEmbedderBackend
 from contrastive_retrieval.dataio import (
     CACHE_MAGIC,
@@ -119,7 +120,6 @@ def test_write_json_sorted_and_newline_terminated(tmp_path):
 
 def per_line_parse(path):
     """The line-by-line loop ``_iter_jsonl`` must agree with."""
-    pairs = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -130,19 +130,21 @@ def per_line_parse(path):
                 raise MalformedLineError(line_no, f"invalid JSON ({exc.msg})") from exc
             if not isinstance(obj, dict):
                 raise MalformedLineError(line_no, "expected a JSON object")
-            pairs.append((line_no, obj))
-    return pairs
+            yield line_no, obj
 
 
 def parse_outcome(parse, path):
-    """What ``parse`` gives: its pairs, or its error's type, line and message.
+    """What ``parse`` yields, then its error's type, line and message, if any.
 
     Pairs are compared by repr, so NaN equals NaN and 1 differs from 1.0.
     """
+    pairs = []
     try:
-        return "pairs", repr(list(parse(path)))
-    except Exception as exc:  # the error is the outcome
-        return type(exc), getattr(exc, "line_no", None), str(exc)
+        for pair in parse(path):
+            pairs.append(pair)
+    except Exception as exc:  # the error is part of the outcome
+        return repr(pairs), type(exc), getattr(exc, "line_no", None), str(exc)
+    return repr(pairs)
 
 
 GOOD = b'{"id": "a", "text": "x"}'
@@ -186,6 +188,41 @@ ADVERSARIAL_FILES = {
     "integer_over_the_digit_limit": b'{"a": ' + b"1" * 5000 + b"}\n",
     "empty_file": b"",
     "blank_lines_only": b"\n\n \n",
+    "missing_object_value": GOOD + b'\n{"id":"a","text": }\n',
+    "trailing_comma_in_array": b'{"id":"a","text":"x","embedding":[0.1,]}\n',
+    "cut_off_after_colon": GOOD + b'\n{"id":"a","text":',
+}
+
+
+def block_edge(before: bytes, after: bytes) -> bytes:
+    """A file whose byte 8192 is the first byte of ``after``.
+
+    One padding line comes first, so ``before`` starts a line.
+    """
+    pad = 8192 - len(before)
+    return b'{"pad": "' + b"x" * (pad - 12) + b'"}\n' + before + after
+
+
+# Files that cut a line, a line ending or a character at a block's end,
+# read in blocks of 8192 bytes.
+BLOCK_EDGE_FILES = {
+    "line_across_blocks": block_edge(b'{"id": "a", "te', b'xt": "x"}\n' + GOOD + b"\n"),
+    "line_ends_at_block_end": block_edge(GOOD + b"\n", GOOD + b"\n"),
+    "crlf_across_blocks": block_edge(GOOD + b"\r", b"\n" + GOOD + b"\r\n"),
+    "cr_at_block_end": block_edge(GOOD + b"\r", GOOD + b"\r"),
+    "blank_line_across_blocks": block_edge(b" ", b"\t\n" + GOOD + b"\n"),
+    "character_across_blocks": block_edge(b'{"id": "a", "text": "\xc3', b'\xa9"}\n'),
+    "line_over_three_blocks": block_edge(b'{"id": "a", "text": "', b"x" * 20000 + b'"}\n' + GOOD),
+    "object_over_two_lines_across_blocks": block_edge(b'{"id": "a",\n', b'"text": "x"}\n'),
+    "no_newline_across_blocks": block_edge(b'{"id": "a", ', b'"text": "x"}'),
+    "cut_off_after_colon_across_blocks": block_edge(b'{"id": "a", "text":', b" "),
+    "malformed_line_then_bad_byte_in_next_block": block_edge(b"not json\n", b"\xff\n"),
+    "bad_byte_in_next_block_then_malformed_line": block_edge(GOOD + b"\n", b"\xff\nnot json\n"),
+    "malformed_line_two_blocks_ahead_of_bad_byte": block_edge(
+        b"not json\n", (GOOD + b"\n") * 400 + b"\xff\n"
+    ),
+    "bad_byte_cut_at_block_end": block_edge(GOOD + b"\n\xe2\x82", b"(\n"),
+    "character_cut_off_at_end_of_file": block_edge(GOOD + b"\n", b'{"a": "\xe2\x82'),
 }
 
 
@@ -196,13 +233,43 @@ def test_iter_jsonl_matches_the_per_line_parse(tmp_path, content):
     assert parse_outcome(_iter_jsonl, path) == parse_outcome(per_line_parse, path)
 
 
+@pytest.mark.parametrize("content", BLOCK_EDGE_FILES.values(), ids=BLOCK_EDGE_FILES)
+@pytest.mark.parametrize("block_size", [8192, dataio._BLOCK_SIZE])
+def test_iter_jsonl_matches_the_per_line_parse_at_block_edges(
+    tmp_path, monkeypatch, content, block_size
+):
+    monkeypatch.setattr(dataio, "_BLOCK_SIZE", block_size)
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(content)
+    assert parse_outcome(_iter_jsonl, path) == parse_outcome(per_line_parse, path)
+
+
+def test_iter_jsonl_holds_a_block_and_a_line_of_text(tmp_path, monkeypatch):
+    # Lines are scanned within their block (and the line the last block cut
+    # short): no string of the whole file is made.
+    monkeypatch.setattr(dataio, "_BLOCK_SIZE", 8192)
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes((GOOD + b"\n") * 2000)
+    scanned: list[int] = []
+    scan = dataio._scan_value
+
+    def recording_scan(text, at):
+        scanned.append(len(text))
+        return scan(text, at)
+
+    monkeypatch.setattr(dataio, "_scan_value", recording_scan)
+    assert len(list(_iter_jsonl(path))) == 2000
+    assert max(scanned) <= 8192 + len(GOOD)
+
+
 def test_iter_jsonl_deep_nesting_raises_the_per_line_error_type(tmp_path):
     # The recursion limit is met at another stack depth, so the message
     # (which container was open) may differ; the type may not.
     path = tmp_path / "lines.jsonl"
     path.write_bytes(b'{"a": ' + b'[{"a": ' * 1500 + b"1" + b"}]" * 1500 + b"}\n")
     ours, reference = parse_outcome(_iter_jsonl, path), parse_outcome(per_line_parse, path)
-    assert ours[0] is reference[0] is RecursionError
+    assert ours[0] == reference[0]  # the same pairs ahead of the error
+    assert ours[1] is reference[1] is RecursionError
 
 
 def test_iter_jsonl_yields_a_line_before_reading_the_next(tmp_path):
