@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
 from .backends import EmbedderBackend, GeneratorBackend
-from .config import RunConfig
+from .config import RunConfig, check_lambda
 from .errors import EmptyInputError, NoQualifyingCasesError, UnknownItemIdError
 from .hypotheses import QAItem
 from .pipeline import EvalRecord, PairCache, accuracy, run_benchmark
@@ -141,13 +141,13 @@ def sweep_grid(lambdas: Sequence[float]) -> list[float]:
     """The sweep's weights in ascending order.
 
     Raises ValueError unless there is at least one weight and the weights
-    are nonnegative and distinct.
+    are finite, nonnegative and distinct.
     """
     if not lambdas:
         raise ValueError("need at least one lambda")
+    for lam in lambdas:
+        check_lambda(lam, "lambdas")
     lams = sorted(lambdas)
-    if any(lam < 0 for lam in lams):
-        raise ValueError("lambdas must be nonnegative")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambdas must be distinct")
     return lams

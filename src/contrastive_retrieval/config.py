@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,12 @@ GENERATOR_API_KEY_ENV = "CHR_GENERATOR_API_KEY"
 EMBEDDER_API_KEY_ENV = "CHR_EMBEDDER_API_KEY"
 
 ANSWER_PROMPT_VERSION = "v1"
+
+
+def check_lambda(lam: float, name: str = "lambda") -> None:
+    """Raise ValueError naming ``lam`` unless it is a finite weight >= 0."""
+    if not 0 <= lam < math.inf:  # false for NaN too
+        raise ValueError(f"{name} must be nonnegative and finite, not {lam!r}")
 
 
 @dataclass
@@ -50,8 +57,7 @@ class RunConfig:
     answer_prompt_version: str = ANSWER_PROMPT_VERSION
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        check_lambda(self.lam)
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.hyde_n < 1:

@@ -15,9 +15,7 @@ read in bulk.
 
 from __future__ import annotations
 
-import codecs
 import hashlib
-import io
 import json
 import os
 import struct
@@ -81,61 +79,29 @@ def write_bytes(path: str | Path, blob: bytes) -> None:
 
 # The scanner ``json.loads`` runs, with the same settings.
 _scan_value = json.JSONDecoder().scan_once
-# Bytes read at a time; a multiple of the 8 KiB a text-mode file decodes at a time.
-_BLOCK_SIZE = 1 << 16
 
 
 def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line, lazily.
 
-    The file is read in blocks of whole lines, decoded as a text-mode file
-    decodes it, and each line is scanned in place. A line is taken from the
-    scanner only when its object starts at the line's first character and
-    ends on the line, followed by nothing but spaces or tabs; any other line
-    goes through ``_parse_line``, so what is rejected, where and why is what
-    a line-by-line ``json.loads`` gives. From a block that is not valid
-    UTF-8 on, the file is read line by line, as that parse reads it.
+    The file is read as text, line by line, and a line that starts with
+    ``{`` is scanned in place. The scanner's object is taken only when the
+    rest of the line is spaces, tabs and the newline; any other line goes
+    through ``_parse_line``, so what is rejected, where and why is what a
+    per-line ``json.loads`` gives, at about half its cost.
     """
-    decode = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True).decode
-    line_no, pieces = 0, []
-    with open(path, "rb") as fh:
-        while True:
-            raw = fh.read(_BLOCK_SIZE)
-            try:
-                pieces.append(decode(raw, final=not raw))
-            except UnicodeDecodeError:
-                yield from _iter_lines(path, line_no)
-                return
-            if raw and "\n" not in pieces[-1]:
-                continue  # the line goes on into the next block
-            text = "".join(pieces)
-            size = text.rfind("\n") + 1 if raw else len(text)
-            start = 0
-            while start < size:
-                line_no += 1
-                stop = text.find("\n", start, size)
-                stop = size if stop < 0 else stop
-                obj, end = None, size + 1
-                if text.startswith("{", start):
-                    try:
-                        obj, end = _scan_value(text, start)
-                    except (ValueError, RecursionError, StopIteration):
-                        pass  # the per-line parse below raises the canonical error
-                if end != stop and (end > stop or text[end:stop].strip(" \t")):
-                    obj = _parse_line(line_no, text[start : stop + 1])
-                if obj is not None:
-                    yield line_no, obj
-                start = stop + 1
-            if not raw:
-                return
-            pieces = [text[size:]]
-
-
-def _iter_lines(path: str | Path, skip: int) -> Iterable[tuple[int, dict]]:
-    """The line-by-line parse of a text-mode file, after its first ``skip`` lines."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if line_no > skip and (obj := _parse_line(line_no, line)) is not None:
+            if line.startswith("{"):
+                try:
+                    obj, end = _scan_value(line, 0)
+                except (ValueError, RecursionError, StopIteration):
+                    pass  # the per-line parse below raises the canonical error
+                else:
+                    if not line[end:].strip(" \t\n"):
+                        yield line_no, obj
+                        continue
+            if (obj := _parse_line(line_no, line)) is not None:
                 yield line_no, obj
 
 
@@ -207,7 +173,8 @@ def load_corpus(
         lines[doc_id] = line_no
         raw = obj.get("embedding")
         if raw is not None:
-            if not isinstance(raw, list):
+            # bool is an int, and NumPy turns a string of digits into a number.
+            if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:
                 raise MalformedLineError(line_no, "embedding must be an array of numbers")
             try:
                 inline[len(ids)] = normalize(as_vector(raw))
@@ -399,9 +366,11 @@ def load_dataset(path: str | Path) -> list[QAItem]:
         if item_id in seen:
             raise DuplicateIdError(line_no, item_id)
         seen[item_id] = line_no
-        answer = obj.get("answer")
         if not all(isinstance(k, str) and isinstance(v, str) for k, v in options.items()):
             raise MalformedLineError(line_no, "options must map letters to strings")
+        answer = obj.get("answer")
+        if answer is not None and not isinstance(answer, str):
+            raise MalformedLineError(line_no, "answer must be a string or null")
         items.append(QAItem(id=item_id, stem=question, options=dict(options), answer_key=answer))
     return items
 

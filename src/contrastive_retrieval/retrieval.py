@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import EmbedderBackend
+from .config import check_lambda
 from .errors import (
     DimensionMismatchError,
     DuplicateIdError,
@@ -204,8 +205,7 @@ def shifted_query(pair: HypothesisPair, lam: float) -> np.ndarray:
     contrastive score. A missing mimic embedding contributes zero, so a
     fallback pair ranks by its target hypothesis alone.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    check_lambda(lam)
     if pair.h_plus_emb is None:
         raise MissingEmbeddingError("pair has no h_plus embedding; call embed_pair first")
     h_plus = np.asarray(pair.h_plus_emb, dtype=np.float64)
@@ -256,8 +256,7 @@ def retrieve_chr(pair: HypothesisPair, corpus: Corpus, lam: float, k: int) -> Ra
     A pair without a mimic embedding, and lam = 0, rank by ``a`` alone; the
     mimic is then neither checked nor multiplied.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    check_lambda(lam)
     scores = corpus._target_product(pair)
     if pair.h_minus_emb is not None and lam != 0:
         scores = scores - lam * corpus._mimic_product(pair)

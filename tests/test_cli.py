@@ -411,6 +411,7 @@ def test_sweep_rejects_bad_baselines_before_any_backend_call(
 @pytest.mark.parametrize("lambdas, message", [
     ("0.2,-1", "lambdas must be nonnegative"),
     ("0.5,0.5", "lambdas must be distinct"),
+    ("nan,0.5", "lambdas must be nonnegative and finite, not nan"),
 ])
 def test_sweep_rejects_bad_grid_before_any_backend_call(
     tmp_path, capsys, backend_calls, lambdas, message
@@ -418,6 +419,15 @@ def test_sweep_rejects_bad_grid_before_any_backend_call(
     out = tmp_path / "sweep"
     assert run_cli("sweep", "--mock", "--lambdas", lambdas, "--out", str(out)) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert backend_calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_run_rejects_a_weight_that_is_not_finite(tmp_path, capsys, backend_calls, lam):
+    out = tmp_path / "out"
+    assert run_cli("run", "--mock", "--method", "chr", "--lambda", lam, "--out", str(out)) == 1
+    assert f"error: lambda must be nonnegative and finite, not {lam}" in capsys.readouterr().err
     assert backend_calls == []
     assert not out.exists()
 

@@ -203,8 +203,8 @@ def block_edge(before: bytes, after: bytes) -> bytes:
     return b'{"pad": "' + b"x" * (pad - 12) + b'"}\n' + before + after
 
 
-# Files that cut a line, a line ending or a character at a block's end,
-# read in blocks of 8192 bytes.
+# Files that cut a line, a line ending or a character at byte 8192, where a
+# text-mode file ends the first block it decodes.
 BLOCK_EDGE_FILES = {
     "line_across_blocks": block_edge(b'{"id": "a", "te', b'xt": "x"}\n' + GOOD + b"\n"),
     "line_ends_at_block_end": block_edge(GOOD + b"\n", GOOD + b"\n"),
@@ -233,21 +233,19 @@ def test_iter_jsonl_matches_the_per_line_parse(tmp_path, content):
     assert parse_outcome(_iter_jsonl, path) == parse_outcome(per_line_parse, path)
 
 
-@pytest.mark.parametrize("content", BLOCK_EDGE_FILES.values(), ids=BLOCK_EDGE_FILES)
-@pytest.mark.parametrize("block_size", [8192, dataio._BLOCK_SIZE])
-def test_iter_jsonl_matches_the_per_line_parse_at_block_edges(
-    tmp_path, monkeypatch, content, block_size
-):
-    monkeypatch.setattr(dataio, "_BLOCK_SIZE", block_size)
+# Each id starts with the byte the file is cut at.
+@pytest.mark.parametrize(
+    "content", BLOCK_EDGE_FILES.values(), ids=[f"8192-{name}" for name in BLOCK_EDGE_FILES]
+)
+def test_iter_jsonl_matches_the_per_line_parse_at_block_edges(tmp_path, content):
     path = tmp_path / "lines.jsonl"
     path.write_bytes(content)
     assert parse_outcome(_iter_jsonl, path) == parse_outcome(per_line_parse, path)
 
 
-def test_iter_jsonl_holds_a_block_and_a_line_of_text(tmp_path, monkeypatch):
-    # Lines are scanned within their block (and the line the last block cut
-    # short): no string of the whole file is made.
-    monkeypatch.setattr(dataio, "_BLOCK_SIZE", 8192)
+def test_iter_jsonl_scans_one_line_at_a_time(tmp_path, monkeypatch):
+    # The scanner sees each line on its own: no string of the whole file,
+    # or of a block of it, is made.
     path = tmp_path / "lines.jsonl"
     path.write_bytes((GOOD + b"\n") * 2000)
     scanned: list[int] = []
@@ -259,7 +257,7 @@ def test_iter_jsonl_holds_a_block_and_a_line_of_text(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dataio, "_scan_value", recording_scan)
     assert len(list(_iter_jsonl(path))) == 2000
-    assert max(scanned) <= 8192 + len(GOOD)
+    assert max(scanned) == len(GOOD) + 1
 
 
 def test_iter_jsonl_deep_nesting_raises_the_per_line_error_type(tmp_path):
@@ -323,6 +321,8 @@ def test_load_corpus_skips_blank_lines(tmp_path):
         ([{"id": "d1", "text": "a", "embedding": "nope"}], MalformedLineError, 1),
         ([{"id": "d1", "text": "a", "embedding": [0.0, 0.0]}], MalformedLineError, 1),
         ([{"id": "d1", "text": "a"}], MalformedLineError, 1),
+        ([{"id": "d1", "text": "a", "embedding": ["1", "2", "3"]}], MalformedLineError, 1),
+        ([{"id": "d1", "text": "a", "embedding": [True, False, True]}], MalformedLineError, 1),
     ],
 )
 def test_load_corpus_rejects_bad_rows(tmp_path, rows, error, line_no):
@@ -720,6 +720,18 @@ def test_load_dataset_validation(tmp_path):
     ])
     with pytest.raises(DuplicateIdError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("answer", [["A"], {"A": "a"}, 1])
+def test_load_dataset_rejects_an_answer_that_is_not_a_string(tmp_path, answer):
+    path = tmp_path / "qa.jsonl"
+    write_lines(path, [
+        {"id": "q1", "question": "Q?", "options": {"A": "a", "B": "b"}, "answer": "A"},
+        {"id": "q2", "question": "Q?", "options": {"A": "a", "B": "b"}, "answer": answer},
+    ])
+    with pytest.raises(MalformedLineError, match="answer must be a string or null") as excinfo:
+        load_dataset(path)
+    assert excinfo.value.line_no == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -351,6 +353,18 @@ def test_retrieve_chr_stamps_method_and_lambda():
     ranked = retrieve_chr(injected_pair(rng, 8), corpus, lam=0.8, k=3)
     assert ranked.method == "chr"
     assert ranked.lam == 0.8
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_chr_scoring_rejects_a_weight_that_is_not_finite(lam):
+    rng = np.random.default_rng(8)
+    corpus = random_corpus(rng, 10, 8)
+    pair = injected_pair(rng, 8)
+    message = f"lambda must be nonnegative and finite, not {lam!r}"
+    with pytest.raises(ValueError, match=message):
+        retrieve_chr(pair, corpus, lam, 3)
+    with pytest.raises(ValueError, match=message):
+        shifted_query(pair, lam)
 
 
 # ----------------------------------------------------------------------
