@@ -5,7 +5,8 @@ Two wire contracts are defined here:
 * ``GeneratorBackend.complete(messages, temperature)``: chat-style text
   generation. The HTTP implementation POSTs
   ``{"model", "messages", "temperature"}`` and reads the generated text plus
-  optional token usage from the response JSON.
+  optional token usage from the response JSON; a ``usage.completion_tokens``
+  that is not a nonnegative integer counts as absent.
 * ``EmbedderBackend.embed(text)``: maps text to a fixed-dimension vector.
   The HTTP implementation POSTs ``{"model", "input"}`` and reads
   ``data[0].embedding``.
@@ -220,6 +221,8 @@ class HttpGeneratorBackend(_HttpSettings):
                 raise BackendUnavailableError("response choices[0].message.content is not a string")
             usage = body.get("usage")
             tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
+            if type(tokens) is not int or tokens < 0:
+                tokens = None  # not a count (a bool is an int): the estimate applies
             return GenerationResult(text=text, output_tokens=tokens)
 
         result = _post_with_retries(self, "generator", payload, read, BackendUnavailableError)
@@ -240,9 +243,12 @@ class HttpEmbedderBackend(_HttpSettings):
     def embed(self, text: str) -> np.ndarray:
         def read(body) -> np.ndarray:
             values = _json_field(body, EmbedderFailureError, "data", 0, "embedding")
+            # bool is an int, and NumPy turns a string of digits into a number.
+            if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+                raise EmbedderFailureError("response data[0].embedding is not an array of numbers")
             try:
                 vec = normalize(values)
-            except (ZeroVectorError, TypeError, ValueError) as exc:
+            except (ZeroVectorError, OverflowError) as exc:  # an int past float range
                 raise EmbedderFailureError(
                     f"response data[0].embedding is unusable: {exc}"
                 ) from None

@@ -150,7 +150,7 @@ def load_corpus(
     Every cached record is converted to float64 and checked against unit
     norm before anything is embedded (NormDriftError names the first
     drifting record in file order), so a bad record is never reused or
-    written back; checked records are renormalized.
+    written back.
 
     Newly embedded vectors are written back once, the corpus's documents in
     file order ahead of the file's other records. If embedding fails at a
@@ -159,7 +159,7 @@ def load_corpus(
     write is then noted on that error rather than replacing it.
 
     Inline and newly embedded vectors are normalized as they are read.
-    ``Corpus`` gets one matrix and normalizes it again in bulk.
+    ``Corpus`` normalizes the one matrix in bulk: a cached row's only pass.
     """
     ids: list[str] = []
     texts: list[str] = []
@@ -185,7 +185,7 @@ def load_corpus(
 
     cache = _reusable_cache(cache_path, embedder) if len(inline) < len(ids) else None
     # Every record is checked before anything is embedded or rewritten.
-    unit = _unit_rows(cache, cache_path) if cache is not None else None
+    cached = _cached_rows(cache, cache_path) if cache is not None else None
     hit_rows, hit_pos, misses = _match_cache(cache, embedder, ids, texts, lines, inline)
     fresh: dict[int, np.ndarray] = {}
 
@@ -207,14 +207,14 @@ def load_corpus(
     cache = None  # release the file's bytes
 
     vectors = {**inline, **fresh}
-    dimension = _check_dimensions(unit, hit_rows, vectors, ids, lines)
-    if unit is not None and len(hit_rows) == len(ids) and hit_pos == list(range(len(unit))):
-        matrix = unit  # the cache holds exactly the corpus, in file order
+    dimension = _check_dimensions(cached, hit_rows, vectors, ids, lines)
+    if cached is not None and len(hit_rows) == len(ids) == len(cached) and hit_pos == hit_rows:
+        matrix = cached  # the cache holds exactly the corpus, in file order
     else:
         matrix = np.empty((len(ids), dimension))
         if hit_rows:
-            matrix[hit_rows] = unit[hit_pos]
-    unit = None
+            matrix[hit_rows] = cached[hit_pos]
+    cached = None
     for row, vec in vectors.items():
         matrix[row] = vec
     return Corpus(ids, texts, matrix, _adopt=True)
@@ -316,7 +316,7 @@ def _write_back(
 
 
 def _check_dimensions(
-    unit: np.ndarray | None,
+    cached: np.ndarray | None,
     hit_rows: list[int],
     vectors: dict[int, np.ndarray],
     ids: list[str],
@@ -325,7 +325,7 @@ def _check_dimensions(
     """The corpus dimension; DimensionMismatchError names the first row that differs."""
     dims = {row: vec.shape[0] for row, vec in vectors.items()}
     if hit_rows:
-        dims[hit_rows[0]] = unit.shape[1]
+        dims[hit_rows[0]] = cached.shape[1]
     if not dims:
         return 0  # no documents: Corpus raises EmptyCorpusError
     dimension = dims[min(dims)]
@@ -338,8 +338,8 @@ def _check_dimensions(
     return dimension
 
 
-def _unit_rows(cache: CacheFile, path: str | Path) -> np.ndarray:
-    """Every cached vector as a float64 unit row.
+def _cached_rows(cache: CacheFile, path: str | Path) -> np.ndarray:
+    """Every cached vector as a float64 row, checked but not yet normalized.
 
     NormDriftError names the first record, in file order, whose stored norm
     strayed from 1 by more than CACHE_NORM_TOL (a NaN norm strays too). A
@@ -351,7 +351,6 @@ def _unit_rows(cache: CacheFile, path: str | Path) -> np.ndarray:
     if drift.any():
         at = int(np.argmax(drift))
         raise NormDriftError(f"{path}: entry {cache.ids[at]!r} has norm {norms[at]:.8f}")
-    rows /= norms[:, None]
     return rows
 
 

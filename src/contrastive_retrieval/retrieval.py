@@ -235,9 +235,9 @@ def top_k_from_scores(
     kth = len(scores) - min(k, len(scores))
     threshold = np.partition(scores, kth)[kth]
     candidates = np.flatnonzero(scores >= threshold)
-    # lexsort sorts by the last key first, so -score is primary, id secondary.
-    order = np.lexsort((np.asarray([ids[i] for i in candidates]), -scores[candidates]))
-    return tuple((ids[i], float(scores[i])) for i in candidates[order[:k]])
+    # Python's str order: NumPy's fixed-width strings drop trailing NULs.
+    best = sorted(candidates.tolist(), key=lambda i: (-scores[i], ids[i]))[:k]
+    return tuple((ids[i], float(scores[i])) for i in best)
 
 
 def _ranked(

@@ -66,10 +66,11 @@ def unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 def reference_normalize_rows(rows, passes: int) -> np.ndarray:
     """Normalize each row with the per-vector ``normalize``, ``passes`` times.
 
-    The bulk paths must match this loop bit for bit. Ingest normalizes a
-    vector once as its line is read (inline or embedded) or its cache record
-    is loaded, and once more when the corpus is built: two passes for
-    ``load_corpus``, one for a corpus built from raw rows.
+    The bulk paths must match this loop bit for bit. Ingest normalizes an
+    inline or embedded vector once as it is read, and every row once more
+    when the corpus is built: two passes for those rows of ``load_corpus``,
+    one for a cached row (checked, not divided, as it is loaded) and one for
+    a corpus built from raw rows.
     """
     out = []
     for row in rows:

@@ -18,6 +18,7 @@ from contrastive_retrieval.backends import (
     MockEmbedderBackend,
     MockGeneratorBackend,
     estimate_output_tokens,
+    output_tokens_of,
 )
 from contrastive_retrieval.errors import BackendUnavailableError, EmbedderFailureError
 from contrastive_retrieval.hypotheses import parse_pair, render_prompt
@@ -90,6 +91,17 @@ def test_http_generator_success(serve):
     assert request.payload["seed"] == 3
     assert request.headers["authorization"] == "Bearer secret"
     assert request.headers["content-type"] == "application/json"
+
+
+@pytest.mark.parametrize("tokens", ["12", -5, 2.5, True])
+def test_http_generator_ignores_a_malformed_token_count(serve, tokens):
+    server = serve(Reply(body={
+        "choices": [{"message": {"content": "generated text"}}],
+        "usage": {"completion_tokens": tokens},
+    }))
+    result = HttpGeneratorBackend(server.url(), "m", backoff_s=0.0).complete(MESSAGES)
+    assert result.output_tokens is None
+    assert output_tokens_of(result) == estimate_output_tokens("generated text")
 
 
 def test_http_generator_retries_then_raises(serve):
@@ -256,6 +268,16 @@ def test_http_backend_slow_response_times_out_then_succeeds(serve, sleeps, cls, 
     pytest.param(HttpEmbedderBackend, lambda b: b.embed("text"),
                  {"data": [{"embedding": [0.0, 0.0]}]},
                  EmbedderFailureError, "data[0].embedding", id="embedder-zero-vector"),
+    # NumPy would read both as numbers.
+    pytest.param(HttpEmbedderBackend, lambda b: b.embed("text"),
+                 {"data": [{"embedding": ["1", "2", "3"]}]},
+                 EmbedderFailureError, "data[0].embedding", id="embedder-strings"),
+    pytest.param(HttpEmbedderBackend, lambda b: b.embed("text"),
+                 {"data": [{"embedding": [True, False, True]}]},
+                 EmbedderFailureError, "data[0].embedding", id="embedder-booleans"),
+    pytest.param(HttpEmbedderBackend, lambda b: b.embed("text"),
+                 {"data": [{"embedding": [10**400, 1]}]},
+                 EmbedderFailureError, "data[0].embedding", id="embedder-huge-integer"),
 ])
 def test_http_backend_wrong_shape_fails_fast(serve, sleeps, cls, call, reply, error, field):
     server = serve(Reply(200, reply))

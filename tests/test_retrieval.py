@@ -257,6 +257,8 @@ def assert_selection_exact(ids, scores, k):
         (["c", "b", "a"], [-0.0, 0.0, -0.0], 2),
         # File order unlike sort order, with infinities.
         (["d10", "d9", "d1", "d2"], [float("inf"), 0.5, 0.5, float("-inf")], 3),
+        # Ids that differ only by a trailing NUL, which NumPy strings drop.
+        (["a\x00", "a", "b"], [0.5, 0.5, 0.1], 2),
     ],
 )
 def test_top_k_selection_matches_pure_python_full_sort(ids, scores, k):
