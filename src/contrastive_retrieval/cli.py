@@ -246,9 +246,8 @@ def _run_ratings(config: RunConfig, items: list[QAItem]) -> tuple[dict, set] | N
 # The settings a baseline accuracy depends on: a summary whose run differs
 # from the sweep in any of them measured another experiment.
 _BASELINE_KEYS = (
-    "k", "hyde_n", "seed", "mock", "mock_dimension", "temperature", "max_retries",
-    "generator_model", "embedder_model", "answer_prompt_version", "dataset_path",
-    "corpus_path",
+    "k", "hyde_n", "seed", "mock", "temperature", "max_retries", "generator_model",
+    "embedder_model", "dataset_path", "corpus_path",
 )
 
 

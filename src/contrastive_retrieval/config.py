@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 DEFAULT_LAMBDA = 1.0
 DEFAULT_K = 5
@@ -24,13 +25,15 @@ DEFAULT_SWEEP_GRID = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
 GENERATOR_API_KEY_ENV = "CHR_GENERATOR_API_KEY"
 EMBEDDER_API_KEY_ENV = "CHR_EMBEDDER_API_KEY"
 
-ANSWER_PROMPT_VERSION = "v1"
-
 
 def check_lambda(lam: float, name: str = "lambda") -> None:
     """Raise ValueError naming ``lam`` unless it is a finite weight >= 0."""
     if not 0 <= lam < math.inf:  # false for NaN too
         raise ValueError(f"{name} must be nonnegative and finite, not {lam!r}")
+
+
+# What each RunConfig annotation accepts; postponed annotations are strings.
+_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 @dataclass
@@ -44,7 +47,8 @@ class RunConfig:
     temperature: float = 0.0
     seed: int = 0
     mock: bool = False
-    mock_dimension: int = 64
+    # A constant, not a setting: perfbench's endpoint and cli._make_backends read it here.
+    mock_dimension: ClassVar[int] = 64
     generator_url: str = ""
     generator_model: str = ""
     embedder_url: str = ""
@@ -54,9 +58,13 @@ class RunConfig:
     cache_path: str = ""
     ratings_path: str = ""
     out_dir: str = "out"
-    answer_prompt_version: str = ANSWER_PROMPT_VERSION
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value, expected = getattr(self, field.name), _FIELD_TYPES[field.type]
+            # isinstance counts a bool as an int; only a bool field takes one.
+            if isinstance(value, bool) != (expected is bool) or not isinstance(value, expected):
+                raise ValueError(f"{field.name} must be {field.type}, not {value!r}")
         check_lambda(self.lam)
         if self.k < 1:
             raise ValueError("k must be >= 1")
@@ -70,10 +78,12 @@ def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from a plain dict, rejecting unknown keys.
 
     Accepts "lambda" as an alias for the ``lam`` field so config files can
-    use the report-facing name.
+    use the report-facing name, but not both names at once.
     """
     data = dict(data)
     if "lambda" in data:
+        if "lam" in data:
+            raise ValueError('config sets both "lambda" and "lam"; keep one')
         data["lam"] = data.pop("lambda")
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = sorted(set(data) - known)

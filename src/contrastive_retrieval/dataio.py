@@ -201,7 +201,9 @@ def load_corpus(
         try:
             write_back()
         except Exception as write_error:
-            exc.add_note(f"{cache_path}: the {len(fresh)} new vectors were not kept ({write_error})")
+            note = f"{cache_path}: the {len(fresh)} new vectors were not kept ({write_error})"
+            # BaseException.add_note is 3.11+; the same list, set by hand, works on 3.10.
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
         raise
     write_back()
     cache = None  # release the file's bytes
@@ -572,6 +574,10 @@ def _cost_from_dict(data: dict) -> CostEntry:
 
 
 def record_from_dict(data: dict) -> EvalRecord:
+    # A truthy string such as "false" would count as correct in every report.
+    for key, kind in (("correct", bool), ("predicted", str)):
+        if not isinstance(data[key], kind):
+            raise ValueError(f"{key} must be {kind.__name__}, not {data[key]!r}")
     pair = None
     if data.get("pair") is not None:
         pair = HypothesisPair(

@@ -24,7 +24,7 @@ from .backends import (
     chat_messages,
     output_tokens_of,
 )
-from .config import ANSWER_PROMPT_VERSION, RunConfig
+from .config import RunConfig
 from .costs import CostEntry
 from .errors import ContrastiveRetrievalError, EmptyInputError
 from .hypotheses import (
@@ -256,10 +256,6 @@ def run_benchmark(
     expand = _EXPANSIONS.get(method)
     if expand is None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if config.answer_prompt_version != ANSWER_PROMPT_VERSION:
-        raise ValueError(
-            f"unsupported answer prompt version {config.answer_prompt_version!r}"
-        )
 
     if pair_cache is None:
         pair_cache = {}

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +79,19 @@ def test_public_names_are_pinned_and_resolve():
     ("contrastive_retrieval.dataio", "save_corpus"),
     ("contrastive_retrieval.dataio", "_read_cache_records"),
     ("contrastive_retrieval.reports", "RATING_ORDER"),
+    ("contrastive_retrieval.config", "ANSWER_PROMPT_VERSION"),
 ])
 def test_test_only_names_are_not_importable(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_perfbench_tracing_finds_every_name_it_wraps():
+    # The benchmark wraps functions by the names their callers use; a renamed
+    # or deleted one fails here, not only in a traced benchmark run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    with tracer.install(), tracing.CallCounter().install(tracer):
+        pass

@@ -248,6 +248,17 @@ def test_run_respects_config_file(tmp_path):
     assert all(r.lam == 0.6 for r in records)
 
 
+def test_run_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys, backend_calls):
+    # A non-empty string is truthy, so "no" used to select the mock backends.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"mock": "no"}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config_path), "--out", str(out)) == 1
+    assert "error: mock must be bool, not 'no'" in capsys.readouterr().err
+    assert backend_calls == []
+    assert not out.exists()
+
+
 def test_run_flag_overrides_config(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"mock": True, "k": 3}), encoding="utf-8")

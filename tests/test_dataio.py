@@ -899,6 +899,17 @@ def test_load_records_bad_line(tmp_path):
     assert excinfo.value.line_no == 1
 
 
+@pytest.mark.parametrize("key, value", [("correct", "false"), ("predicted", None)])
+def test_load_records_rejects_a_field_of_the_wrong_type(tmp_path, key, value):
+    # A truthy "false" would count as correct in every accuracy report.
+    good = record_to_dict(make_record("q1", correct=False))
+    path = tmp_path / "records.jsonl"
+    write_lines(path, [good, {**good, key: value}])
+    with pytest.raises(MalformedLineError, match=f"{key} must be ") as excinfo:
+        load_records(path)
+    assert excinfo.value.line_no == 2
+
+
 # ----------------------------------------------------------------------
 # Ratings
 # ----------------------------------------------------------------------

@@ -345,10 +345,6 @@ def test_run_benchmark_validates_inputs(dataset, corpus, embedder, monkeypatch):
     # An unknown method is rejected before any backend call.
     assert gen.calls == 0
     assert embedded == []
-    stale = mock_config(answer_prompt_version="v0")
-    with pytest.raises(ValueError):
-        run_benchmark(dataset, "chr", corpus, stale, generator=gen,
-                      answer_generator=gen, embedder=embedder)
 
 
 def test_run_benchmark_stamps_lambda_only_for_chr(dataset, corpus, embedder):
