@@ -10,7 +10,8 @@ The embedding cache is content-addressed: each vector is stored with the
 sha256 of the text it embeds, under the identity of the embedder that
 wrote the file, so ingest reuses a vector only for the same text and the
 same embedder (see ``load_corpus``). Its vectors are one float32 block,
-read in bulk.
+which ingest streams in chunks of CACHE_CHUNK_ROWS records straight into
+the corpus matrix.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import os
 import struct
 import sys
 from collections.abc import Iterable, Mapping, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -49,6 +52,9 @@ CACHE_VERSION = 2
 # Unit norm must survive the float32 round-trip within this tolerance.
 CACHE_NORM_TOL = 1e-5
 DIGEST_SIZE = 32
+# Records of the vector block read, converted and checked at a time: a warm
+# load holds one chunk beside the corpus matrix, never the whole block.
+CACHE_CHUNK_ROWS = 1024
 # The digest of a record written without its text.
 NO_DIGEST = bytes(DIGEST_SIZE)
 # Magic, version, dimension, count, identity length; the identity follows.
@@ -147,13 +153,20 @@ def load_corpus(
     without one it raises VersionMismatchError. The cache file is read only
     when some document lacks an inline embedding.
 
-    Every cached record is converted to float64 and checked against unit
-    norm before anything is embedded (NormDriftError names the first
-    drifting record in file order), so a bad record is never reused or
-    written back.
+    The cache's tables and its vector block are read through one open
+    file. The block is streamed in chunks of CACHE_CHUNK_ROWS records: each
+    chunk is converted to float64, every record in it is checked against
+    unit norm, and the rows the corpus takes are copied into the one
+    float64 matrix, so a warm load peaks at that matrix plus one chunk. All
+    of it happens before anything is embedded (NormDriftError names the
+    first drifting record in file order, and comes before the errors of a
+    document nothing can fill), so a bad record is never reused or written
+    back.
 
     Newly embedded vectors are written back once, the corpus's documents in
-    file order ahead of the file's other records. If embedding fails at a
+    file order ahead of the file's other records. A reused row is rewritten
+    from the matrix; the other records are set aside as the block streams,
+    and only when some document is to be embedded. If embedding fails at a
     document, the vectors already paid for are written the same way before
     the error propagates, so a rerun embeds only the rest; a failure to
     write is then noted on that error rather than replacing it.
@@ -183,15 +196,22 @@ def load_corpus(
         ids.append(doc_id)
         texts.append(text)
 
-    cache = _reusable_cache(cache_path, embedder) if len(inline) < len(ids) else None
-    # Every record is checked before anything is embedded or rewritten.
-    cached = _cached_rows(cache, cache_path) if cache is not None else None
-    hit_rows, hit_pos, misses = _match_cache(cache, embedder, ids, texts, lines, inline)
+    reading = len(inline) < len(ids) and cache_path and Path(cache_path).exists()
+    with open(cache_path, "rb") if reading else nullcontext() as fh:
+        cache = _reusable_cache(fh, embedder) if fh else None
+        hit_rows, hit_pos, misses, fault = _match_cache(cache, embedder, ids, texts, lines, inline)
+        matrix = np.empty((len(ids), cache.dimension if cache else 0))
+        # Every record is checked before anything is embedded or rewritten.
+        others = _read_block(fh, cache, matrix, hit_rows, hit_pos, bool(misses)) if cache else {}
+    if fault is not None:
+        raise fault
     fresh: dict[int, np.ndarray] = {}
 
     def write_back() -> None:
         if cache_path and fresh:
-            _write_back(cache_path, embedder.model, cache, hit_rows, hit_pos, fresh, ids, texts)
+            _write_back(
+                cache_path, embedder.model, cache, others, matrix, hit_rows, fresh, ids, texts
+            )
 
     try:
         for row in misses:
@@ -206,38 +226,29 @@ def load_corpus(
             exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
         raise
     write_back()
-    cache = None  # release the file's bytes
+    others = None  # the set-aside records are not needed past the write-back
 
     vectors = {**inline, **fresh}
-    dimension = _check_dimensions(cached, hit_rows, vectors, ids, lines)
-    if cached is not None and len(hit_rows) == len(ids) == len(cached) and hit_pos == hit_rows:
-        matrix = cached  # the cache holds exactly the corpus, in file order
-    else:
-        matrix = np.empty((len(ids), dimension))
-        if hit_rows:
-            matrix[hit_rows] = cached[hit_pos]
-    cached = None
+    dimension = _check_dimensions(matrix.shape[1], hit_rows, vectors, ids, lines)
+    if matrix.shape[1] != dimension:
+        matrix = np.empty((len(ids), dimension))  # no row came from the cache
     for row, vec in vectors.items():
         matrix[row] = vec
     return Corpus(ids, texts, matrix, _adopt=True)
 
 
-def _reusable_cache(
-    path: str | Path | None, embedder: EmbedderBackend | None
-) -> CacheFile | None:
-    """The cache at ``path`` if ``embedder`` may reuse its records, else None."""
-    if not path or not Path(path).exists():
-        return None
+def _reusable_cache(fh: BinaryIO, embedder: EmbedderBackend | None) -> CacheFile | None:
+    """The tables of the cache open as ``fh`` if ``embedder`` may reuse its records, else None."""
     try:
-        cache = load_cache(path)
+        cache = load_cache(fh)
     except VersionMismatchError as exc:
         if embedder is None or exc.version != 1:
             raise
-        print(f"{path}: version 1 cache has no text digests; re-embedding every document",
+        print(f"{fh.name}: version 1 cache has no text digests; re-embedding every document",
               file=sys.stderr)
         return None
     if embedder is not None and cache.model != embedder.model:
-        print(f"{path}: written by embedder {cache.model!r}, not {embedder.model!r}; "
+        print(f"{fh.name}: written by embedder {cache.model!r}, not {embedder.model!r}; "
               f"re-embedding every document", file=sys.stderr)
         return None
     return cache
@@ -250,14 +261,16 @@ def _match_cache(
     texts: list[str],
     lines: dict[str, int],
     inline: dict[int, np.ndarray],
-) -> tuple[list[int], list[int], list[int]]:
+) -> tuple[list[int], list[int], list[int], Exception | None]:
     """Split the documents without an inline embedding into hits and misses.
 
     Returns the hit rows, their cache positions and the miss rows, all in
-    file order. Each id is looked up once. Without an embedder a record
-    whose digest is unset is taken by id; every other row goes through the
-    per-row check in file order, so the first bad row raises. A text is
-    hashed only when a record's digest is compared.
+    file order, and the error for the first row nothing can fill. Each id is
+    looked up once. Without an embedder a record whose digest is unset is
+    taken by id; every other row goes through the per-row check in file
+    order, and the first bad row's error is returned, not raised, so that a
+    drifting record in the block still raises first. A text is hashed only
+    when a record's digest is compared.
     """
     if cache is None:
         pos = np.full(len(ids), -1)
@@ -273,61 +286,123 @@ def _match_cache(
         hit[found] = unset[pos[found]]
     hit[list(inline)] = False
     misses: list[int] = []
+    fault = None
     for row in np.flatnonzero(~hit).tolist():
         if row in inline:
             continue
         doc_id, at = ids[row], int(pos[row])
-        if at >= 0:
-            if cache.digest(at) == text_digest(texts[row]):
-                hit[row] = True
-                continue
-            if embedder is None:
-                raise StaleEmbeddingError(lines[doc_id], doc_id)
-        if embedder is None:
-            raise MalformedLineError(
+        if at >= 0 and cache.digest(at) == text_digest(texts[row]):
+            hit[row] = True
+        elif embedder is not None:
+            misses.append(row)
+        elif at >= 0:
+            fault = StaleEmbeddingError(lines[doc_id], doc_id)
+            break
+        else:
+            fault = MalformedLineError(
                 lines[doc_id], f"document {doc_id!r} has no embedding and no embedder is configured"
             )
-        misses.append(row)
+            break
     hit_rows = np.flatnonzero(hit)
-    return hit_rows.tolist(), pos[hit_rows].tolist(), misses
+    return hit_rows.tolist(), pos[hit_rows].tolist(), misses, fault
+
+
+def _read_block(
+    fh: BinaryIO,
+    cache: CacheFile,
+    matrix: np.ndarray,
+    hit_rows: list[int],
+    hit_pos: list[int],
+    keep_others: bool,
+) -> dict[int, np.ndarray]:
+    """Stream the vector block from ``fh`` into ``matrix``, CACHE_CHUNK_ROWS records at a time.
+
+    Each chunk is converted to float64 and every record in it is checked
+    against unit norm: NormDriftError names the first record, in file
+    order, whose stored norm strayed from 1 by more than CACHE_NORM_TOL (a
+    NaN norm strays too), whichever document it holds. The chunk's hit rows
+    are then copied into ``matrix``, not yet normalized. With
+    ``keep_others``, the float32 rows of the records no hit takes are
+    returned by position, for the write-back; otherwise nothing is kept.
+    """
+    count, dimension = len(cache.ids), cache.dimension
+    order = np.argsort(hit_pos)
+    src = np.array(hit_pos, dtype=np.intp)[order]
+    dst = np.array(hit_rows, dtype=np.intp)[order]
+    other_pos = np.setdiff1d(np.arange(count), src) if keep_others else np.empty(0, np.intp)
+    others = np.empty((len(other_pos), dimension), dtype="<f4")
+    stored = np.empty((min(count, CACHE_CHUNK_ROWS), dimension), dtype="<f4")
+    converted = np.empty(stored.shape)
+    for start in range(0, count, CACHE_CHUNK_ROWS):
+        n = min(CACHE_CHUNK_ROWS, count - start)
+        chunk = stored[:n]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise TruncatedFileError(f"{fh.name}: vector block cut short")
+        a, b = np.searchsorted(src, (start, start + n))
+        rows = dst[a:b]
+        # A chunk whose every record fills the next row of one run of rows
+        # is converted in place: no second copy of it is made.
+        in_place = b - a == n and (np.diff(rows) == 1).all()
+        chunk64 = matrix[rows[0] : rows[0] + n] if in_place else converted[:n]
+        chunk64[...] = chunk
+        norms = row_norms(chunk64)
+        drift = ~(np.abs(norms - 1.0) <= CACHE_NORM_TOL)
+        if drift.any():
+            at = int(np.argmax(drift))
+            raise NormDriftError(
+                f"{fh.name}: entry {cache.ids[start + at]!r} has norm {norms[at]:.8f}"
+            )
+        if not in_place:
+            matrix[rows] = chunk64[src[a:b] - start]
+        a, b = np.searchsorted(other_pos, (start, start + n))
+        others[a:b] = chunk[other_pos[a:b] - start]
+    return dict(zip(other_pos.tolist(), others))
 
 
 def _write_back(
     path: str | Path,
     model: str,
     cache: CacheFile | None,
+    others: dict[int, np.ndarray],
+    matrix: np.ndarray,
     hit_rows: list[int],
-    hit_pos: list[int],
     fresh: dict[int, np.ndarray],
     ids: list[str],
     texts: list[str],
 ) -> None:
-    """Rewrite the cache with the corpus's vectors, then the file's other records."""
-    kept = dict(zip(hit_rows, hit_pos))
+    """Rewrite the cache with the corpus's vectors, then the file's other records.
+
+    A kept row is read from ``matrix`` before ``Corpus`` normalizes it: it
+    is its record's float32 values in float64, which holds them exactly, so
+    the rewrite stores the same bytes.
+    """
     entries: dict[str, np.ndarray] = {}
     digests: dict[str, bytes] = {}
-    for row in sorted([*kept, *fresh]):
-        entries[ids[row]] = fresh[row] if row in fresh else cache.vectors[kept[row]]
+    for row in sorted([*hit_rows, *fresh]):
+        entries[ids[row]] = fresh[row] if row in fresh else matrix[row]
         digests[ids[row]] = text_digest(texts[row])
-    if cache is not None:
-        for pos, doc_id in enumerate(cache.ids):
-            if doc_id not in entries:
-                entries[doc_id] = cache.vectors[pos]
-                digests[doc_id] = cache.digest(pos)
+    for pos, vec in others.items():
+        doc_id = cache.ids[pos]
+        if doc_id not in entries:
+            entries[doc_id] = vec
+            digests[doc_id] = cache.digest(pos)
     cache_embeddings(path, entries, digests, model)
 
 
 def _check_dimensions(
-    cached: np.ndarray | None,
+    cached: int,
     hit_rows: list[int],
     vectors: dict[int, np.ndarray],
     ids: list[str],
     lines: dict[str, int],
 ) -> int:
-    """The corpus dimension; DimensionMismatchError names the first row that differs."""
+    """The corpus dimension; DimensionMismatchError names the first row that differs.
+
+    ``cached`` is the cache's dimension, which every hit row has.
+    """
     dims = {row: vec.shape[0] for row, vec in vectors.items()}
     if hit_rows:
-        dims[hit_rows[0]] = cached.shape[1]
+        dims[hit_rows[0]] = cached
     if not dims:
         return 0  # no documents: Corpus raises EmptyCorpusError
     dimension = dims[min(dims)]
@@ -338,22 +413,6 @@ def _check_dimensions(
             f"line {lines[ids[row]]}: embedding dimension {dims[row]} != {dimension}"
         )
     return dimension
-
-
-def _cached_rows(cache: CacheFile, path: str | Path) -> np.ndarray:
-    """Every cached vector as a float64 row, checked but not yet normalized.
-
-    NormDriftError names the first record, in file order, whose stored norm
-    strayed from 1 by more than CACHE_NORM_TOL (a NaN norm strays too). A
-    bad record is never reused or rewritten, whichever document it holds.
-    """
-    rows = cache.vectors.astype(np.float64)
-    norms = row_norms(rows)
-    drift = ~(np.abs(norms - 1.0) <= CACHE_NORM_TOL)
-    if drift.any():
-        at = int(np.argmax(drift))
-        raise NormDriftError(f"{path}: entry {cache.ids[at]!r} has norm {norms[at]:.8f}")
-    return rows
 
 
 def load_dataset(path: str | Path) -> list[QAItem]:
@@ -376,22 +435,6 @@ def load_dataset(path: str | Path) -> list[QAItem]:
     return items
 
 
-def save_dataset(path: str | Path, items: Iterable[QAItem]) -> None:
-    lines = [
-        json.dumps(
-            {
-                "id": item.id,
-                "question": item.stem,
-                "options": dict(sorted(item.options.items())),
-                "answer": item.answer_key,
-            },
-            sort_keys=True,
-        )
-        for item in items
-    ]
-    write_text(path, "\n".join(lines) + "\n")
-
-
 # ----------------------------------------------------------------------
 # Binary embedding cache
 # ----------------------------------------------------------------------
@@ -403,21 +446,17 @@ def text_digest(text: str) -> bytes:
 
 @dataclass(frozen=True)
 class CacheFile:
-    """A cache file as read: its records in file order, not yet verified.
+    """A cache file's tables as read: its records in file order, not yet verified.
 
-    ``vectors`` is a read-only ``(count, dimension)`` float32 view of the
-    file's bytes; ``digests`` holds DIGEST_SIZE bytes per record, NO_DIGEST
-    for a record written without its text.
+    ``digests`` holds DIGEST_SIZE bytes per record, NO_DIGEST for a record
+    written without its text. The vector block is not held here:
+    ``load_corpus`` streams it from the file these tables were read from.
     """
 
     model: str
     ids: list[str]
     digests: bytes
-    vectors: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[1]
+    dimension: int
 
     def digest(self, pos: int) -> bytes:
         return self.digests[pos * DIGEST_SIZE : (pos + 1) * DIGEST_SIZE]
@@ -468,41 +507,41 @@ def cache_embeddings(
     write_bytes(path, b"".join(chunks))
 
 
-def load_cache(path: str | Path) -> CacheFile:
-    """Read a version 2 cache: its tables, and its vectors as one block.
+def load_cache(file: str | Path | BinaryIO) -> CacheFile:
+    """Read a version 2 cache's header and tables, and not its vector block.
 
-    Checks the magic and the version, then every table's size against the
+    ``file`` is a path, or a binary file open at its start; an open file is
+    left at the first byte of the block, for ``load_corpus`` to stream.
+    Checks the magic and the version, then every part's size against the
     file's length before anything is allocated; TruncatedFileError names the
     part that is cut short, or the bytes left over. A version 1 file raises
     VersionMismatchError: it has no digests and no identity, so nothing in
-    it can be verified. The vectors are not checked here: ingest checks the
-    rows it uses (see ``load_corpus``).
+    it can be verified. The vectors are checked as ingest reads them.
     """
-    # NumPy backs a large array with huge pages where the kernel allows, so
-    # the file's bytes land in fewer page faults than a bytes object takes.
-    blob = np.fromfile(path, np.uint8)
-    blob.flags.writeable = False  # the vectors are views of it
-    magic = blob[:4].tobytes()
-    if magic != CACHE_MAGIC:
-        raise BadMagicError(f"{path}: not an embedding cache (magic {magic!r})")
-    size = len(blob)
-    if size >= 8:
-        (version,) = struct.unpack_from("<I", blob, 4)
+    if isinstance(file, (str, os.PathLike)):
+        with open(file, "rb") as fh:
+            return load_cache(fh)
+    path, size = file.name, os.fstat(file.fileno()).st_size
+    tables = file.read(_CACHE_HEADER.size)
+    if tables[:4] != CACHE_MAGIC:
+        raise BadMagicError(f"{path}: not an embedding cache (magic {tables[:4]!r})")
+    if len(tables) >= 8:
+        (version,) = struct.unpack_from("<I", tables, 4)
         if version != CACHE_VERSION:
             hint = "; rebuild it with `chr-rag embed`" if version == 1 else ""
             raise VersionMismatchError(
                 f"{path}: cache version {version}, expected {CACHE_VERSION}{hint}", version
             )
-    if size < _CACHE_HEADER.size:
+    if len(tables) < _CACHE_HEADER.size:
         raise TruncatedFileError(f"{path}: header cut short")
-    _, _, dimension, count, identity_len = _CACHE_HEADER.unpack_from(blob)
+    _, _, dimension, count, identity_len = _CACHE_HEADER.unpack(tables)
     offset = _CACHE_HEADER.size + identity_len
     if offset > size:
         raise TruncatedFileError(f"{path}: embedder identity cut short")
-    model = blob[_CACHE_HEADER.size : offset].tobytes().decode("utf-8")
     if offset + 4 * count > size:
         raise TruncatedFileError(f"{path}: id length table cut short ({count} records)")
-    lengths = np.frombuffer(blob, "<u4", count, offset)
+    tables += file.read(offset + 4 * count - len(tables))
+    lengths = np.frombuffer(tables, "<u4", count, offset)
     ends = (np.cumsum(lengths, dtype=np.int64) + offset + 4 * count).tolist()
     digests_at = ends[-1] if count else offset
     if digests_at > size:
@@ -516,13 +555,13 @@ def load_cache(path: str | Path) -> CacheFile:
         raise TruncatedFileError(f"{path}: vector block cut short")
     if end < size:
         raise TruncatedFileError(f"{path}: {size - end} unexpected trailing bytes")
+    tables += file.read(block_at - len(tables))
     starts = [offset + 4 * count, *ends[:-1]]
-    tables = blob[:block_at].tobytes()
     return CacheFile(
-        model=model,
+        model=tables[_CACHE_HEADER.size : offset].decode("utf-8"),
         ids=[tables[a:b].decode("utf-8") for a, b in zip(starts, ends)],
         digests=tables[digests_at : digests_at + DIGEST_SIZE * count],
-        vectors=np.frombuffer(blob, "<f4", count * dimension, block_at).reshape(count, dimension),
+        dimension=dimension,
     )
 
 
@@ -646,9 +685,3 @@ def load_ratings(path: str | Path) -> tuple[dict[str, str], set[str]]:
             else:
                 raise MalformedLineError(line_no, f"unknown tier {tier!r}")
     return ratings, exclusions
-
-
-def save_ratings(path: str | Path, ratings: Mapping[str, str], exclusions: Iterable[str] = ()) -> None:
-    lines = [f"{item_id}\t{tier}" for item_id, tier in sorted(ratings.items())]
-    lines += [f"{item_id}\t{EXCLUDE_TIER}" for item_id in sorted(exclusions)]
-    write_text(path, "\n".join(lines) + "\n")

@@ -22,7 +22,7 @@ from contrastive_retrieval.backends import (
     chat_messages,
 )
 from contrastive_retrieval.costs import CostEntry
-from contrastive_retrieval.dataio import CACHE_MAGIC, CACHE_VERSION
+from contrastive_retrieval.dataio import CACHE_MAGIC, CACHE_VERSION, load_cache
 from contrastive_retrieval.errors import (
     BackendUnavailableError,
     DimensionMismatchError,
@@ -100,6 +100,17 @@ def cache_file_bytes(records, model: str = "") -> bytes:
         vectors += np.asarray(values, dtype="<f4").tobytes()
     tables = head + lengths + names + digests
     return tables + bytes(-len(tables) % 4) + vectors
+
+
+def cache_block(path) -> np.ndarray:
+    """A cache file's float32 vector block, one row per record.
+
+    ``load_cache`` reads only the tables and leaves the file at the block,
+    which ingest streams; this reads the rest of the file in one piece.
+    """
+    with open(path, "rb") as fh:
+        cache = load_cache(fh)
+        return np.fromfile(fh, "<f4").reshape(len(cache.ids), cache.dimension)
 
 
 def reference_cache_bytes(entries, digests=None, model: str = "") -> bytes:

@@ -47,8 +47,8 @@ from contrastive_retrieval.retrieval import (
     retrieve_standard,
     shifted_query,
 )
-from contrastive_retrieval.synthdata import build_bundled_corpus_texts, build_bundled_dataset
 from contrastive_retrieval.vectors import mean_embedding, normalize
+from bundled_data import build_bundled_corpus_texts, build_bundled_dataset
 from helpers import (
     ScriptedGeneratorBackend,
     contrastive_score,

@@ -23,10 +23,7 @@ from contrastive_retrieval.errors import (
 )
 from contrastive_retrieval.pipeline import run_benchmark
 from contrastive_retrieval.retrieval import Corpus
-from contrastive_retrieval.synthdata import (
-    build_bundled_corpus_texts,
-    build_bundled_dataset,
-)
+from bundled_data import build_bundled_corpus_texts, build_bundled_dataset
 from helpers import make_record
 
 

@@ -80,6 +80,13 @@ def test_public_names_are_pinned_and_resolve():
     ("contrastive_retrieval.dataio", "_read_cache_records"),
     ("contrastive_retrieval.reports", "RATING_ORDER"),
     ("contrastive_retrieval.config", "ANSWER_PROMPT_VERSION"),
+    ("contrastive_retrieval.synthdata", "build_bundled_dataset"),
+    ("contrastive_retrieval.synthdata", "build_bundled_corpus_texts"),
+    ("contrastive_retrieval.synthdata", "build_bundled_ratings"),
+    ("contrastive_retrieval.synthdata", "write_bundled_data"),
+    ("contrastive_retrieval.synthdata", "main"),
+    ("contrastive_retrieval.dataio", "save_dataset"),
+    ("contrastive_retrieval.dataio", "save_ratings"),
 ])
 def test_test_only_names_are_not_importable(module, name):
     assert not hasattr(importlib.import_module(module), name)

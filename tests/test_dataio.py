@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +24,6 @@ from contrastive_retrieval.dataio import (
     load_records,
     record_from_dict,
     record_to_dict,
-    save_dataset,
-    save_ratings,
     save_records,
     text_digest,
     write_json,
@@ -43,15 +43,11 @@ from contrastive_retrieval.errors import (
     ZeroVectorError,
 )
 from contrastive_retrieval.hypotheses import HypothesisPair
-from contrastive_retrieval.synthdata import (
-    CORPUS_FILE,
-    DATASET_FILE,
-    RATINGS_FILE,
-    bundled_path,
-    write_bundled_data,
-)
+from contrastive_retrieval.synthdata import CORPUS_FILE, DATASET_FILE, RATINGS_FILE, bundled_path
 from contrastive_retrieval.vectors import normalize
+from bundled_data import save_dataset, save_ratings, write_bundled_data
 from helpers import (
+    cache_block,
     cache_file_bytes,
     make_record,
     reference_cache_bytes,
@@ -627,24 +623,38 @@ def _match_case(tmp_path, rows, records, model=""):
     return path, cache_path, expected
 
 
-@pytest.mark.parametrize(
-    ("rows", "records"),
-    [
-        (["d1", "d2", "d3", "d4"],
-         [("d4", "unset"), ("d3", "unset"), ("d2", "unset"), ("d1", "unset")]),
-        (["d1", "d2", "d3"],
-         [("x1", "unset"), ("d3", "unset"), ("x2", "stale"), ("d1", "unset"), ("d2", "unset"),
-          ("x3", "set")]),
-        (["d1", "d2", "d3", "d4"],
-         [("d1", "set"), ("d2", "unset"), ("d3", "set"), ("d4", "unset")]),
-        (["d1", "d2", "d3", "d4"],
-         [("d3", "set"), ("d1", "unset"), ("d4", "set"), ("d2", "unset")]),
-        (["d1", "inline2", "d3"], [("d3", "unset"), ("d1", "unset")]),
-        (["d1", "inline2", "d3"], [("d1", "unset"), ("inline2", "unset"), ("d3", "set")]),
-    ],
-    ids=["reverse_order", "extra_records", "mixed_digests", "mixed_digests_shuffled",
-         "inline_between_cached", "inline_row_also_cached"],
-)
+MATCH_CASES = {
+    "reverse_order": (
+        ["d1", "d2", "d3", "d4"],
+        [("d4", "unset"), ("d3", "unset"), ("d2", "unset"), ("d1", "unset")],
+    ),
+    "extra_records": (
+        ["d1", "d2", "d3"],
+        [("x1", "unset"), ("d3", "unset"), ("x2", "stale"), ("d1", "unset"), ("d2", "unset"),
+         ("x3", "set")],
+    ),
+    "mixed_digests": (
+        ["d1", "d2", "d3", "d4"],
+        [("d1", "set"), ("d2", "unset"), ("d3", "set"), ("d4", "unset")],
+    ),
+    "mixed_digests_shuffled": (
+        ["d1", "d2", "d3", "d4"],
+        [("d3", "set"), ("d1", "unset"), ("d4", "set"), ("d2", "unset")],
+    ),
+    "inline_between_cached": (["d1", "inline2", "d3"], [("d3", "unset"), ("d1", "unset")]),
+    # Every record is used and in row order, but the rows are not one run.
+    "inline_between_cached_in_order": (
+        ["d1", "inline2", "d3", "inline4", "d5"],
+        [("d1", "unset"), ("d3", "unset"), ("d5", "set")],
+    ),
+    "inline_row_also_cached": (
+        ["d1", "inline2", "d3"],
+        [("d1", "unset"), ("inline2", "unset"), ("d3", "set")],
+    ),
+}
+
+
+@pytest.mark.parametrize(("rows", "records"), MATCH_CASES.values(), ids=list(MATCH_CASES))
 def test_cache_match_takes_each_row_from_its_own_record(tmp_path, rows, records):
     path, cache_path, expected = _match_case(tmp_path, rows, records)
     corpus = load_corpus(path, cache_path=cache_path)
@@ -680,6 +690,186 @@ def test_cache_match_with_an_embedder_reuses_only_set_digests(tmp_path):
     assert embedder.calls == 2
     assert corpus.matrix.tobytes() == expected.tobytes()
     assert load_cache(cache_path).ids == ["d1", "d2", "d4", "d5"]
+
+
+# ----------------------------------------------------------------------
+# Streaming the vector block: chunk edges, error order, one file, write-back
+# ----------------------------------------------------------------------
+
+# Chunk sizes that put chunk edges inside, between and past the records.
+CHUNK_ROWS = (1, 3, 7)
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+@pytest.mark.parametrize("dim", ORACLE_DIMS)
+def test_load_corpus_from_cache_matrix_bits_in_chunks(tmp_path, monkeypatch, dim, chunk_rows):
+    ids, raw = _oracle_rows(dim)
+    ids[0] = "é-accented"
+    path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
+    write_lines(path, [{"id": doc_id, "text": f"text {doc_id}"} for doc_id in ids])
+    for order in (slice(None), slice(None, None, -1)):
+        cache_embeddings(cache_path, dict(zip(ids[order], raw[order])))
+        with monkeypatch.context() as patched:
+            patched.setattr(dataio, "CACHE_CHUNK_ROWS", chunk_rows)
+            chunked = load_corpus(path, cache_path=cache_path).matrix.tobytes()
+        assert chunked == load_corpus(path, cache_path=cache_path).matrix.tobytes()
+    # The whole-block load is pinned by test_load_corpus_from_cache_matrix_bits.
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+@pytest.mark.parametrize("case", MATCH_CASES)
+def test_cache_match_in_chunks_takes_each_row_from_its_own_record(
+    tmp_path, monkeypatch, case, chunk_rows
+):
+    path, cache_path, expected = _match_case(tmp_path, *MATCH_CASES[case])
+    with monkeypatch.context() as patched:
+        patched.setattr(dataio, "CACHE_CHUNK_ROWS", chunk_rows)
+        chunked = load_corpus(path, cache_path=cache_path).matrix.tobytes()
+    whole = load_corpus(path, cache_path=cache_path).matrix.tobytes()
+    assert chunked == whole == expected.tobytes()
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+def test_drift_in_a_later_chunk_outside_the_corpus_fails_before_any_embed(
+    tmp_path, monkeypatch, chunk_rows
+):
+    embedder = CountingEmbedder(dimension=MATCH_DIM)
+    rng = np.random.default_rng(5)
+    records = [(f"d{i}", text_digest(f"text d{i}"), unit(rng, MATCH_DIM)) for i in range(20)]
+    records[15] = ("x15", NO_DIGEST, 0.5 * unit(rng, MATCH_DIM))
+    records[17] = ("x17", NO_DIGEST, 2.0 * unit(rng, MATCH_DIM))
+    path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
+    write_lines(path, [{"id": doc_id, "text": f"text {doc_id}"} for doc_id in ("d0", "d1", "new")])
+    cache_path.write_bytes(cache_file_bytes(records, embedder.model))
+    before = cache_path.read_bytes()
+    monkeypatch.setattr(dataio, "CACHE_CHUNK_ROWS", chunk_rows)
+    with pytest.raises(NormDriftError, match="'x15' has norm 0.5000"):
+        load_corpus(path, embedder=embedder, cache_path=cache_path)
+    assert embedder.calls == 0 and cache_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("first_row", ["stale", "unknown"])
+def test_norm_drift_comes_before_a_row_nothing_can_fill(tmp_path, first_row):
+    # Without an embedder a stale record, or no record, is an error of its
+    # own; a drifting record anywhere in the cache is still named first.
+    path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
+    write_lines(path, [{"id": doc_id, "text": f"text {doc_id}"} for doc_id in ("d1", "d2")])
+    first = ("d1", text_digest("another text")) if first_row == "stale" else ("x1", NO_DIGEST)
+    cache_path.write_bytes(cache_file_bytes([
+        (*first, [1.0, 0.0]),
+        ("d2", NO_DIGEST, [0.0, 1.0]),
+        ("drifted", NO_DIGEST, [0.0, 0.5]),
+    ]))
+    with pytest.raises(NormDriftError, match="'drifted'"):
+        load_corpus(path, cache_path=cache_path)
+
+
+def test_a_cache_replaced_after_its_tables_are_read_is_not_mixed(tmp_path, monkeypatch):
+    # A writer's os.replace between the tables and the block must not hand
+    # the load the new file's vectors under the old file's tables.
+    ids, raw = _oracle_rows(8)
+    path, cache_path, other = tmp_path / "corpus.jsonl", tmp_path / "emb.bin", tmp_path / "new.bin"
+    write_lines(path, [{"id": doc_id, "text": f"text {doc_id}"} for doc_id in ids])
+    cache_embeddings(cache_path, dict(zip(ids, raw)))
+    first = load_corpus(path, cache_path=cache_path).matrix.tobytes()
+    cache_embeddings(other, dict(zip(ids, raw[::-1])))  # same layout, other vectors
+    read_tables = dataio.load_cache
+
+    def replaced_after_the_tables(*args, **kwargs):
+        tables = read_tables(*args, **kwargs)
+        os.replace(other, cache_path)
+        return tables
+
+    monkeypatch.setattr(dataio, "load_cache", replaced_after_the_tables)
+    monkeypatch.setattr(dataio, "CACHE_CHUNK_ROWS", 7)
+    assert load_corpus(path, cache_path=cache_path).matrix.tobytes() == first
+    assert not other.exists()
+
+
+def _rewrite_reference(old, rows, embedder, reused, embedded) -> bytes:
+    """The cache the write-back must leave, built one record at a time.
+
+    ``old`` is the cache before the load and ``rows`` the corpus ids, whose
+    texts are "text <id>". The ids in ``reused`` keep their old record's
+    float32 values, those in ``embedded`` get the embedder's vector, both in
+    corpus order and with their text's digest; then every old record whose
+    id is not among them follows, in file order, as it was.
+    """
+    cache, block = load_cache(old), cache_block(old)
+    entries, digests = {}, {}
+    for doc_id in rows:
+        if doc_id in reused:
+            entries[doc_id] = block[cache.ids.index(doc_id)]
+        elif doc_id in embedded:
+            entries[doc_id] = normalize(embedder.inner.embed(f"text {doc_id}"))
+        else:
+            continue
+        digests[doc_id] = text_digest(f"text {doc_id}")
+    for pos, doc_id in enumerate(cache.ids):
+        if doc_id not in entries:
+            entries[doc_id] = block[pos]
+            digests[doc_id] = cache.digest(pos)
+    return reference_cache_bytes(entries, digests, cache.model)
+
+
+@pytest.mark.parametrize(
+    ("rows", "records", "fail_on", "reused", "embedded"),
+    [
+        (["d1", "d2", "d3", "d4", "d5", "d6"],
+         [("d5", "set"), ("d3", "set"), ("d1", "set")],
+         None, {"d1", "d3", "d5"}, {"d2", "d4", "d6"}),
+        (["d1", "d2", "d3", "d4"],
+         [("x1", "unset"), ("d2", "set"), ("x2", "unset"), ("d4", "stale"), ("x3", "set")],
+         None, {"d2"}, {"d1", "d3", "d4"}),
+        (["d1", "inline2", "d3", "d4", "d5"],
+         [("d4", "stale"), ("inline2", "set"), ("d1", "set"), ("x1", "unset")],
+         2, {"d1"}, {"d3"}),
+    ],
+    ids=["partly_warm_reordered", "records_the_corpus_lacks", "embedder_fails_at_document_2"],
+)
+def test_write_back_in_chunks_writes_the_per_record_reference(
+    tmp_path, monkeypatch, rows, records, fail_on, reused, embedded
+):
+    embedder = CountingEmbedder(dimension=MATCH_DIM, fail_on=fail_on)
+    path, cache_path, _ = _match_case(tmp_path, rows, records, embedder.model)
+    old = tmp_path / "old.bin"
+    old.write_bytes(cache_path.read_bytes())
+    monkeypatch.setattr(dataio, "CACHE_CHUNK_ROWS", 2)
+    if fail_on is None:
+        load_corpus(path, embedder=embedder, cache_path=cache_path)
+    else:
+        with pytest.raises(EmbedderFailureError):
+            load_corpus(path, embedder=embedder, cache_path=cache_path)
+    assert cache_path.read_bytes() == _rewrite_reference(old, rows, embedder, reused, embedded)
+
+
+@pytest.mark.parametrize("order", ["cache_order", "reversed"])
+def test_warm_load_peaks_at_the_matrix_plus_one_chunk(tmp_path, monkeypatch, order):
+    n, dim, chunk_rows = 2000, 64, 100
+    monkeypatch.setattr(dataio, "CACHE_CHUNK_ROWS", chunk_rows)
+    ids = [f"d{i:04d}" for i in range(n)]
+    path = tmp_path / "corpus.jsonl"
+    write_lines(path, [{"id": doc_id, "text": f"text {doc_id}"}
+                       for doc_id in (ids if order == "cache_order" else ids[::-1])])
+    rng = np.random.default_rng(2)
+
+    def peak(d):
+        cache_path = tmp_path / f"emb{d}.bin"
+        cache_embeddings(cache_path, dict(zip(ids, rng.standard_normal((n, d)))))
+        tracemalloc.start()
+        try:
+            load_corpus(path, cache_path=cache_path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # At dimension 1 a load holds the parsed JSONL, the cache's tables and
+    # the corpus's index, which do not grow with the dimension, and next to
+    # no vector bytes: that peak is the slack.
+    slack = peak(1)
+    matrix = n * dim * 8
+    chunk = chunk_rows * dim * (4 + 8 + 8)  # float32 read, float64 copy, gathered rows
+    assert peak(dim) <= matrix + chunk + slack
 
 
 # ----------------------------------------------------------------------
@@ -747,14 +937,15 @@ def test_cache_round_trip_within_float32(tmp_path):
     cache = load_cache(path)
     assert (cache.ids, cache.model, cache.dimension) == (list(entries), "m", 24)
     assert (cache.digest(0), cache.digest(1)) == (NO_DIGEST, text_digest("one"))
+    vectors = cache_block(path)
     for pos, vec in enumerate(entries.values()):
-        assert np.allclose(cache.vectors[pos], normalize(vec), atol=1e-6)
+        assert np.allclose(vectors[pos], normalize(vec), atol=1e-6)
 
 
 def test_cache_normalizes_on_write(tmp_path):
     path = tmp_path / "emb.bin"
     cache_embeddings(path, {"d1": np.array([3.0, 4.0])})
-    assert np.allclose(load_cache(path).vectors[0], [0.6, 0.8], atol=1e-6)
+    assert np.allclose(cache_block(path)[0], [0.6, 0.8], atol=1e-6)
 
 
 @pytest.mark.parametrize("dim", ORACLE_DIMS)
@@ -770,7 +961,7 @@ def test_cache_bytes_and_values_match_per_record_reference(tmp_path, dim):
     assert cache.ids == ids
     assert cache.digests == b"".join(digests.get(doc_id, NO_DIGEST) for doc_id in ids)
     stored = np.array([normalize(row) for row in raw]).astype("<f4")
-    assert cache.vectors.tobytes() == stored.tobytes()
+    assert cache_block(path).tobytes() == stored.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])

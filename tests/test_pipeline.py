@@ -29,10 +29,7 @@ from contrastive_retrieval.pipeline import (
     summarize,
 )
 from contrastive_retrieval.retrieval import Corpus, RankedResult
-from contrastive_retrieval.synthdata import (
-    build_bundled_corpus_texts,
-    build_bundled_dataset,
-)
+from bundled_data import build_bundled_corpus_texts, build_bundled_dataset
 from helpers import (
     AdversarialGeneratorBackend,
     FailingGeneratorBackend,
