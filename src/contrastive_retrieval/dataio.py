@@ -157,11 +157,11 @@ def load_corpus(
     file. The block is streamed in chunks of CACHE_CHUNK_ROWS records: each
     chunk is converted to float64, every record in it is checked against
     unit norm, and the rows the corpus takes are copied into the one
-    float64 matrix, so a warm load peaks at that matrix plus one chunk. All
-    of it happens before anything is embedded (NormDriftError names the
-    first drifting record in file order, and comes before the errors of a
-    document nothing can fill), so a bad record is never reused or written
-    back.
+    float64 matrix, so a warm load with nothing to embed peaks at that
+    matrix plus one chunk. All of it happens before anything is embedded
+    (NormDriftError names the first drifting record in file order, and
+    comes before the errors of a document nothing can fill), so a bad
+    record is never reused or written back.
 
     Newly embedded vectors are written back once, the corpus's documents in
     file order ahead of the file's other records. A reused row is rewritten
@@ -338,12 +338,7 @@ def _read_block(
         chunk = stored[:n]
         if fh.readinto(chunk) != chunk.nbytes:
             raise TruncatedFileError(f"{fh.name}: vector block cut short")
-        a, b = np.searchsorted(src, (start, start + n))
-        rows = dst[a:b]
-        # A chunk whose every record fills the next row of one run of rows
-        # is converted in place: no second copy of it is made.
-        in_place = b - a == n and (np.diff(rows) == 1).all()
-        chunk64 = matrix[rows[0] : rows[0] + n] if in_place else converted[:n]
+        chunk64 = converted[:n]
         chunk64[...] = chunk
         norms = row_norms(chunk64)
         drift = ~(np.abs(norms - 1.0) <= CACHE_NORM_TOL)
@@ -352,8 +347,8 @@ def _read_block(
             raise NormDriftError(
                 f"{fh.name}: entry {cache.ids[start + at]!r} has norm {norms[at]:.8f}"
             )
-        if not in_place:
-            matrix[rows] = chunk64[src[a:b] - start]
+        a, b = np.searchsorted(src, (start, start + n))
+        matrix[dst[a:b]] = chunk64[src[a:b] - start]
         a, b = np.searchsorted(other_pos, (start, start + n))
         others[a:b] = chunk[other_pos[a:b] - start]
     return dict(zip(other_pos.tolist(), others))

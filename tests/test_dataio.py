@@ -642,11 +642,6 @@ MATCH_CASES = {
         [("d3", "set"), ("d1", "unset"), ("d4", "set"), ("d2", "unset")],
     ),
     "inline_between_cached": (["d1", "inline2", "d3"], [("d3", "unset"), ("d1", "unset")]),
-    # Every record is used and in row order, but the rows are not one run.
-    "inline_between_cached_in_order": (
-        ["d1", "inline2", "d3", "inline4", "d5"],
-        [("d1", "unset"), ("d3", "unset"), ("d5", "set")],
-    ),
     "inline_row_also_cached": (
         ["d1", "inline2", "d3"],
         [("d1", "unset"), ("inline2", "unset"), ("d3", "set")],
