@@ -15,6 +15,7 @@ from contrastive_retrieval.errors import (
     UnknownDocIdError,
     ZeroVectorError,
 )
+from contrastive_retrieval import retrieval
 from contrastive_retrieval.hypotheses import HypothesisPair
 from contrastive_retrieval.retrieval import (
     Corpus,
@@ -509,6 +510,98 @@ def test_target_only_scoring_computes_no_mimic_product():
     assert corpus._mimic is None
     retrieve_chr(pair, corpus, 0.2, 5)
     assert corpus._mimic is not None
+
+
+# ----------------------------------------------------------------------
+# A pair's two products in one blocked pass
+# ----------------------------------------------------------------------
+
+
+def patch_block_rows(monkeypatch, rows: int, dim: int) -> None:
+    monkeypatch.setattr(retrieval, "SCORING_BLOCK_BYTES", rows * 8 * dim)
+
+
+def recorded_products(monkeypatch) -> list[tuple[int, bytes]]:
+    """Record every product the scoring path makes as (block rows, vector bytes)."""
+    calls = []
+    matmul = np.matmul
+
+    def recording(block, vector, **kwargs):
+        calls.append((len(block), vector.tobytes()))
+        return matmul(block, vector, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return calls
+
+
+@pytest.mark.parametrize("rows", (4, 8, 16))
+@pytest.mark.parametrize("dim", (5, 8))
+def test_blocked_pass_matches_whole_matrix_product_bits(monkeypatch, dim, rows):
+    # N * dim stays small enough that OpenBLAS computes the reference
+    # products on one thread, whatever OPENBLAS_NUM_THREADS says. N = rows + 1
+    # and 2 * rows + 1 leave a one-row tail, which must join the block before.
+    patch_block_rows(monkeypatch, rows, dim)
+    assert retrieval._row_blocks(1003, dim)[0] == slice(0, rows)
+    assert retrieval._row_blocks(2 * rows + 1, dim)[-1] == slice(rows, 2 * rows + 1)
+    rng = np.random.default_rng(100 * dim + rows)
+    sizes = sorted({1, 2, 3, rows - 1, rows, rows + 1, 2 * rows + 1, 2 * rows + 3, 203, 1003})
+    for n in sizes:
+        corpus = random_corpus(rng, n, dim)
+        for _ in range(6):
+            pair = injected_pair(rng, dim)
+            a, b = corpus._products(h_plus=pair.h_plus_emb, h_minus=pair.h_minus_emb)
+            assert a.tobytes() == (corpus.matrix @ pair.h_plus_emb).tobytes(), n
+            assert b.tobytes() == (corpus.matrix @ pair.h_minus_emb).tobytes(), n
+
+
+def test_a_pair_cold_in_both_products_takes_one_blocked_pass(monkeypatch):
+    patch_block_rows(monkeypatch, 8, 8)
+    rng = np.random.default_rng(22)
+    corpus = random_corpus(rng, 30, 8)
+    pair = injected_pair(rng, 8)
+    plus, minus = pair.h_plus_emb.tobytes(), pair.h_minus_emb.tobytes()
+    calls = recorded_products(monkeypatch)
+    retrieve_chr(pair, corpus, 0.2, 5)
+    assert calls == [(8, plus), (8, minus)] * 3 + [(6, plus), (6, minus)]
+    for lam in DEFAULT_SWEEP_GRID:
+        retrieve_chr(pair, corpus, lam, 5)
+    retrieve_h_plus_only(pair, corpus, 5)
+    assert len(calls) == 8
+
+
+def test_a_warm_product_leaves_only_the_other_to_compute(monkeypatch):
+    patch_block_rows(monkeypatch, 8, 8)
+    ids, texts, raw = duplicate_row_corpus(23, 30, 8)
+    rng = np.random.default_rng(23)
+    corpus = Corpus(ids, texts, raw)
+    pair = injected_pair(rng, 8)
+    calls = recorded_products(monkeypatch)
+    # a warm: target-only scoring first.
+    retrieve_h_plus_only(pair, corpus, 5)
+    retrieve_chr(pair, corpus, 0.2, 5)
+    assert calls == [(30, pair.h_plus_emb.tobytes()), (30, pair.h_minus_emb.tobytes())]
+    # b warm: a second pair sharing the mimic.
+    second = make_pair(h_plus_emb=unit(rng, 8), h_minus_emb=pair.h_minus_emb.copy())
+    calls.clear()
+    hits = hex_hits(retrieve_chr(second, corpus, 0.4, 5))
+    assert calls == [(30, second.h_plus_emb.tobytes())]
+    assert hits == hex_hits(retrieve_chr(second, Corpus(ids, texts, raw), 0.4, 5))
+
+
+def test_an_embedding_changed_between_weights_is_scored_afresh(monkeypatch):
+    patch_block_rows(monkeypatch, 8, 8)
+    ids, texts, raw = duplicate_row_corpus(24, 30, 8)
+    rng = np.random.default_rng(24)
+    corpus = Corpus(ids, texts, raw)
+    pair = injected_pair(rng, 8)
+    retrieve_chr(pair, corpus, 0.2, 5)
+    calls = recorded_products(monkeypatch)
+    for lam, emb in ((0.4, pair.h_minus_emb), (0.6, pair.h_plus_emb)):
+        emb[:] = unit(rng, 8)
+        calls.clear()
+        hits = hex_hits(retrieve_chr(pair, corpus, lam, 5))
+        assert calls == [(30, emb.tobytes())]
+        assert hits == hex_hits(retrieve_chr(pair, Corpus(ids, texts, raw), lam, 5))
 
 
 def test_increasing_target_similarity_never_lowers_rank():
