@@ -10,7 +10,7 @@ corpus products ``a = M @ H_plus`` and ``b = M @ H_minus``, the scores are
 two one-slot memos, each keyed on its embedding's bytes, so a sweep over
 any number of weights for one pair costs two products in one blocked pass:
 each block of matrix rows is multiplied by H_plus and then by H_minus
-while it is still in cache, so the matrix is read about 1.3-1.4 times,
+while it is still in cache, so the matrix is read about 1.3-1.6 times,
 not twice, and on one BLAS thread every score keeps the bits of the
 whole-matrix product. ``b`` is computed only when it counts: target-only
 scoring, a pair without a mimic and lambda = 0 rank by ``a`` itself, one
@@ -63,8 +63,8 @@ METHODS = (METHOD_STANDARD, METHOD_HYDE, METHOD_QUERY2DOC, METHOD_CHR, METHOD_H_
 # Blank line between the question stem and the appended pseudo-document.
 QUERY2DOC_SEPARATOR = "\n\n"
 
-# Bytes of matrix rows per block of the pass computing a pair's two products
-# (``_row_blocks``): 256 rows at dimension 384. Tuned on one BLAS thread.
+# Bytes of matrix rows per block of every corpus product (``_row_blocks``):
+# 256 rows at dimension 384. Tuned on one BLAS thread.
 SCORING_BLOCK_BYTES = 1 << 20
 
 # The Corpus attribute memoizing each pair embedding's product; queries have none.
@@ -160,7 +160,8 @@ class Corpus:
         that is None raises MissingEmbeddingError; one that is not a vector of
         the corpus dimension raises DimensionMismatchError naming it. Pair
         products are memoized on the embedding's bytes, so one changed in
-        place misses. Two misses share one pass over ``_row_blocks``.
+        place misses. Every miss is computed over ``_row_blocks``, two misses
+        in one pass, so a product's bits do not depend on what the memos held.
         """
         vectors, products = {}, {}
         for name, embedding in embeddings.items():
@@ -178,8 +179,7 @@ class Corpus:
             else:
                 vectors[name] = vector
         fresh = {name: np.empty(len(self)) for name in vectors}
-        blocks = _row_blocks(len(self), self.dimension) if len(fresh) > 1 else [slice(None)]
-        for rows in blocks:
+        for rows in _row_blocks(len(self), self.dimension) if vectors else ():
             block = self.matrix[rows]
             for name, vector in vectors.items():
                 np.matmul(block, vector, out=fresh[name][rows])
@@ -192,13 +192,13 @@ class Corpus:
 
 
 def _row_blocks(n_rows: int, dimension: int) -> list[slice]:
-    """The row blocks of one pass that computes two products over the matrix.
+    """The row blocks over which every corpus product is computed.
 
-    A block is a power of two of rows, at least 4, within
-    SCORING_BLOCK_BYTES, so the second product finds it still in cache.
-    OpenBLAS's gemv takes rows in fours, so such blocks keep every score's
-    bits equal to a one-thread whole-matrix product's. A one-row tail joins
-    the block before it: NumPy computes a one-row product with another kernel.
+    A block is a power of two of rows, at least 4, within SCORING_BLOCK_BYTES,
+    so a pass's second product finds it still in cache. OpenBLAS's gemv takes
+    rows in fours, so such blocks keep every score's bits equal to a
+    one-thread whole-matrix product's, on one or two threads. A one-row tail
+    joins the block before it, as NumPy uses another kernel for one row.
     """
     step = 1 << max(2, (SCORING_BLOCK_BYTES // (8 * dimension)).bit_length() - 1)
     stops = [*range(step, n_rows - 1, step), n_rows]

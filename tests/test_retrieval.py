@@ -534,6 +534,11 @@ def recorded_products(monkeypatch) -> list[tuple[int, bytes]]:
     return calls
 
 
+def blocked(vector: np.ndarray) -> list[tuple[int, bytes]]:
+    """The products recorded for one vector over 30 rows in blocks of 8."""
+    return [(8, vector.tobytes())] * 3 + [(6, vector.tobytes())]
+
+
 @pytest.mark.parametrize("rows", (4, 8, 16))
 @pytest.mark.parametrize("dim", (5, 8))
 def test_blocked_pass_matches_whole_matrix_product_bits(monkeypatch, dim, rows):
@@ -579,12 +584,12 @@ def test_a_warm_product_leaves_only_the_other_to_compute(monkeypatch):
     # a warm: target-only scoring first.
     retrieve_h_plus_only(pair, corpus, 5)
     retrieve_chr(pair, corpus, 0.2, 5)
-    assert calls == [(30, pair.h_plus_emb.tobytes()), (30, pair.h_minus_emb.tobytes())]
+    assert calls == blocked(pair.h_plus_emb) + blocked(pair.h_minus_emb)
     # b warm: a second pair sharing the mimic.
     second = make_pair(h_plus_emb=unit(rng, 8), h_minus_emb=pair.h_minus_emb.copy())
     calls.clear()
     hits = hex_hits(retrieve_chr(second, corpus, 0.4, 5))
-    assert calls == [(30, second.h_plus_emb.tobytes())]
+    assert calls == blocked(second.h_plus_emb)
     assert hits == hex_hits(retrieve_chr(second, Corpus(ids, texts, raw), 0.4, 5))
 
 
@@ -600,8 +605,31 @@ def test_an_embedding_changed_between_weights_is_scored_afresh(monkeypatch):
         emb[:] = unit(rng, 8)
         calls.clear()
         hits = hex_hits(retrieve_chr(pair, corpus, lam, 5))
-        assert calls == [(30, emb.tobytes())]
+        assert calls == blocked(emb)
         assert hits == hex_hits(retrieve_chr(pair, Corpus(ids, texts, raw), lam, 5))
+
+
+def test_memo_state_moves_no_score_bit_at_a_size_that_threads():
+    # 4099 x 384 is large enough for OpenBLAS to thread a whole-matrix
+    # product, whose bits then move between one and two threads near the
+    # thread split and in the last rows. Blocked products have one set of
+    # bits, so whatever the memos held, every score of a weight (k = n)
+    # equals a fresh corpus's, alone or from a pass.
+    n, dim = 4099, 384
+    rng = np.random.default_rng(25)
+    raw = rng.standard_normal((n, dim))
+    ids, texts = [f"d{i:04d}" for i in range(n)], [""] * n
+    corpus = Corpus(ids, texts, raw)
+    first = injected_pair(rng, dim)
+    second = make_pair(h_plus_emb=unit(rng, dim), h_minus_emb=first.h_minus_emb.copy())
+    retrieve_h_plus_only(first, corpus, 5)  # a warm
+    for pair in (first, second):  # then b warm
+        fresh = Corpus(ids, texts, raw)
+        assert hex_hits(retrieve_chr(pair, corpus, 0.4, n)) == hex_hits(
+            retrieve_chr(pair, fresh, 0.4, n)
+        )
+        alone = hex_hits(retrieve_h_plus_only(pair, Corpus(ids, texts, raw), n))
+        assert hex_hits(retrieve_h_plus_only(pair, fresh, n)) == alone
 
 
 def test_increasing_target_similarity_never_lowers_rank():
