@@ -18,6 +18,11 @@ request asks the server to close. Proxy settings (``HTTP_PROXY``,
 and ``Retry-After``; a permanent status or a reply of the wrong shape fails
 at once (see ``_post_with_retries``).
 
+``complete_each`` and ``embed_each`` make the calls of one batch whose
+inputs do not depend on each other. A backend class whose ``MAX_IN_FLIGHT``
+is above 1 (the HTTP backends, 8) gets up to that many calls at once from
+worker threads; every other backend is called one at a time.
+
 Deterministic in-process mocks implement the same contracts so the whole
 pipeline runs offline: a rule-driven generator keyed off prompt markers and
 a seeded token-hash embedder under which texts that share words embed close
@@ -32,9 +37,12 @@ import json
 import math
 import re
 import ssl
+import threading
 import time
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import ClassVar, Protocol
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -87,6 +95,48 @@ def chat_messages(system: str, user: str) -> list[Message]:
     return [{"role": "system", "content": system}, {"role": "user", "content": user}]
 
 
+def complete_each(
+    generator: GeneratorBackend, message_lists: Sequence[list[Message]], temperature: float = 0.0
+) -> Iterator[GenerationResult]:
+    """``generator.complete(messages, temperature)`` per message list, as ``embed_each``."""
+    return _each(generator, "complete", [(messages, temperature) for messages in message_lists])
+
+
+def embed_each(embedder: EmbedderBackend, texts: Sequence[str]) -> Iterator[np.ndarray]:
+    """``embedder.embed(text)`` per text, yielded in input order.
+
+    A backend whose ``MAX_IN_FLIGHT`` is above 1 is called from worker
+    threads with at most that many calls outstanding, a new one starting as
+    the oldest is yielded; any other backend is called one text at a time
+    in the caller's thread. If calls raise, the first failing input in
+    input order raises once the calls in flight have finished: the results
+    before it were yielded, the later ones are dropped. Closing the iterator
+    early, as Ctrl-C does, also waits for the calls in flight.
+    """
+    return _each(embedder, "embed", [(text,) for text in texts])
+
+
+def _each(backend, method: str, calls: list[tuple]) -> Iterator:
+    # The method is looked up per call, so a wrapper set on the backend's
+    # class sees every call.
+    width = getattr(backend, "MAX_IN_FLIGHT", 1)
+    if width <= 1 or len(calls) <= 1:
+        for args in calls:
+            yield getattr(backend, method)(*args)
+        return
+    # Imported here: only a pooled batch pays for it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(width, len(calls))) as pool:
+        window: deque = deque()
+        for args in calls:
+            if len(window) == width:
+                yield window.popleft().result()
+            window.append(pool.submit(getattr(backend, method), *args))
+        while window:
+            yield window.popleft().result()
+
+
 # ----------------------------------------------------------------------
 # HTTP backends
 # ----------------------------------------------------------------------
@@ -116,8 +166,9 @@ def _connection(backend):
     if parts.scheme == "http":
         conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=backend.timeout)
     elif parts.scheme == "https":
-        if backend._tls is None:
-            backend._tls = ssl.create_default_context()
+        with backend._lock:
+            if backend._tls is None:
+                backend._tls = ssl.create_default_context()
         conn = http.client.HTTPSConnection(
             parts.hostname, parts.port, timeout=backend.timeout, context=backend._tls
         )
@@ -185,7 +236,13 @@ def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exce
 
 @dataclass(eq=False)
 class _HttpSettings:
-    """Endpoint, identity, auth and retry settings shared by the HTTP backends."""
+    """Endpoint, identity, auth and retry settings shared by the HTTP backends.
+
+    A backend may be called from several threads at once (see
+    ``embed_each``); its own state changes under ``_lock``.
+    """
+
+    MAX_IN_FLIGHT: ClassVar[int] = 8
 
     url: str
     model: str
@@ -195,6 +252,7 @@ class _HttpSettings:
     backoff_s: float = 0.5
     # One TLS context, built on the first https call.
     _tls: ssl.SSLContext | None = field(default=None, init=False, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -226,7 +284,8 @@ class HttpGeneratorBackend(_HttpSettings):
             return GenerationResult(text=text, output_tokens=tokens)
 
         result = _post_with_retries(self, "generator", payload, read, BackendUnavailableError)
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         return result
 
 
@@ -252,12 +311,13 @@ class HttpEmbedderBackend(_HttpSettings):
                 raise EmbedderFailureError(
                     f"response data[0].embedding is unusable: {exc}"
                 ) from None
-            if self.dimension == -1:
-                self.dimension = vec.shape[0]
-            elif vec.shape[0] != self.dimension:
-                raise EmbedderFailureError(
-                    f"embedder returned dimension {vec.shape[0]}, expected {self.dimension}"
-                )
+            with self._lock:
+                if self.dimension == -1:
+                    self.dimension = vec.shape[0]
+                elif vec.shape[0] != self.dimension:
+                    raise EmbedderFailureError(
+                        f"embedder returned dimension {vec.shape[0]}, expected {self.dimension}"
+                    )
             return vec
 
         payload = {"model": self.model, "input": text}

@@ -30,7 +30,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .analysis import EXCLUDE_TIER, RATING_TIERS
-from .backends import EmbedderBackend
+from .backends import EmbedderBackend, embed_each
 from .costs import CostEntry
 from .errors import (
     BadMagicError,
@@ -166,10 +166,13 @@ def load_corpus(
     Newly embedded vectors are written back once, the corpus's documents in
     file order ahead of the file's other records. A reused row is rewritten
     from the matrix; the other records are set aside as the block streams,
-    and only when some document is to be embedded. If embedding fails at a
-    document, the vectors already paid for are written the same way before
-    the error propagates, so a rerun embeds only the rest; a failure to
-    write is then noted on that error rather than replacing it.
+    and only when some document is to be embedded. The misses are embedded
+    through ``embed_each``, so an HTTP embedder gets several at once. If
+    embedding fails at a document, the vectors of the documents before it
+    are written the same way before the error propagates, so a rerun embeds
+    only the rest; later documents whose calls had already finished are not
+    kept. A failure to write is then noted on that error rather than
+    replacing it.
 
     Inline and newly embedded vectors are normalized as they are read.
     ``Corpus`` normalizes the one matrix in bulk: a cached row's only pass.
@@ -214,8 +217,8 @@ def load_corpus(
             )
 
     try:
-        for row in misses:
-            fresh[row] = normalize(embedder.embed(texts[row]))
+        for row, vec in zip(misses, embed_each(embedder, [texts[row] for row in misses])):
+            fresh[row] = normalize(vec)
     except BaseException as exc:
         # Keep what was paid for, but never let the write hide the failure.
         try:

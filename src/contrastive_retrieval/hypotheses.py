@@ -15,7 +15,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .backends import EmbedderBackend, GeneratorBackend, chat_messages, output_tokens_of
+from .backends import (
+    EmbedderBackend,
+    GeneratorBackend,
+    chat_messages,
+    embed_each,
+    output_tokens_of,
+)
 from .config import DEFAULT_MAX_RETRIES
 from .costs import CostEntry
 from .errors import InvalidAnswerKeyError, ParseFailureError, TooFewOptionsError
@@ -221,6 +227,6 @@ def embed_pair(pair: HypothesisPair, embedder: EmbedderBackend) -> HypothesisPai
     A fallback pair (empty mimic) gets no mimic embedding, so contrastive
     scoring degrades to target-only scoring.
     """
-    h_plus_emb = normalize(embedder.embed(pair.h_plus))
-    h_minus_emb = normalize(embedder.embed(pair.h_minus)) if pair.h_minus else None
-    return replace(pair, h_plus_emb=h_plus_emb, h_minus_emb=h_minus_emb)
+    texts = [pair.h_plus, pair.h_minus] if pair.h_minus else [pair.h_plus]
+    embs = [normalize(vec) for vec in embed_each(embedder, texts)]
+    return replace(pair, h_plus_emb=embs[0], h_minus_emb=embs[1] if pair.h_minus else None)

@@ -22,6 +22,7 @@ from .backends import (
     GeneratorBackend,
     Message,
     chat_messages,
+    complete_each,
     output_tokens_of,
 )
 from .config import RunConfig
@@ -199,13 +200,13 @@ def _expand_h_plus_only(item, corpus, config, generator, embedder, pair_cache):
 
 
 def _expand_hyde(item, corpus, config, generator, embedder, pair_cache):
-    texts: list[str] = []
-    tokens = 0
-    for draft in range(1, config.hyde_n + 1):
-        prompt = render_hypo_doc_prompt(item, draft=draft, total=config.hyde_n)
-        result = generator.complete(chat_messages(*prompt), temperature=config.temperature)
-        tokens += output_tokens_of(result)
-        texts.append(result.text)
+    prompts = [
+        chat_messages(*render_hypo_doc_prompt(item, draft=draft, total=config.hyde_n))
+        for draft in range(1, config.hyde_n + 1)
+    ]
+    results = list(complete_each(generator, prompts, config.temperature))
+    texts = [result.text for result in results]
+    tokens = sum(output_tokens_of(result) for result in results)
     return retrieve_hyde(texts, corpus, config.k, embedder), None, config.hyde_n, tokens
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import EmbedderBackend
+from .backends import EmbedderBackend, embed_each
 from .config import check_lambda
 from .errors import (
     DimensionMismatchError,
@@ -312,7 +312,7 @@ def retrieve_hyde(
     """Embedding averaging: the query is the mean of the hypothesis embeddings."""
     if not hypo_texts:
         raise ValueError("need at least one hypothetical passage")
-    embs = [normalize(embedder.embed(text)) for text in hypo_texts]
+    embs = [normalize(vec) for vec in embed_each(embedder, hypo_texts)]
     return _rank_by_query(corpus, mean_embedding(embs), k, METHOD_HYDE)
 
 

@@ -2,11 +2,16 @@
 
 ``FaultServer`` listens on ``127.0.0.1`` on a free port and answers each
 POST with the next scripted ``Reply``; once the script runs out it repeats
-the last reply. It records every request (path, headers, JSON payload and
-the number of the connection that carried it), so a test can check both
-what the client sent and how it connected. Nothing leaves the machine.
+the last reply. A script entry may instead be a function of the request's
+JSON payload that returns the ``Reply``, so concurrent requests get the
+replies meant for them whatever order they arrive in. The server records
+every request (path, headers, JSON payload and the number of the
+connection that carried it), so a test can check both what the client sent
+and how it connected, and the most requests it held unanswered at once
+(``max_in_flight``). Nothing leaves the machine.
 
     server = FaultServer(Reply(429, headers={"Retry-After": "1"}), Reply(body={...}))
+    server = FaultServer(lambda payload: Reply(body=vectors[payload["input"]]))
     backend = HttpEmbedderBackend(server.url("/v1/embeddings"), "m")
     ...
     server.close()
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import sleep  # bound at import: tests replace time.sleep to record backoff
@@ -72,6 +78,9 @@ class _Handler(BaseHTTPRequestHandler):
         reply = self.server.fault.record(request)
         if reply.delay_s:
             sleep(reply.delay_s)
+        # Counted as answered before the client can see the reply and send
+        # its next request.
+        self.server.fault.answered()
         if reply.drop:
             self.close_connection = True
             return
@@ -94,13 +103,15 @@ class _Handler(BaseHTTPRequestHandler):
 class FaultServer:
     """A scripted loopback endpoint serving in a daemon thread until ``close``."""
 
-    def __init__(self, *replies: Reply):
+    def __init__(self, *replies: Reply | Callable[[object], Reply]):
         if not replies:
             raise ValueError("script at least one reply")
         self._script = list(replies)
         self._lock = threading.Lock()
         self.requests: list[Request] = []
         self.connections = 0
+        self.in_flight = 0
+        self.max_in_flight = 0
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.fault = self
@@ -118,10 +129,18 @@ class FaultServer:
             return self.connections
 
     def record(self, request: Request) -> Reply:
-        """Log ``request`` and return the reply scripted for it."""
+        """Log ``request`` as in flight and return the reply scripted for it."""
         with self._lock:
             self.requests.append(request)
-            return self._script.pop(0) if len(self._script) > 1 else self._script[0]
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            entry = self._script.pop(0) if len(self._script) > 1 else self._script[0]
+        return entry if isinstance(entry, Reply) else entry(request.payload)
+
+    def answered(self) -> None:
+        """Count one request recorded by ``record`` as no longer in flight."""
+        with self._lock:
+            self.in_flight -= 1
 
     def close(self) -> None:
         self._httpd.shutdown()

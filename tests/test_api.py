@@ -2,11 +2,18 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import contrastive_retrieval
+from contrastive_retrieval.backends import MockEmbedderBackend, MockGeneratorBackend
+from contrastive_retrieval.config import RunConfig
+from contrastive_retrieval.pipeline import run_benchmark
+from contrastive_retrieval.retrieval import Corpus
+from bundled_data import build_bundled_corpus_texts, build_bundled_dataset
 
 PUBLIC_NAMES = {
     "ContrastiveRetrievalError",
@@ -92,13 +99,99 @@ def test_test_only_names_are_not_importable(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
-def test_perfbench_tracing_finds_every_name_it_wraps():
-    # The benchmark wraps functions by the names their callers use; a renamed
-    # or deleted one fails here, not only in a traced benchmark run.
+def _perfbench_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_tracing_finds_every_name_it_wraps():
+    # The benchmark wraps functions by the names their callers use; a renamed
+    # or deleted one fails here, not only in a traced benchmark run.
+    tracing = _perfbench_tracing()
     tracer = tracing.Tracer()
     with tracer.install(), tracing.CallCounter().install(tracer):
         pass
+
+
+class _TimedBackend:
+    """A mock backend whose batches run in a pool, recording every call.
+
+    ``calls`` gets (role, start_ns, end_ns) per call. The mock itself is
+    used one call at a time, under ``lock``.
+    """
+
+    MAX_IN_FLIGHT = 4
+    role = ""
+
+    def __init__(self, mock, calls, lock):
+        self.mock, self.calls, self.lock = mock, calls, lock
+
+    def _call(self, method, *args):
+        started = time.perf_counter_ns()
+        time.sleep(0.002)
+        with self.lock:
+            result = getattr(self.mock, method)(*args)
+        self.calls.append((self.role, started, time.perf_counter_ns()))
+        return result
+
+
+class _TimedGenerator(_TimedBackend):
+    role = "generator"
+
+    def complete(self, messages, temperature=0.0):
+        return self._call("complete", messages, temperature)
+
+
+class _TimedEmbedder(_TimedBackend):
+    role = "embedder"
+
+    @property
+    def dimension(self):
+        return self.mock.dimension
+
+    @property
+    def model(self):
+        return self.mock.model
+
+    def embed(self, text):
+        return self._call("embed", text)
+
+
+@pytest.mark.parametrize("method", ["hyde", "chr"])
+def test_pooled_batches_keep_perfbench_call_counts_whole(monkeypatch, method):
+    # perfbench counts backend calls with wrappers on the backend classes,
+    # and drops an embed made while a generator call is open (the mock
+    # answerer's own). So every call must reach the class's method, and no
+    # embedder call may overlap a generator call.
+    tracing = _perfbench_tracing()
+    monkeypatch.setattr(tracing, "GENERATOR_CLASSES", (_TimedGenerator,))
+    monkeypatch.setattr(tracing, "EMBEDDER_CLASSES", (_TimedEmbedder,))
+    mock_embedder = MockEmbedderBackend(dimension=64, seed=0)
+    ids, texts = zip(*build_bundled_corpus_texts())
+    corpus = Corpus(ids, texts, [mock_embedder.embed(text) for text in texts])
+    calls: list[tuple[str, int, int]] = []
+    lock = threading.Lock()
+    generator = _TimedGenerator(MockGeneratorBackend(seed=0, embedder=mock_embedder), calls, lock)
+    embedder = _TimedEmbedder(mock_embedder, calls, lock)
+    counter = tracing.CallCounter()
+    with counter.install():
+        records, summary = run_benchmark(
+            build_bundled_dataset()[:4], method, corpus, RunConfig(mock=True, hyde_n=8),
+            generator=generator, answer_generator=generator, embedder=embedder, clock=None,
+        )
+    assert summary["item_errors"] == 0
+    spans = {role: [(start, end) for r, start, end in calls if r == role]
+             for role in ("generator", "embedder")}
+    assert (counter.generator_calls, counter.embedder_calls) == (
+        len(spans["generator"]), len(spans["embedder"]))
+
+    def overlap(a, b):
+        return a[0] < b[1] and b[0] < a[1]
+
+    assert not any(overlap(e, g) for e in spans["embedder"] for g in spans["generator"])
+    # The embedder's batches did run in the pool.
+    embeds = spans["embedder"]
+    assert any(overlap(a, b) for i, a in enumerate(embeds) for b in embeds[i + 1:])

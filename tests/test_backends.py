@@ -6,6 +6,8 @@ import re
 import ssl
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,8 @@ from contrastive_retrieval.backends import (
     HttpGeneratorBackend,
     MockEmbedderBackend,
     MockGeneratorBackend,
+    complete_each,
+    embed_each,
     estimate_output_tokens,
     output_tokens_of,
 )
@@ -337,6 +341,163 @@ def test_http_call_does_not_import_requests(serve):
                           env=env, timeout=60, check=True)
     assert done.stdout.strip() == "False"
     assert len(server.requests) == 1
+
+
+
+def _number(payload) -> int:
+    """The ``i`` of a batch test's input ``i``, from either backend's payload."""
+    text = payload["input"] if "input" in payload else payload["messages"][-1]["content"]
+    return int(text.split()[-1])
+
+
+# Each HTTP backend with: its batch over inputs 0..n-1, the body answering
+# input i, the i a result answers, and the backend's error.
+HTTP_BATCHES = (
+    pytest.param(
+        HttpGeneratorBackend,
+        lambda b, n: complete_each(b, [[{"role": "user", "content": f"prompt {i}"}]
+                                       for i in range(n)]),
+        lambda i: {"choices": [{"message": {"content": f"reply {i}"}}]},
+        lambda result: int(result.text.split()[-1]),
+        BackendUnavailableError, id="generator"),
+    pytest.param(
+        HttpEmbedderBackend,
+        lambda b, n: embed_each(b, [f"text {i}" for i in range(n)]),
+        lambda i: {"data": [{"embedding": [1.0, float(i)]}]},
+        lambda vec: round(vec[1] / vec[0]),
+        EmbedderFailureError, id="embedder"),
+)
+
+
+@pytest.mark.parametrize("cls, batch, body, number, error", HTTP_BATCHES)
+def test_a_batch_yields_in_input_order_when_replies_arrive_reversed(serve, cls, batch, body,
+                                                                   number, error):
+    n = cls.MAX_IN_FLIGHT
+    # The first input is held longest, so the replies come back last first.
+    server = serve(lambda payload: Reply(
+        body=body(_number(payload)), delay_s=0.03 * (n - _number(payload))))
+    assert [number(result) for result in batch(cls(server.url(), "m"), n)] == list(range(n))
+
+
+@pytest.mark.parametrize("cls, batch, body, number, error", HTTP_BATCHES)
+def test_a_batch_holds_at_most_max_in_flight_requests_one_per_input(serve, cls, batch, body,
+                                                                    number, error):
+    n = 3 * cls.MAX_IN_FLIGHT
+    server = serve(lambda payload: Reply(body=body(_number(payload)), delay_s=0.02))
+    backend = cls(server.url(), "m")
+    assert [number(result) for result in batch(backend, n)] == list(range(n))
+    assert 1 < server.max_in_flight <= cls.MAX_IN_FLIGHT
+    assert sorted(_number(request.payload) for request in server.requests) == list(range(n))
+    if cls is HttpGeneratorBackend:
+        assert backend.calls == n
+
+
+@pytest.mark.parametrize("cls, batch, body, number, error", HTTP_BATCHES)
+def test_a_batch_raises_its_first_failing_input_after_the_calls_in_flight(serve, cls, batch,
+                                                                         body, number, error):
+    # Input 5 fails first, input 2 fails earlier in input order, and input 7
+    # is still held when input 2 fails.
+    delays = {2: 0.05, 7: 0.3}
+    statuses = {2: 400, 5: 404}
+
+    def reply(payload):
+        i = _number(payload)
+        return Reply(statuses.get(i, 200), body(i), delay_s=delays.get(i, 0.0))
+
+    server = serve(reply)
+    got = []
+    with pytest.raises(error, match="HTTP 400"):
+        for result in batch(cls(server.url(), "m", backoff_s=0.0), 8):
+            got.append(number(result))
+    assert got == [0, 1]
+    assert len(server.requests) == 8
+    assert server.in_flight == 0
+
+
+def test_a_batch_counts_every_call_under_a_short_switch_interval(serve):
+    # More workers than cores, switching threads as often as the interpreter
+    # allows: a lost update of ``calls`` would show here.
+    server = serve(Reply(body=GENERATOR_BODY))
+    backend = HttpGeneratorBackend(server.url(), "m")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = list(complete_each(backend, [MESSAGES] * 100))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == backend.calls == len(server.requests) == 100
+
+
+def test_a_backend_without_max_in_flight_is_called_one_at_a_time_in_the_callers_thread():
+    class Recording:
+        def __init__(self):
+            self.seen = []
+
+        def embed(self, text):
+            self.seen.append((text, threading.get_ident()))
+            if text == "c":
+                raise EmbedderFailureError("c failed")
+            return np.array([1.0, 0.0])
+
+    backend = Recording()
+    got = []
+    with pytest.raises(EmbedderFailureError, match="c failed"):
+        for vec in embed_each(backend, ["a", "b", "c", "d"]):
+            got.append((len(backend.seen), vec))
+    # Each call is made only once the result before it has been taken.
+    assert [calls for calls, _ in got] == [1, 2]
+    assert backend.seen == [(text, threading.get_ident()) for text in "abc"]
+
+
+def test_two_first_replies_of_different_dimensions_are_never_both_accepted(serve):
+    server = serve(lambda payload: Reply(
+        body={"data": [{"embedding": [1.0] * (2 if payload["input"] == "a" else 3)}]}))
+
+    class SlowDimension(HttpEmbedderBackend):
+        # Widens the gap between reading the learned dimension and setting it.
+        @property
+        def dimension(self):
+            value = self.__dict__.get("_dimension", -1)
+            time.sleep(0.05)
+            return value
+
+        @dimension.setter
+        def dimension(self, value):
+            self.__dict__["_dimension"] = value
+
+    backend = SlowDimension(server.url(), "m")
+    accepted, errors = [], []
+
+    def call(text):
+        try:
+            accepted.append(backend.embed(text).shape[0])
+        except EmbedderFailureError as exc:
+            errors.append(str(exc))
+
+    threads = [threading.Thread(target=call, args=(text,)) for text in "ab"]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert len(accepted) == 1 and backend.dimension == accepted[0]
+    other = 5 - accepted[0]
+    assert errors == [f"embedder returned dimension {other}, expected {accepted[0]}"]
+
+
+def test_a_mock_run_does_not_import_concurrent_futures(tmp_path):
+    # Only a batch to a backend with MAX_IN_FLIGHT above 1 starts threads.
+    code = (
+        "import sys\n"
+        "from contrastive_retrieval.cli import main_cli\n"
+        f"assert main_cli(['run', '--mock', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = str(Path(contrastive_retrieval.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_mock_embedder_deterministic_unit_and_shared_vocab():

@@ -536,6 +536,31 @@ def test_interrupted_ingest_keeps_the_vectors_it_paid_for(tmp_path, error):
     assert rerun.calls == 3
 
 
+
+def test_interrupted_http_ingest_keeps_the_documents_before_the_failing_one(tmp_path):
+    path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
+    texts = [f"passage {i} on tides" for i in range(1, 21)]
+    write_lines(path, [{"id": f"d{i}", "text": text} for i, text in enumerate(texts, start=1)])
+    mock = MockEmbedderBackend(dimension=8)
+    replies = {text: Reply(body={"data": [{"embedding": mock.embed(text).tolist()}]})
+               for text in texts}
+    healthy = FaultServer(lambda payload: replies[payload["input"]])
+    # Document 6 is refused for good, with later documents' calls in flight.
+    refused = {**replies, texts[5]: Reply(400)}
+    failing = FaultServer(lambda payload: refused[payload["input"]])
+    try:
+        with pytest.raises(EmbedderFailureError, match="HTTP 400"):
+            load_corpus(path, embedder=HttpEmbedderBackend(failing.url(), "m", backoff_s=0.0),
+                        cache_path=cache_path)
+        assert len(failing.requests) >= 8  # documents after 6 were embedded too
+        assert load_cache(cache_path).ids == [f"d{i}" for i in range(1, 6)]
+        load_corpus(path, embedder=HttpEmbedderBackend(healthy.url(), "m"), cache_path=cache_path)
+        assert sorted(r.payload["input"] for r in healthy.requests) == sorted(texts[5:])
+    finally:
+        failing.close()
+        healthy.close()
+
+
 def test_write_back_puts_the_corpus_first_and_keeps_other_records(tmp_path):
     path, cache_path = _two_docs(tmp_path)
     embedder = CountingEmbedder()

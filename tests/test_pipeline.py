@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
 from contrastive_retrieval.analysis import lambda_sweep
 from contrastive_retrieval.backends import (
     GenerationResult,
+    HttpEmbedderBackend,
+    HttpGeneratorBackend,
     MockEmbedderBackend,
     MockGeneratorBackend,
     chat_messages,
@@ -38,6 +41,7 @@ from helpers import (
     make_record,
     two_option_item,
 )
+from http_faults import FaultServer, Reply
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +240,57 @@ def test_run_benchmark_expansion_failure_yields_empty_ranking(dataset, corpus, e
         assert rec.error is not None
         assert rec.ranked.hits == ()
         assert rec.predicted == ABSTAIN
+
+
+
+def test_a_failing_hyde_draft_over_http_is_only_that_items_error(dataset, corpus, embedder):
+    items = dataset[:3]
+    failing = f"Question: {items[1].stem}\n"
+    mock = MockGeneratorBackend(seed=0, embedder=embedder)
+    lock = threading.Lock()  # the mocks are used one call at a time
+
+    def generate(payload):
+        prompt = payload["messages"][-1]["content"]
+        if failing in prompt and "Draft 3 of 8" in prompt:
+            return Reply(400)
+        with lock:
+            text = mock.complete(payload["messages"]).text
+        return Reply(body={"choices": [{"message": {"content": text}}]})
+
+    def embed(payload):
+        with lock:
+            return Reply(body={"data": [{"embedding": embedder.embed(payload["input"]).tolist()}]})
+
+    generator_server, embedder_server = FaultServer(generate), FaultServer(embed)
+    try:
+        generator = HttpGeneratorBackend(generator_server.url(), "m", backoff_s=0.0)
+        records, summary = run_benchmark(
+            items, "hyde", corpus, mock_config(), generator=generator,
+            answer_generator=generator, embedder=HttpEmbedderBackend(embedder_server.url(), "m"),
+            clock=None,
+        )
+        # The failing item sent its eight drafts and nothing after them.
+        assert len(generator_server.requests) == 3 * 8 + 2
+        assert len(embedder_server.requests) == 2 * 8
+    finally:
+        generator_server.close()
+        embedder_server.close()
+    errors = {r.item_id: r.error for r in records}
+    assert errors == {
+        items[0].id: None,
+        items[1].id: f"BackendUnavailableError: generator at {generator_server.url()} "
+                     f"rejected the request: HTTP 400",
+        items[2].id: None,
+    }
+    assert summary["item_errors"] == 1
+    # The other items rank and answer as the in-process mocks do.
+    expected, _ = run_benchmark(
+        items, "hyde", corpus, mock_config(), generator=mock, answer_generator=mock,
+        embedder=embedder, clock=None,
+    )
+    for got, want in zip(records, expected):
+        if got.error is None:
+            assert (got.ranked, got.predicted) == (want.ranked, want.predicted)
 
 
 def test_run_benchmark_records_wrong_dimension_mimic_as_item_error(dataset, corpus, embedder):
