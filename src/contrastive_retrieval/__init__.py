@@ -43,6 +43,7 @@ from .pipeline import (
     EvalRecord,
     accuracy,
     build_answer_prompt,
+    evaluate,
     extract_answer,
     run_benchmark,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "build_answer_prompt",
     "cost_report",
     "embed_pair",
+    "evaluate",
     "extract_answer",
     "generate_pair",
     "lambda_sweep",

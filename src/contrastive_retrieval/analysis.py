@@ -3,20 +3,19 @@
 Four analyses: retrieval-shift overlap between two methods' top-K sets,
 accuracy as a function of the contrastive weight, per-method expansion cost,
 and accuracy stratified by human quality ratings of the mimic hypothesis.
-All are pure functions over immutable record lists.
+All are pure functions over immutable record lists; none calls a backend.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 
-from .backends import EmbedderBackend, GeneratorBackend
-from .config import RunConfig, check_lambda
+from .config import check_lambda
 from .errors import EmptyInputError, NoQualifyingCasesError, UnknownItemIdError
-from .hypotheses import QAItem
-from .pipeline import EvalRecord, PairCache, accuracy, run_benchmark
-from .retrieval import METHOD_CHR, Corpus
+# run_benchmark is not called here; perfbench/tracing.py wraps it under
+# this module's name too.
+from .pipeline import EvalRecord, accuracy, run_benchmark  # noqa: F401
 
 RATING_TIERS = ("Excellent", "Good", "Poor")
 EXCLUDE_TIER = "exclude"
@@ -83,7 +82,9 @@ def retrieval_shift(
 
     The qualifying filter isolates questions method A wins outright; low
     overlap there means A reached different evidence rather than re-ranking
-    the same pool. Raises NoQualifyingCases when the filter selects nothing.
+    the same pool. A case where either record has an error is skipped: an
+    errored record retrieved nothing to compare. Raises NoQualifyingCases
+    when the filter selects nothing.
     """
     by_a = _by_item_id(records_a, "A")
     by_b = _by_item_id(records_b, "B")
@@ -94,6 +95,8 @@ def retrieval_shift(
     per_dataset: dict[str, list[float]] = {}
     for item_id in sorted(by_a):
         rec_a, rec_b = by_a[item_id], by_b[item_id]
+        if rec_a.error is not None or rec_b.error is not None:
+            continue
         if not (rec_a.correct and not rec_b.correct):
             continue
         ratio = overlap_ratio(rec_a.ranked.doc_ids(), rec_b.ranked.doc_ids(), k)
@@ -154,63 +157,24 @@ def sweep_grid(lambdas: Sequence[float]) -> list[float]:
 
 
 def lambda_sweep(
-    dataset: Sequence[QAItem],
-    lambdas: Sequence[float],
-    corpus: Corpus,
-    config: RunConfig,
-    *,
-    generator: GeneratorBackend,
-    answer_generator: GeneratorBackend,
-    embedder: EmbedderBackend,
-    pair_cache: PairCache | None = None,
+    records_by_lambda: Mapping[float, Sequence[EvalRecord]],
     baselines: Mapping[str, float] | None = None,
-    dataset_name: str = "default",
-    clock: Callable[[], float] | None = None,
 ) -> SweepReport:
-    """Run the contrastive benchmark at each lambda, reported in ascending order.
+    """Accuracy at each contrastive weight, in ascending order of weight.
 
-    The sweep is item-major: each item is ranked and answered at every
-    lambda before the next item starts, so the corpus scores all weights
-    from the item's two memoized products. Records at each lambda are
-    sorted by item id. Hypothesis pairs are generated and embedded at most
-    once and shared across every lambda, so the sweep isolates the scoring
-    weight from generation sampling noise. ``pair_cache`` supplies pairs
-    generated earlier: ``chr-rag run`` passes the one cache its chr and
-    h_plus_only runs filled, so the sweep ranks with the same pairs and
-    generates none. Without it the sweep keeps its own.
+    ``records_by_lambda`` maps each weight to the chr records ranked at it,
+    as ``pipeline.evaluate`` returns them: there every weight ranks each
+    item with the same hypothesis pair, so the sweep isolates the scoring
+    weight from generation sampling noise. Raises ValueError unless the
+    weights are a valid ``sweep_grid``, and EmptyInputError for a weight
+    without records.
     """
-    lams = sweep_grid(lambdas)
-    if not dataset:
-        raise EmptyInputError("dataset must contain at least one item")
-
-    if pair_cache is None:
-        pair_cache = {}
-    configs = [replace(config, lam=lam) for lam in lams]
-    by_lambda: dict[float, list[EvalRecord]] = {lam: [] for lam in lams}
-    for item in dataset:
-        for lam, lam_config in zip(lams, configs):
-            records, _ = run_benchmark(
-                [item],
-                METHOD_CHR,
-                corpus,
-                lam_config,
-                generator=generator,
-                answer_generator=answer_generator,
-                embedder=embedder,
-                pair_cache=pair_cache,
-                dataset_name=dataset_name,
-                clock=clock,
-            )
-            by_lambda[lam].extend(records)
-    records_by_lambda = {
-        lam: tuple(sorted(records, key=lambda r: r.item_id))
-        for lam, records in by_lambda.items()
-    }
-    points = [(lam, accuracy(records_by_lambda[lam])) for lam in lams]
+    lams = sweep_grid(list(records_by_lambda))
+    records = {lam: tuple(records_by_lambda[lam]) for lam in lams}
     return SweepReport(
-        points=tuple(points),
+        points=tuple((lam, accuracy(records[lam])) for lam in lams),
         baselines=dict(baselines or {}),
-        records_by_lambda=records_by_lambda,
+        records_by_lambda=records,
     )
 
 

@@ -65,7 +65,9 @@ from .dataio import (  # noqa: F401
 )
 from .errors import ContrastiveRetrievalError, NoQualifyingCasesError, UnknownItemIdError
 from .hypotheses import QAItem
-from .pipeline import AnswerMemo, PairCache, run_benchmark
+# run_benchmark is not called here; perfbench/tracing.py wraps it under
+# this module's name too.
+from .pipeline import AnswerMemo, evaluate, run_benchmark, summarize  # noqa: F401
 from .reports import (
     cost_to_dict,
     overlap_to_dict,
@@ -301,31 +303,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         _run_ratings(config, items) if len(methods) > 1 or config.ratings_path else None
     )
     corpus = load_corpus(corpus_path, embedder=embedder, cache_path=config.cache_path or None)
-    out = Path(config.out_dir)
-    clock = _clock(config)
-    # chr, h_plus_only and the sweep rank with each item's one pair, and
-    # every method and weight shares one memo of answers.
-    pair_cache: PairCache = {}
+    # Every method and weight shares one memo of answers.
     answers = AnswerMemo(generator)
+    by_method, by_lambda = evaluate(
+        items, corpus, config, methods=methods,
+        lambdas=DEFAULT_SWEEP_GRID if len(methods) > 1 else (),
+        generator=generator, answer_generator=answers, embedder=embedder,
+        dataset_name=dataset_name, clock=_clock(config),
+    )
 
-    all_records: dict[str, list] = {}
+    out = Path(config.out_dir)
     summaries: dict[str, dict] = {}
-    for method in methods:
-        records, summary = run_benchmark(
-            items,
-            method,
-            corpus,
-            config,
-            generator=generator,
-            answer_generator=answers,
-            embedder=embedder,
-            pair_cache=pair_cache,
-            dataset_name=dataset_name,
-            clock=clock,
-        )
+    for method, records in by_method.items():
         save_records(out / f"records_{method}.jsonl", records)
-        all_records[method] = records
-        summaries[method] = summary
+        summaries[method] = summary = summarize(records)
         print(f"{method}: accuracy {summary['accuracy']:.3f} over {summary['n']} items")
 
     write_json(
@@ -336,22 +327,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     reports = []
     if len(methods) > 1:
         sweep = lambda_sweep(
-            items,
-            DEFAULT_SWEEP_GRID,
-            corpus,
-            config,
-            generator=generator,
-            answer_generator=answers,
-            embedder=embedder,
-            pair_cache=pair_cache,
+            by_lambda,
             baselines={
                 METHOD_STANDARD: summaries[METHOD_STANDARD]["accuracy"],
                 METHOD_HYDE: summaries[METHOD_HYDE]["accuracy"],
             },
-            dataset_name=dataset_name,
-            clock=clock,
         )
-        reports = _run_reports(config, all_records, sweep, ratings)
+        reports = _run_reports(config, by_method, sweep, ratings)
     elif ratings is not None:
         print("strata report skipped: needs --method all", file=sys.stderr)
     _report_memo(answers)
@@ -432,11 +414,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     corpus = load_corpus(corpus_path, embedder=embedder, cache_path=config.cache_path or None)
 
     answers = AnswerMemo(generator)
-    sweep = lambda_sweep(
-        items, lambdas, corpus, config,
+    _, by_lambda = evaluate(
+        items, corpus, config, methods=(), lambdas=lambdas,
         generator=generator, answer_generator=answers, embedder=embedder,
-        baselines=baselines, dataset_name=dataset_name, clock=_clock(config),
+        dataset_name=dataset_name, clock=_clock(config),
     )
+    sweep = lambda_sweep(by_lambda, baselines)
     _report_memo(answers)
     _write_reports(
         args.out_dir, [("sweep", sweep, sweep_to_dict, render_sweep_table, render_sweep_svg)]

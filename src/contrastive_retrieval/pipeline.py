@@ -25,7 +25,7 @@ from .backends import (
     complete_each,
     output_tokens_of,
 )
-from .config import RunConfig
+from .config import RunConfig, check_lambda
 from .costs import CostEntry
 from .errors import ContrastiveRetrievalError, EmptyInputError
 from .hypotheses import (
@@ -62,13 +62,6 @@ ANSWER_SYSTEM_PROMPT = (
 ANSWER_INSTRUCTION = (
     'Answer with the single letter of the best option, formatted exactly as "Answer: X".'
 )
-
-# Hypothesis pairs (with embeddings) and their generation costs, keyed by
-# item id. ``chr-rag run`` shares one cache across chr, h_plus_only and the
-# lambda sweep, so each item's pair is generated once and only the scoring
-# changes; a cached pair keeps the cost of the calls that made it.
-PairCache = dict[str, tuple[HypothesisPair, CostEntry]]
-
 
 class AnswerMemo:
     """A generator that sends each distinct temperature-0 prompt once.
@@ -170,36 +163,47 @@ def _cost_of(calls: int, tokens: int, started: float | None, clock) -> CostEntry
     return CostEntry(llm_calls=calls, output_tokens=tokens, wall_ms=wall)
 
 
-def _get_pair(
-    item: QAItem,
-    config: RunConfig,
-    generator: GeneratorBackend,
-    embedder: EmbedderBackend,
-    pair_cache: PairCache,
-) -> tuple[HypothesisPair, CostEntry]:
-    if item.id not in pair_cache:
-        pair, cost = generate_pair(item, generator, config.max_retries, config.temperature)
-        pair_cache[item.id] = (embed_pair(pair, embedder), cost)
-    return pair_cache[item.id]
+def _pair_once(
+    item: QAItem, config: RunConfig, generator: GeneratorBackend, embedder: EmbedderBackend
+) -> Callable[[], tuple[HypothesisPair, CostEntry]]:
+    """A function returning the item's embedded pair and the cost of the calls that made it.
+
+    The first call generates and embeds the pair; every later call returns
+    it, or raises the error the first call raised, without a backend call.
+    """
+    outcome: list = []
+
+    def pair() -> tuple[HypothesisPair, CostEntry]:
+        if not outcome:
+            try:
+                made, cost = generate_pair(item, generator, config.max_retries, config.temperature)
+                outcome.append((embed_pair(made, embedder), cost))
+            except ContrastiveRetrievalError as exc:
+                outcome.append(exc)
+        if isinstance(outcome[0], ContrastiveRetrievalError):
+            raise outcome[0]
+        return outcome[0]
+
+    return pair
 
 
-def _expand_standard(item, corpus, config, generator, embedder, pair_cache):
+def _expand_standard(item, corpus, config, lam, generator, embedder, pair):
     return retrieve_standard(item, corpus, config.k, embedder), None, 0, 0
 
 
-def _expand_chr(item, corpus, config, generator, embedder, pair_cache):
-    pair, cost = _get_pair(item, config, generator, embedder, pair_cache)
-    ranked = retrieve_chr(pair, corpus, config.lam, config.k)
-    return ranked, pair, cost.llm_calls, cost.output_tokens
+def _expand_chr(item, corpus, config, lam, generator, embedder, pair):
+    embedded, cost = pair()
+    ranked = retrieve_chr(embedded, corpus, lam, config.k)
+    return ranked, embedded, cost.llm_calls, cost.output_tokens
 
 
-def _expand_h_plus_only(item, corpus, config, generator, embedder, pair_cache):
-    pair, cost = _get_pair(item, config, generator, embedder, pair_cache)
-    ranked = retrieve_h_plus_only(pair, corpus, config.k)
-    return ranked, pair, cost.llm_calls, cost.output_tokens
+def _expand_h_plus_only(item, corpus, config, lam, generator, embedder, pair):
+    embedded, cost = pair()
+    ranked = retrieve_h_plus_only(embedded, corpus, config.k)
+    return ranked, embedded, cost.llm_calls, cost.output_tokens
 
 
-def _expand_hyde(item, corpus, config, generator, embedder, pair_cache):
+def _expand_hyde(item, corpus, config, lam, generator, embedder, pair):
     prompts = [
         chat_messages(*render_hypo_doc_prompt(item, draft=draft, total=config.hyde_n))
         for draft in range(1, config.hyde_n + 1)
@@ -210,7 +214,7 @@ def _expand_hyde(item, corpus, config, generator, embedder, pair_cache):
     return retrieve_hyde(texts, corpus, config.k, embedder), None, config.hyde_n, tokens
 
 
-def _expand_query2doc(item, corpus, config, generator, embedder, pair_cache):
+def _expand_query2doc(item, corpus, config, lam, generator, embedder, pair):
     prompt = render_pseudo_doc_prompt(item)
     result = generator.complete(chat_messages(*prompt), temperature=config.temperature)
     # An empty generation degrades to repeating the stem as pseudo-doc.
@@ -219,8 +223,9 @@ def _expand_query2doc(item, corpus, config, generator, embedder, pair_cache):
     return ranked, None, 1, output_tokens_of(result)
 
 
-# Each method's expansion stage: (item, corpus, config, generator, embedder,
-# pair_cache) -> (ranked, pair, llm_calls, tokens). The stages look up
+# Each method's expansion stage: (item, corpus, config, lam, generator,
+# embedder, pair) -> (ranked, pair, llm_calls, tokens), where ``lam`` is
+# chr's weight and ``pair`` the item's ``_pair_once``. The stages look up
 # retrieve_*, generate_pair and embed_pair in this module when they run,
 # so a name rebound here (for tracing, say) is the one they call.
 _EXPANSIONS = {
@@ -232,38 +237,50 @@ _EXPANSIONS = {
 }
 
 
-def run_benchmark(
+def evaluate(
     dataset: Sequence[QAItem],
-    method: str,
     corpus: Corpus,
     config: RunConfig,
     *,
+    methods: Sequence[str],
+    lambdas: Sequence[float] = (),
     generator: GeneratorBackend,
     answer_generator: GeneratorBackend,
     embedder: EmbedderBackend,
-    pair_cache: PairCache | None = None,
     dataset_name: str = "default",
     clock: Callable[[], float] | None = time.perf_counter,
-) -> tuple[list[EvalRecord], dict]:
-    """Evaluate every item under one method; never aborts on a single item.
+) -> tuple[dict[str, list[EvalRecord]], dict[float, list[EvalRecord]]]:
+    """Evaluate every item under each method, then chr at each weight.
+
+    One loop over items; never aborts on a single item. An item runs
+    ``methods`` in METHODS order (chr at ``config.lam``), then chr at each
+    of ``lambdas`` in ascending order. Its hypothesis pair is generated and
+    embedded once, by the first ranking that needs it, whose record carries
+    the pair's wall time; every ranking by the pair carries the pair's cost,
+    or the error that stopped it. So the corpus computes the pair's two
+    products once per item, and the other rankings score from its memos.
 
     ``clock`` stamps wall_ms on cost entries; passing None zeroes timings,
     which keeps record files byte-identical across reruns of deterministic
-    backends. ``pair_cache`` serves pairs that an earlier run generated;
-    without one, the run keeps its own. Records come back sorted by item id.
+    backends. Returns (records by method, records by weight), each list
+    sorted by item id. Raises EmptyInputError for no items and ValueError
+    for an unknown or repeated method or a repeated, negative or non-finite
+    weight, before any backend call.
     """
     if not dataset:
         raise EmptyInputError("dataset must contain at least one item")
-    expand = _EXPANSIONS.get(method)
-    if expand is None:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    for method in methods:
+        if method not in _EXPANSIONS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    by_method: dict[str, list[EvalRecord]] = {m: [] for m in METHODS if m in methods}
+    by_lambda: dict[float, list[EvalRecord]] = {lam: [] for lam in sorted(lambdas)}
+    if len(by_method) < len(methods) or len(by_lambda) < len(lambdas):
+        raise ValueError("methods and lambdas must be distinct")
+    for lam in by_lambda:
+        check_lambda(lam, "lambdas")
 
-    if pair_cache is None:
-        pair_cache = {}
-    lam = config.lam if method == METHOD_CHR else None
-    records: list[EvalRecord] = []
-    for item in dataset:
-        pair: HypothesisPair | None = None
+    def record(item: QAItem, method: str, lam: float | None, pair) -> EvalRecord:
+        embedded: HypothesisPair | None = None
         ranked: RankedResult | None = None
         exp_cost = CostEntry()
         ans_cost = CostEntry()
@@ -271,8 +288,8 @@ def run_benchmark(
         error: str | None = None
         try:
             started = clock() if clock else None
-            ranked, pair, calls, tokens = expand(
-                item, corpus, config, generator, embedder, pair_cache
+            ranked, embedded, calls, tokens = _EXPANSIONS[method](
+                item, corpus, config, lam, generator, embedder, pair
             )
             exp_cost = _cost_of(calls, tokens, started, clock)
 
@@ -287,24 +304,54 @@ def run_benchmark(
             error = f"{type(exc).__name__}: {exc}"
         if ranked is None:
             ranked = RankedResult(hits=(), method=method, lam=lam)
-        correct = predicted != ABSTAIN and predicted == item.answer_key
-        records.append(
-            EvalRecord(
-                item_id=item.id,
-                method=method,
-                ranked=ranked,
-                predicted=predicted,
-                correct=correct,
-                cost=exp_cost,
-                answer_cost=ans_cost,
-                lam=lam,
-                pair=pair,
-                dataset=dataset_name,
-                error=error,
-            )
+        return EvalRecord(
+            item_id=item.id,
+            method=method,
+            ranked=ranked,
+            predicted=predicted,
+            correct=predicted != ABSTAIN and predicted == item.answer_key,
+            cost=exp_cost,
+            answer_cost=ans_cost,
+            lam=lam,
+            pair=embedded,
+            dataset=dataset_name,
+            error=error,
         )
-    records.sort(key=lambda r: r.item_id)
-    return records, summarize(records)
+
+    for item in dataset:
+        pair = _pair_once(item, config, generator, embedder)
+        for method, records in by_method.items():
+            lam = config.lam if method == METHOD_CHR else None
+            records.append(record(item, method, lam, pair))
+        for lam, records in by_lambda.items():
+            records.append(record(item, METHOD_CHR, lam, pair))
+    for records in (*by_method.values(), *by_lambda.values()):
+        records.sort(key=lambda r: r.item_id)
+    return by_method, by_lambda
+
+
+def run_benchmark(
+    dataset: Sequence[QAItem],
+    method: str,
+    corpus: Corpus,
+    config: RunConfig,
+    *,
+    generator: GeneratorBackend,
+    answer_generator: GeneratorBackend,
+    embedder: EmbedderBackend,
+    dataset_name: str = "default",
+    clock: Callable[[], float] | None = time.perf_counter,
+) -> tuple[list[EvalRecord], dict]:
+    """Evaluate every item under one method: ``evaluate`` for ``methods=(method,)``.
+
+    Returns the records, sorted by item id, and their summary.
+    """
+    by_method, _ = evaluate(
+        dataset, corpus, config, methods=(method,), generator=generator,
+        answer_generator=answer_generator, embedder=embedder,
+        dataset_name=dataset_name, clock=clock,
+    )
+    return by_method[method], summarize(by_method[method])
 
 
 def accuracy(records: Sequence[EvalRecord]) -> float:

@@ -32,7 +32,7 @@ from contrastive_retrieval.hypotheses import (
     generate_pair,
     parse_pair,
 )
-from contrastive_retrieval.pipeline import run_benchmark
+from contrastive_retrieval.pipeline import evaluate, run_benchmark
 from contrastive_retrieval.reports import (
     render_cost_table,
     render_overlap_table,
@@ -198,12 +198,13 @@ def test_a3_lambda_zero_reduces_to_target_only(bundled_dataset, bundled_corpus, 
             assert chr_hits == plus_hits  # ids, order, and exact scores
 
         config = RunConfig(mock=True, seed=0)
-        sweep = lambda_sweep(
-            bundled_dataset, [0.0], bundled_corpus, config,
+        _, by_lambda = evaluate(
+            bundled_dataset, bundled_corpus, config, methods=(), lambdas=[0.0],
             generator=MockGeneratorBackend(seed=0, embedder=mock_embedder),
             answer_generator=MockGeneratorBackend(seed=0, embedder=mock_embedder),
-            embedder=mock_embedder,
+            embedder=mock_embedder, clock=None,
         )
+        sweep = lambda_sweep(by_lambda)
         plus_records, plus_summary = run_benchmark(
             bundled_dataset, "h_plus_only", bundled_corpus, config,
             generator=MockGeneratorBackend(seed=0, embedder=mock_embedder),

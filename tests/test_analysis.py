@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,8 @@ from contrastive_retrieval.errors import (
     NoQualifyingCasesError,
     UnknownItemIdError,
 )
-from contrastive_retrieval.pipeline import run_benchmark
-from contrastive_retrieval.retrieval import Corpus
+from contrastive_retrieval.pipeline import evaluate, run_benchmark
+from contrastive_retrieval.retrieval import Corpus, RankedResult
 from bundled_data import build_bundled_corpus_texts, build_bundled_dataset
 from helpers import make_record
 
@@ -154,6 +156,24 @@ def test_retrieval_shift_input_validation():
         retrieval_shift(all_wrong_a, all_wrong_b, k=5)
 
 
+def test_retrieval_shift_skips_a_case_with_an_errored_record():
+    # An errored record retrieved nothing, so it is no zero-overlap case.
+    records_a = [make_record(f"q{i}", correct=True, doc_ids=("x1", "x2")) for i in (1, 2)]
+    records_b = [
+        make_record("q1", correct=False, method="hyde", doc_ids=("x1", "x2")),
+        replace(
+            make_record("q2", correct=False, method="hyde", predicted="abstain"),
+            ranked=RankedResult(hits=(), method="hyde"),
+            error="BackendUnavailableError: down",
+        ),
+    ]
+    report = retrieval_shift(records_a, records_b, k=2)
+    assert report.per_case == (("q1", 1.0),)
+    assert (report.n, report.zero_overlap_pct, report.mean_overlap) == (1, 0.0, 1.0)
+    with pytest.raises(NoQualifyingCasesError):
+        retrieval_shift(records_a[1:], records_b[1:], k=2)
+
+
 def test_overlap_report_is_plain_data():
     report = OverlapReport(n=1, zero_overlap_pct=0.0, mean_overlap=1.0,
                            per_case=(("q1", 1.0),))
@@ -171,9 +191,17 @@ def sweep_backends(embedder):
     )
 
 
+def sweep(items, lambdas, corpus, config, *, baselines=None, **backends):
+    """The sweep report of chr at ``lambdas``: one ``evaluate``, then ``lambda_sweep``."""
+    _, by_lambda = evaluate(
+        items, corpus, config, methods=(), lambdas=lambdas, clock=None, **backends
+    )
+    return lambda_sweep(by_lambda, baselines)
+
+
 def test_lambda_sweep_points_sorted_and_complete(dataset, corpus, embedder):
     gen, answers = sweep_backends(embedder)
-    report = lambda_sweep(
+    report = sweep(
         dataset, [1.0, 0.2, 0.6], corpus, RunConfig(mock=True),
         generator=gen, answer_generator=answers, embedder=embedder,
         baselines={"standard": 0.2},
@@ -188,7 +216,7 @@ def test_lambda_sweep_points_sorted_and_complete(dataset, corpus, embedder):
 def test_lambda_sweep_generates_pairs_once(dataset, corpus, embedder):
     gen, answers = sweep_backends(embedder)
     lambdas = [0.2, 0.6, 1.0, 1.4]
-    lambda_sweep(
+    sweep(
         dataset, lambdas, corpus, RunConfig(mock=True),
         generator=gen, answer_generator=answers, embedder=embedder,
     )
@@ -198,7 +226,7 @@ def test_lambda_sweep_generates_pairs_once(dataset, corpus, embedder):
 
 def test_lambda_sweep_zero_matches_h_plus_only(dataset, corpus, embedder):
     gen, answers = sweep_backends(embedder)
-    report = lambda_sweep(
+    report = sweep(
         dataset, [0.0], corpus, RunConfig(mock=True),
         generator=gen, answer_generator=answers, embedder=embedder,
     )
@@ -230,7 +258,7 @@ def test_lambda_sweep_is_item_major_and_matches_per_lambda_runs(
     items = list(reversed(dataset[:6]))  # records must come back in id order
     lambdas = [1.0, 0.0, 0.4]
     gen, answers = sweep_backends(embedder)
-    report = lambda_sweep(
+    report = sweep(
         items, lambdas, corpus, RunConfig(mock=True),
         generator=gen, answer_generator=answers, embedder=embedder,
     )
@@ -258,13 +286,13 @@ def test_lambda_sweep_validates_grid(dataset, corpus, embedder):
     gen, answers = sweep_backends(embedder)
     kwargs = dict(generator=gen, answer_generator=answers, embedder=embedder)
     with pytest.raises(ValueError):
-        lambda_sweep(dataset, [], corpus, RunConfig(mock=True), **kwargs)
+        sweep(dataset, [], corpus, RunConfig(mock=True), **kwargs)
     with pytest.raises(ValueError):
-        lambda_sweep(dataset, [0.5, 0.5], corpus, RunConfig(mock=True), **kwargs)
+        sweep(dataset, [0.5, 0.5], corpus, RunConfig(mock=True), **kwargs)
     with pytest.raises(ValueError):
-        lambda_sweep(dataset, [-0.1, 0.5], corpus, RunConfig(mock=True), **kwargs)
+        sweep(dataset, [-0.1, 0.5], corpus, RunConfig(mock=True), **kwargs)
     with pytest.raises(EmptyInputError):
-        lambda_sweep([], [0.5], corpus, RunConfig(mock=True), **kwargs)
+        sweep([], [0.5], corpus, RunConfig(mock=True), **kwargs)
 
 
 def test_sweep_report_rejects_unsorted_points():

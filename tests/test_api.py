@@ -37,6 +37,7 @@ PUBLIC_NAMES = {
     "build_answer_prompt",
     "cost_report",
     "embed_pair",
+    "evaluate",
     "extract_answer",
     "generate_pair",
     "lambda_sweep",

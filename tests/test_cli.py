@@ -4,9 +4,10 @@ import dataclasses
 import json
 import struct
 
+import numpy as np
 import pytest
 
-from contrastive_retrieval import pipeline
+from contrastive_retrieval import cli, pipeline
 from contrastive_retrieval.backends import (
     ANSWER_MARKER,
     HYPO_DOC_MARKER,
@@ -22,8 +23,9 @@ from contrastive_retrieval.cli import (
     build_parser,
     main_cli,
 )
-from contrastive_retrieval.config import RunConfig
-from contrastive_retrieval.dataio import load_cache, load_corpus, load_records
+from contrastive_retrieval.config import DEFAULT_SWEEP_GRID, RunConfig
+from contrastive_retrieval.dataio import load_cache, load_corpus, load_dataset, load_records
+from contrastive_retrieval.errors import BackendUnavailableError
 from contrastive_retrieval.hypotheses import embed_pair
 from contrastive_retrieval.synthdata import DATASET_FILE, RATINGS_FILE, bundled_path
 from helpers import shifted_query_answer
@@ -152,6 +154,76 @@ def test_run_resends_a_pair_prompt_that_failed_to_parse(tmp_path, monkeypatch):
     records = load_records(out / "records_chr.jsonl")
     assert all(r.cost.llm_calls == 1 for r in records[1:])
     assert records[0].cost.llm_calls == 2
+
+
+@pytest.fixture
+def sweeps(monkeypatch) -> list:
+    """The report of each ``cli.lambda_sweep`` call a command makes."""
+    reports = []
+    lambda_sweep = cli.lambda_sweep
+
+    def keeping(*args, **kwargs):
+        reports.append(lambda_sweep(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "lambda_sweep", keeping)
+    return reports
+
+
+def test_run_makes_one_sweep_with_a_record_per_item_at_every_weight(tmp_path, sweeps):
+    # perfbench/workloads.py's _count_ops counts a run's sweep operations
+    # from the records of the one cli.lambda_sweep call it intercepts.
+    assert run_cli("run", "--mock", "--seed", "0", "--out", str(tmp_path / "out")) == 0
+    assert len(sweeps) == 1
+    by_lambda = sweeps[0].records_by_lambda
+    assert set(by_lambda) == set(DEFAULT_SWEEP_GRID)
+    item_ids = sorted(item.id for item in load_dataset(bundled_path(DATASET_FILE)))
+    for lam in DEFAULT_SWEEP_GRID:
+        assert [r.item_id for r in by_lambda[lam]] == item_ids
+        assert all(r.error is None for r in by_lambda[lam])
+
+
+def test_run_requests_a_failing_pair_once_per_item(tmp_path, monkeypatch, sweeps):
+    pair_calls = []
+    complete = MockGeneratorBackend.complete
+
+    def failing_pair(self, messages, temperature=0.0):
+        if PAIR_MARKER in messages[-1]["content"]:
+            pair_calls.append(messages)
+            raise BackendUnavailableError("pair endpoint down")
+        return complete(self, messages, temperature)
+
+    monkeypatch.setattr(MockGeneratorBackend, "complete", failing_pair)
+    out = tmp_path / "out"
+    assert run_cli("run", "--mock", "--seed", "0", "--out", str(out)) == 0
+    # One request per item, not one per ranking by its pair (chr,
+    # h_plus_only and seven weights).
+    assert len(pair_calls) == 20
+    pair_records = [
+        *load_records(out / "records_chr.jsonl"),
+        *load_records(out / "records_h_plus_only.jsonl"),
+        *(r for records in sweeps[0].records_by_lambda.values() for r in records),
+    ]
+    assert len(pair_records) == 20 * 9
+    assert {r.error for r in pair_records} == {"BackendUnavailableError: pair endpoint down"}
+    assert all(r.ranked.hits == () and r.pair is None for r in pair_records)
+
+
+def test_run_computes_each_items_corpus_products_once(tmp_path, monkeypatch):
+    # Per item: the stem, the draft mean and stem + pseudo-document, and the
+    # pair's a and b; h_plus_only and the seven weights score from the memos.
+    # The fixture's 140 rows are one block, so a product is one matmul call.
+    blocks = []
+    matmul = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        if a.ndim == 2 and b.ndim == 1:
+            blocks.append(len(a))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    assert run_cli("run", "--mock", "--seed", "0", "--out", str(tmp_path / "out")) == 0
+    assert blocks == [140] * 100
 
 
 def test_run_chr_records_match_shifted_query_ranking(tmp_path):

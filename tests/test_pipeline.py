@@ -27,6 +27,7 @@ from contrastive_retrieval.pipeline import (
     AnswerMemo,
     accuracy,
     build_answer_prompt,
+    evaluate,
     extract_answer,
     run_benchmark,
     summarize,
@@ -414,35 +415,38 @@ def test_run_benchmark_stamps_lambda_only_for_chr(dataset, corpus, embedder):
         assert all(r.lam == want for r in records)
 
 
-def test_run_benchmark_reuses_pair_cache(dataset, corpus, embedder):
-    cache = {}
+def test_evaluate_sends_one_pair_prompt_per_item(dataset, corpus, embedder):
     gen = MockGeneratorBackend(seed=0, embedder=embedder)
     answers = MockGeneratorBackend(seed=0, embedder=embedder)
-    run_benchmark(dataset, "chr", corpus, mock_config(), generator=gen,
-                  answer_generator=answers, embedder=embedder,
-                  pair_cache=cache, clock=None)
-    assert gen.calls == len(dataset)
-    run_benchmark(dataset, "h_plus_only", corpus, mock_config(), generator=gen,
-                  answer_generator=answers, embedder=embedder,
-                  pair_cache=cache, clock=None)
-    assert gen.calls == len(dataset)  # second pass served entirely from cache
+    by_method, by_lambda = evaluate(
+        dataset, corpus, mock_config(), methods=("chr", "h_plus_only"), lambdas=(0.5, 1.0),
+        generator=gen, answer_generator=answers, embedder=embedder, clock=None,
+    )
+    assert gen.calls == len(dataset)  # chr, h_plus_only and both weights share it
+    chr_records = by_method["chr"]
+    for swept in (by_method["h_plus_only"], *by_lambda.values()):
+        assert [r.pair for r in swept] == [r.pair for r in chr_records]
+        assert [r.cost for r in swept] == [r.cost for r in chr_records]
 
 
-def test_lambda_sweep_uses_given_pair_cache(dataset, corpus, embedder):
-    cache = {}
-    gen = MockGeneratorBackend(seed=0, embedder=embedder)
-    answers = MockGeneratorBackend(seed=0, embedder=embedder)
-    chr_records, _ = run_benchmark(dataset, "chr", corpus, mock_config(), generator=gen,
-                                   answer_generator=answers, embedder=embedder,
-                                   pair_cache=cache, clock=None)
-    pair_calls = gen.calls
-    report = lambda_sweep(dataset, [0.5, 1.0], corpus, mock_config(), generator=gen,
-                          answer_generator=answers, embedder=embedder,
-                          pair_cache=cache, clock=None)
-    assert gen.calls == pair_calls == len(dataset)  # no pair prompt in the sweep
-    swept = report.records_by_lambda[1.0]
-    assert [r.pair for r in swept] == [r.pair for r in chr_records]
-    assert [r.cost for r in swept] == [r.cost for r in chr_records]
+def test_evaluate_checks_methods_and_weights_before_any_backend_call(dataset, corpus):
+    class NoCalls:
+        def complete(self, *args, **kwargs):
+            raise AssertionError("generator called")
+
+        def embed(self, *args, **kwargs):
+            raise AssertionError("embedder called")
+
+    kwargs = dict(generator=NoCalls(), answer_generator=NoCalls(), embedder=NoCalls())
+    for methods, lambdas in (
+        (("bm25",), ()),
+        (("chr", "chr"), ()),
+        (("chr",), (0.5, 1.0, 0.5)),
+        ((), (float("nan"),)),
+        ((), (-0.1,)),
+    ):
+        with pytest.raises(ValueError):
+            evaluate(dataset, corpus, mock_config(), methods=methods, lambdas=lambdas, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -507,15 +511,13 @@ def test_answer_memo_stores_nothing_for_a_failed_call():
 
 
 def test_answer_memo_hit_keeps_the_record_answer_cost(dataset, corpus, embedder):
-    cache = {}
     gen = MockGeneratorBackend(seed=0, embedder=embedder)
     answers = AnswerMemo(MockGeneratorBackend(seed=0, embedder=embedder))
-    chr_records, _ = run_benchmark(dataset, "chr", corpus, mock_config(), generator=gen,
-                                   answer_generator=answers, embedder=embedder,
-                                   pair_cache=cache, clock=None)
-    report = lambda_sweep(dataset, [1.0], corpus, mock_config(), generator=gen,
-                          answer_generator=answers, embedder=embedder,
-                          pair_cache=cache, clock=None)
+    by_method, by_lambda = evaluate(dataset, corpus, mock_config(), methods=("chr",),
+                                    lambdas=[1.0], generator=gen, answer_generator=answers,
+                                    embedder=embedder, clock=None)
+    chr_records = by_method["chr"]
+    report = lambda_sweep(by_lambda)
     assert answers.calls == answers.hits == len(dataset)
     swept = report.records_by_lambda[1.0]
     assert [record_to_dict(r) for r in swept] == [record_to_dict(r) for r in chr_records]
