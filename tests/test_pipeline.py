@@ -429,6 +429,24 @@ def test_evaluate_sends_one_pair_prompt_per_item(dataset, corpus, embedder):
         assert [r.cost for r in swept] == [r.cost for r in chr_records]
 
 
+def test_lambda_sweep_reports_the_chr_pair_at_every_weight(dataset, corpus, embedder):
+    gen = MockGeneratorBackend(seed=0, embedder=embedder)
+    answers = MockGeneratorBackend(seed=0, embedder=embedder)
+    by_method, by_lambda = evaluate(
+        dataset, corpus, mock_config(), methods=("chr",), lambdas=(0.5, 1.0),
+        generator=gen, answer_generator=answers, embedder=embedder, clock=None,
+    )
+    pair_calls, answer_calls = gen.calls, answers.calls
+    report = lambda_sweep(by_lambda)
+    assert (gen.calls, answers.calls) == (pair_calls, answer_calls)  # no backend call
+    assert pair_calls == len(dataset)
+    chr_records = by_method["chr"]
+    for lam in (0.5, 1.0):
+        swept = report.records_by_lambda[lam]
+        assert [r.pair for r in swept] == [r.pair for r in chr_records]
+        assert [r.cost for r in swept] == [r.cost for r in chr_records]
+
+
 def test_evaluate_checks_methods_and_weights_before_any_backend_call(dataset, corpus):
     class NoCalls:
         def complete(self, *args, **kwargs):
