@@ -10,8 +10,13 @@ class CostEntry:
     """Backend usage for one stage of one question.
 
     ``output_tokens`` is backend-reported when available, otherwise estimated
-    as ceil(characters / 4) of the generated text. ``wall_ms`` is zero until a
-    driver stamps it.
+    as ceil(characters / 4) of the generated text. ``wall_ms`` is zero until
+    stamped. ``evaluate`` stamps an expansion entry with the wall
+    time of the record's ranking (its expansion calls, embeddings and
+    retrieval), and an answer entry with that of the record's own answer
+    call, or of the memo lookup that served it. An answer batch's calls
+    overlap, so a summary's ``wall_ms_total`` can exceed the batch's wall
+    time, but it counts each call once.
     """
 
     llm_calls: int = 0

@@ -71,10 +71,10 @@ class AnswerMemo:
     roles included, and a repeat is served from the memo. At any other
     temperature every call reaches the backend, because a stored reply
     would change sampling. A call that raises stores nothing, so a repeat
-    asks the backend again. Only answers go through it: a parse retry of a
-    pair prompt resends identical messages and must reach the backend.
-    ``calls`` counts the calls that reached the backend, ``hits`` the
-    replies served from the memo.
+    in a later batch asks the backend again. Only answers go through it: a
+    parse retry of a pair prompt resends identical messages and must reach
+    the backend. ``calls`` counts the calls that reached the backend,
+    ``hits`` the replies served from the memo.
     """
 
     def __init__(self, generator: GeneratorBackend) -> None:
@@ -84,18 +84,102 @@ class AnswerMemo:
         self.hits = 0
 
     def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
-        if temperature != 0:
-            self.calls += 1
-            return self._generator.complete(messages, temperature)
-        key = hashlib.blake2b(json.dumps(messages).encode("utf-8"), digest_size=16).digest()
-        reply = self._replies.get(key)
-        if reply is not None:
-            self.hits += 1
-            return GenerationResult(*reply)
-        self.calls += 1
-        result = self._generator.complete(messages, temperature)
-        self._replies[key] = (result.text, result.output_tokens)
-        return result
+        [(outcome, _)] = self.answer_each([messages], temperature)
+        if isinstance(outcome, ContrastiveRetrievalError):
+            raise outcome
+        return outcome
+
+    def answer_each(
+        self,
+        message_lists: Sequence[list[Message]],
+        temperature: float = 0.0,
+        clock: Callable[[], float] | None = None,
+    ) -> list[tuple[GenerationResult | ContrastiveRetrievalError, float]]:
+        """One batch of answers, as ``_answer_each`` makes it, sending only what the memo lacks.
+
+        In input order, a prompt the memo holds is a hit, and so is a later
+        repeat of a prompt in this batch. Only the first of each distinct
+        missing prompt reaches the generator, all of them in one batch; a
+        repeat shares its first's reply, or its error. A hit's or a repeat's
+        seconds are its lookup's.
+        """
+        outcomes: list = [None] * len(message_lists)
+        # Each missing key's inputs, with their lookup seconds. A sampled
+        # call is keyed by its position, which no stored reply has.
+        missing: dict[bytes | int, list[tuple[int, float]]] = {}
+        for i, messages in enumerate(message_lists):
+            started = clock() if clock else 0.0
+            key = _memo_key(messages) if temperature == 0 else i
+            reply = self._replies.get(key)
+            seconds = clock() - started if clock else 0.0
+            if reply is not None:
+                self.hits += 1
+                outcomes[i] = (GenerationResult(*reply), seconds)
+            else:
+                missing.setdefault(key, []).append((i, seconds))
+        sent = _answer_each(
+            self._generator, [message_lists[waiting[0][0]] for waiting in missing.values()],
+            temperature, clock,
+        )
+        self.calls += len(sent)
+        for (key, waiting), (outcome, seconds) in zip(missing.items(), sent):
+            (first, _), *repeats = waiting
+            outcomes[first] = (outcome, seconds)
+            if not isinstance(outcome, ContrastiveRetrievalError):
+                if temperature == 0:
+                    self._replies[key] = (outcome.text, outcome.output_tokens)
+                self.hits += len(repeats)
+            for i, lookup_s in repeats:
+                outcomes[i] = (outcome, lookup_s)
+        return outcomes
+
+
+def _memo_key(messages: list[Message]) -> bytes:
+    return hashlib.blake2b(json.dumps(messages).encode("utf-8"), digest_size=16).digest()
+
+
+class _Settled:
+    """One batch's view of ``generator``: ``complete`` returns, never raises.
+
+    It returns the reply, or the ContrastiveRetrievalError that stopped the
+    call, with the call's wall seconds by ``clock`` (0.0 without one). It
+    keeps the generator's ``MAX_IN_FLIGHT``, so ``complete_each`` pools it
+    as it would the generator, and looks ``complete`` up per call.
+    """
+
+    def __init__(self, generator: GeneratorBackend, clock: Callable[[], float] | None) -> None:
+        self.MAX_IN_FLIGHT = getattr(generator, "MAX_IN_FLIGHT", 1)
+        self._generator = generator
+        self._clock = clock
+
+    def complete(self, messages: list[Message], temperature: float):
+        started = self._clock() if self._clock else 0.0
+        try:
+            outcome = self._generator.complete(messages, temperature)
+        except ContrastiveRetrievalError as exc:
+            outcome = exc
+        return outcome, self._clock() - started if self._clock else 0.0
+
+
+def _answer_each(
+    generator: GeneratorBackend,
+    message_lists: Sequence[list[Message]],
+    temperature: float,
+    clock: Callable[[], float] | None,
+) -> list[tuple[GenerationResult | ContrastiveRetrievalError, float]]:
+    """Each message list's reply, or the error that stopped its call, and its seconds.
+
+    The calls go out as one ``complete_each`` batch, so a generator with
+    ``MAX_IN_FLIGHT`` above 1 gets that many at once and any other is
+    called one at a time in input order; an ``AnswerMemo`` first serves
+    what it holds. A call that raises a ContrastiveRetrievalError fails
+    only its own input: every other call is still made, and its result
+    kept. Seconds are the call's own wall time by ``clock``, 0.0 without
+    one. Results are in input order.
+    """
+    if isinstance(generator, AnswerMemo):
+        return generator.answer_each(message_lists, temperature, clock)
+    return list(complete_each(_Settled(generator, clock), message_lists, temperature))
 
 
 @dataclass(frozen=True)
@@ -158,9 +242,23 @@ def extract_answer(raw: str, options: Sequence[str]) -> str:
     return ABSTAIN
 
 
-def _cost_of(calls: int, tokens: int, started: float | None, clock) -> CostEntry:
-    wall = 0 if started is None else int(round((clock() - started) * 1000))
-    return CostEntry(llm_calls=calls, output_tokens=tokens, wall_ms=wall)
+def _cost_of(calls: int, tokens: int, seconds: float) -> CostEntry:
+    return CostEntry(llm_calls=calls, output_tokens=tokens, wall_ms=int(round(seconds * 1000)))
+
+
+def _error_text(exc: ContrastiveRetrievalError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+@dataclass(frozen=True)
+class _Ranked:
+    """One ranking of an item before its answer: the answer's messages, or the error."""
+
+    ranked: RankedResult
+    pair: HypothesisPair | None
+    cost: CostEntry
+    messages: list[Message] | None
+    error: str | None
 
 
 def _pair_once(
@@ -259,6 +357,12 @@ def evaluate(
     the pair's wall time; every ranking by the pair carries the pair's cost,
     or the error that stopped it. So the corpus computes the pair's two
     products once per item, and the other rankings score from its memos.
+    Once the item is ranked every way, its answer prompts go to
+    ``answer_generator`` as one batch: a generator with ``MAX_IN_FLIGHT``
+    above 1 gets that many at once, any other one call at a time in plan
+    order, and an ``AnswerMemo`` sends only the prompts it lacks. So no
+    expansion call overlaps an answer call, and an answer that fails marks
+    only its own record.
 
     ``clock`` stamps wall_ms on cost entries; passing None zeroes timings,
     which keeps record files byte-identical across reruns of deterministic
@@ -279,53 +383,60 @@ def evaluate(
     for lam in by_lambda:
         check_lambda(lam, "lambdas")
 
-    def record(item: QAItem, method: str, lam: float | None, pair) -> EvalRecord:
-        embedded: HypothesisPair | None = None
-        ranked: RankedResult | None = None
-        exp_cost = CostEntry()
-        ans_cost = CostEntry()
-        predicted = ABSTAIN
-        error: str | None = None
+    plan = [(m, config.lam if m == METHOD_CHR else None) for m in by_method]
+    plan += [(METHOD_CHR, lam) for lam in by_lambda]
+    outputs = [*by_method.values(), *by_lambda.values()]
+
+    def expand(item: QAItem, method: str, lam: float | None, pair) -> _Ranked:
+        ranked = RankedResult(hits=(), method=method, lam=lam)
+        embedded, cost, messages, error = None, CostEntry(), None, None
         try:
-            started = clock() if clock else None
+            started = clock() if clock else 0.0
             ranked, embedded, calls, tokens = _EXPANSIONS[method](
                 item, corpus, config, lam, generator, embedder, pair
             )
-            exp_cost = _cost_of(calls, tokens, started, clock)
-
-            started = clock() if clock else None
+            cost = _cost_of(calls, tokens, clock() - started if clock else 0.0)
             prompt = build_answer_prompt(item, ranked, corpus)
-            result = answer_generator.complete(
-                chat_messages(ANSWER_SYSTEM_PROMPT, prompt), temperature=config.temperature
-            )
-            ans_cost = _cost_of(1, output_tokens_of(result), started, clock)
-            predicted = extract_answer(result.text, list(item.options))
+            messages = chat_messages(ANSWER_SYSTEM_PROMPT, prompt)
         except ContrastiveRetrievalError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        if ranked is None:
-            ranked = RankedResult(hits=(), method=method, lam=lam)
+            error = _error_text(exc)
+        return _Ranked(ranked, embedded, cost, messages, error)
+
+    def record(item: QAItem, method: str, lam: float | None, done: _Ranked, reply) -> EvalRecord:
+        predicted, answer_cost, error = ABSTAIN, CostEntry(), done.error
+        if reply is not None:
+            outcome, seconds = reply
+            if isinstance(outcome, ContrastiveRetrievalError):
+                error = _error_text(outcome)
+            else:
+                answer_cost = _cost_of(1, output_tokens_of(outcome), seconds)
+                predicted = extract_answer(outcome.text, list(item.options))
         return EvalRecord(
             item_id=item.id,
             method=method,
-            ranked=ranked,
+            ranked=done.ranked,
             predicted=predicted,
             correct=predicted != ABSTAIN and predicted == item.answer_key,
-            cost=exp_cost,
-            answer_cost=ans_cost,
+            cost=done.cost,
+            answer_cost=answer_cost,
             lam=lam,
-            pair=embedded,
+            pair=done.pair,
             dataset=dataset_name,
             error=error,
         )
 
     for item in dataset:
         pair = _pair_once(item, config, generator, embedder)
-        for method, records in by_method.items():
-            lam = config.lam if method == METHOD_CHR else None
-            records.append(record(item, method, lam, pair))
-        for lam, records in by_lambda.items():
-            records.append(record(item, METHOD_CHR, lam, pair))
-    for records in (*by_method.values(), *by_lambda.values()):
+        # Rank the item every way first, so no embed overlaps its answers.
+        ranked = [expand(item, method, lam, pair) for method, lam in plan]
+        replies = iter(_answer_each(
+            answer_generator, [r.messages for r in ranked if r.messages], config.temperature,
+            clock,
+        ))
+        for (method, lam), done, records in zip(plan, ranked, outputs):
+            reply = next(replies) if done.messages else None
+            records.append(record(item, method, lam, done, reply))
+    for records in outputs:
         records.sort(key=lambda r: r.item_id)
     return by_method, by_lambda
 

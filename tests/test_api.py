@@ -11,8 +11,8 @@ import pytest
 import contrastive_retrieval
 from contrastive_retrieval.backends import MockEmbedderBackend, MockGeneratorBackend
 from contrastive_retrieval.config import RunConfig
-from contrastive_retrieval.pipeline import run_benchmark
-from contrastive_retrieval.retrieval import Corpus
+from contrastive_retrieval.pipeline import evaluate
+from contrastive_retrieval.retrieval import METHODS, Corpus
 from bundled_data import build_bundled_corpus_texts, build_bundled_dataset
 
 PUBLIC_NAMES = {
@@ -161,12 +161,13 @@ class _TimedEmbedder(_TimedBackend):
         return self._call("embed", text)
 
 
-@pytest.mark.parametrize("method", ["hyde", "chr"])
+@pytest.mark.parametrize("method", ["hyde", "chr", "all"])
 def test_pooled_batches_keep_perfbench_call_counts_whole(monkeypatch, method):
     # perfbench counts backend calls with wrappers on the backend classes,
     # and drops an embed made while a generator call is open (the mock
     # answerer's own). So every call must reach the class's method, and no
-    # embedder call may overlap a generator call.
+    # embedder call may overlap a generator call. "all" runs every method
+    # and two sweep weights, so each item's answers go out as one batch.
     tracing = _perfbench_tracing()
     monkeypatch.setattr(tracing, "GENERATOR_CLASSES", (_TimedGenerator,))
     monkeypatch.setattr(tracing, "EMBEDDER_CLASSES", (_TimedEmbedder,))
@@ -179,11 +180,13 @@ def test_pooled_batches_keep_perfbench_call_counts_whole(monkeypatch, method):
     embedder = _TimedEmbedder(mock_embedder, calls, lock)
     counter = tracing.CallCounter()
     with counter.install():
-        records, summary = run_benchmark(
-            build_bundled_dataset()[:4], method, corpus, RunConfig(mock=True, hyde_n=8),
+        by_method, by_lambda = evaluate(
+            build_bundled_dataset()[:4], corpus, RunConfig(mock=True, hyde_n=8),
+            methods=METHODS if method == "all" else (method,),
+            lambdas=(0.5, 1.0) if method == "all" else (),
             generator=generator, answer_generator=generator, embedder=embedder, clock=None,
         )
-    assert summary["item_errors"] == 0
+    assert all(r.error is None for rs in (*by_method.values(), *by_lambda.values()) for r in rs)
     spans = {role: [(start, end) for r, start, end in calls if r == role]
              for role in ("generator", "embedder")}
     assert (counter.generator_calls, counter.embedder_calls) == (

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from contrastive_retrieval.backends import (
     chat_messages,
 )
 from contrastive_retrieval.config import RunConfig
+from contrastive_retrieval.costs import CostEntry
 from contrastive_retrieval.dataio import record_to_dict
 from contrastive_retrieval.errors import (
     BackendUnavailableError,
@@ -24,6 +26,7 @@ from contrastive_retrieval.errors import (
 from contrastive_retrieval.pipeline import (
     ABSTAIN,
     ANSWER_INSTRUCTION,
+    ANSWER_SYSTEM_PROMPT,
     AnswerMemo,
     accuracy,
     build_answer_prompt,
@@ -540,6 +543,163 @@ def test_answer_memo_hit_keeps_the_record_answer_cost(dataset, corpus, embedder)
     swept = report.records_by_lambda[1.0]
     assert [record_to_dict(r) for r in swept] == [record_to_dict(r) for r in chr_records]
     assert all(r.answer_cost.llm_calls == 1 for r in swept)
+
+
+# ----------------------------------------------------------------------
+# An item's answer batch
+# ----------------------------------------------------------------------
+
+def _flat(by_method, by_lambda):
+    return [r for records in (*by_method.values(), *by_lambda.values()) for r in records]
+
+
+class PooledGenerator:
+    """The in-process mock behind ``MAX_IN_FLIGHT = 4``; every call with ``failing``'s
+    prompt raises.
+
+    The mock is used one call at a time, under a lock. ``prompts`` gets each
+    call's user prompt, ``threads`` the threads that made the calls.
+    """
+
+    MAX_IN_FLIGHT = 4
+
+    def __init__(self, mock, failing=None):
+        self.mock, self.failing = mock, failing
+        self.prompts: list[str] = []
+        self.threads: set[int] = set()
+        self.lock = threading.Lock()
+
+    def complete(self, messages, temperature=0.0):
+        with self.lock:
+            self.prompts.append(messages[-1]["content"])
+            self.threads.add(threading.get_ident())
+            if messages[-1]["content"] == self.failing:
+                raise BackendUnavailableError("answer rejected: HTTP 400")
+            return self.mock.complete(messages, temperature)
+
+
+def test_a_failed_answer_marks_only_its_own_record(dataset, corpus, embedder):
+    items = dataset[:2]
+
+    def run(answers):
+        return _flat(*evaluate(
+            items, corpus, mock_config(), methods=("standard", "hyde", "chr"),
+            lambdas=(0.5, 1.0), generator=MockGeneratorBackend(seed=0, embedder=embedder),
+            answer_generator=answers, embedder=embedder, clock=None,
+        ))
+
+    expected = run(MockGeneratorBackend(seed=0, embedder=embedder))
+    assert all(r.error is None for r in expected)
+    by_id = {item.id: item for item in items}
+    prompts = [build_answer_prompt(by_id[r.item_id], r.ranked, corpus) for r in expected]
+    # The first item's standard prompt; no other record of the run has it.
+    failing = prompts[0]
+    assert prompts.count(failing) == 1
+    pooled = PooledGenerator(MockGeneratorBackend(seed=0, embedder=embedder), failing)
+    memo = AnswerMemo(pooled)
+    got = run(memo)
+    assert got[0].error == "BackendUnavailableError: answer rejected: HTTP 400"
+    assert (got[0].ranked, got[0].predicted, got[0].answer_cost) == (
+        expected[0].ranked, ABSTAIN, CostEntry())
+    # Every other answer of the item, and of the run, was made and recorded.
+    assert [record_to_dict(r) for r in got[1:]] == [record_to_dict(r) for r in expected[1:]]
+    assert pooled.prompts.count(failing) == 1
+    assert len(pooled.prompts) == len(set(prompts)) == memo.calls
+    assert threading.get_ident() not in pooled.threads  # each batch went to the pool
+    # The memo stored nothing for the failed prompt, so asking again reaches
+    # the backend.
+    with pytest.raises(BackendUnavailableError):
+        memo.complete(chat_messages(ANSWER_SYSTEM_PROMPT, failing))
+    assert pooled.prompts.count(failing) == 2
+
+
+def test_an_http_generator_gets_an_items_answers_at_once_each_distinct_prompt_once(
+    dataset, corpus, embedder
+):
+    items = dataset[:3]
+    mock = MockGeneratorBackend(seed=0, embedder=embedder)
+    lock = threading.Lock()  # the mocks are used one call at a time
+    windows: list[tuple[str, float, float]] = []  # (kind, start, end) per request served
+
+    def generate(payload):
+        started = time.perf_counter()
+        with lock:
+            text = mock.complete(payload["messages"]).text
+        kind = "answer" if ANSWER_INSTRUCTION in payload["messages"][-1]["content"] else "other"
+        if kind == "answer":
+            time.sleep(0.02)  # long enough for an item's answer requests to meet
+        windows.append((kind, started, time.perf_counter()))
+        return Reply(body={"choices": [{"message": {"content": text}}]})
+
+    def embed(payload):
+        started = time.perf_counter()
+        with lock:
+            vector = embedder.embed(payload["input"]).tolist()
+        windows.append(("embed", started, time.perf_counter()))
+        return Reply(body={"data": [{"embedding": vector}]})
+
+    def run(generator, answers, embedder):
+        return _flat(*evaluate(
+            items, corpus, mock_config(), methods=("standard", "query2doc", "chr"),
+            lambdas=(0.5, 1.0), generator=generator, answer_generator=answers,
+            embedder=embedder, clock=None,
+        ))
+
+    generator_server, embedder_server = FaultServer(generate), FaultServer(embed)
+    try:
+        generator = HttpGeneratorBackend(generator_server.url(), "m")
+        memo = AnswerMemo(generator)
+        records = run(generator, memo, HttpEmbedderBackend(embedder_server.url(), "m"))
+    finally:
+        generator_server.close()
+        embedder_server.close()
+    assert all(r.error is None for r in records)
+    sent = [r.payload["messages"][-1]["content"] for r in generator_server.requests]
+    answers = [prompt for prompt in sent if ANSWER_INSTRUCTION in prompt]
+    # Each distinct prompt was sent once; chr at config.lam repeats the
+    # weight 1.0 in each item's batch, and the memo served the repeat.
+    assert len(answers) == len(set(answers)) == memo.calls
+    assert memo.hits == len(records) - memo.calls >= len(items)
+
+    def overlap(a, b):
+        return a[1] < b[2] and b[1] < a[2]
+
+    answered = [w for w in windows if w[0] == "answer"]
+    embedded = [w for w in windows if w[0] == "embed"]
+    assert any(overlap(a, b) for i, a in enumerate(answered) for b in answered[i + 1:])
+    assert not any(overlap(a, e) for a in answered for e in embedded)
+    # The records are those of the in-process mocks.
+    expected = run(mock, AnswerMemo(MockGeneratorBackend(seed=0, embedder=embedder)), embedder)
+    assert [(r.ranked, r.predicted) for r in records] == [
+        (r.ranked, r.predicted) for r in expected]
+
+
+def test_an_answer_costs_its_own_calls_wall_time_not_its_batchs(dataset, corpus, embedder):
+    now = [0.0]
+
+    class Ticking:
+        """The mock answerer on a clock that each of its calls moves one second on."""
+
+        def __init__(self):
+            self.mock = MockGeneratorBackend(seed=0, embedder=embedder)
+
+        def complete(self, messages, temperature=0.0):
+            now[0] += 1.0
+            return self.mock.complete(messages, temperature)
+
+    memo = AnswerMemo(Ticking())
+    by_method, by_lambda = evaluate(
+        dataset[:3], corpus, mock_config(), methods=("standard", "chr"), lambdas=(1.0,),
+        generator=MockGeneratorBackend(seed=0, embedder=embedder), answer_generator=memo,
+        embedder=embedder, clock=lambda: now[0],
+    )
+    # Each item's batch made two calls, standard's and chr's; the weight 1.0
+    # repeats chr's prompt and is served from the memo.
+    assert (memo.calls, memo.hits) == (6, 3)
+    for records in by_method.values():
+        assert [r.answer_cost.wall_ms for r in records] == [1000] * 3
+    assert [r.answer_cost.wall_ms for r in by_lambda[1.0]] == [0] * 3
+    assert summarize(by_method["chr"])["answer_cost"]["wall_ms_total"] == 3000
 
 
 # ----------------------------------------------------------------------
