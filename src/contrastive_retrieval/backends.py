@@ -21,7 +21,8 @@ at once (see ``_post_with_retries``).
 ``complete_each`` and ``embed_each`` make the calls of one batch whose
 inputs do not depend on each other. A backend class whose ``MAX_IN_FLIGHT``
 is above 1 (the HTTP backends, 8) gets up to that many calls at once from
-worker threads; every other backend is called one at a time.
+worker threads, and the HTTP backends fewer for a while after a 429 or 503;
+every other backend is called one at a time.
 
 Deterministic in-process mocks implement the same contracts so the whole
 pipeline runs offline: a rule-driven generator keyed off prompt markers and
@@ -40,14 +41,16 @@ import ssl
 import threading
 import time
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import ClassVar, Protocol
 from urllib.parse import urlsplit
 
 import numpy as np
 
-from .errors import BackendUnavailableError, EmbedderFailureError, ZeroVectorError
+from .errors import (
+    BackendUnavailableError, ContrastiveRetrievalError, EmbedderFailureError, ZeroVectorError,
+)
 from .vectors import normalize
 
 Message = dict[str, str]
@@ -137,6 +140,47 @@ def _each(backend, method: str, calls: list[tuple]) -> Iterator:
             yield window.popleft().result()
 
 
+class Settled:
+    """``backend`` for a settled batch: a call returns (its result, or the
+    ContrastiveRetrievalError that stopped it, its wall seconds by ``clock``,
+    0.0 without one). It keeps the backend's ``MAX_IN_FLIGHT``, so
+    ``complete_each`` and ``embed_each`` pool it as they would the backend."""
+
+    def __init__(self, backend, clock: Callable[[], float] | None = None) -> None:
+        self.MAX_IN_FLIGHT = getattr(backend, "MAX_IN_FLIGHT", 1)
+        self._backend, self._clock = backend, clock
+
+    def _call(self, method: str, *args) -> tuple:
+        started = self._clock() if self._clock else 0.0
+        try:
+            outcome = getattr(self._backend, method)(*args)
+        except ContrastiveRetrievalError as exc:
+            outcome = exc
+        return outcome, self._clock() - started if self._clock else 0.0
+
+    def complete(self, messages: list[Message], temperature: float = 0.0) -> tuple:
+        return self._call("complete", messages, temperature)
+
+    def embed(self, text: str) -> tuple:
+        return self._call("embed", text)
+
+
+def complete_until_done(
+    generator: GeneratorBackend,
+    requests: Sequence,
+    temperature: float = 0.0,
+    clock: Callable[[], float] | None = None,
+) -> None:
+    """Send each request's ``messages`` until its ``take(outcome, seconds)``
+    returns True; each round is one settled ``complete_each`` batch of the
+    requests not yet done, so a failed call reaches only its own request."""
+    pending = list(requests)
+    while pending:
+        batch = [r.messages for r in pending]
+        outcomes = list(complete_each(Settled(generator, clock), batch, temperature))
+        pending = [r for r, outcome in zip(pending, outcomes) if not r.take(*outcome)]
+
+
 # ----------------------------------------------------------------------
 # HTTP backends
 # ----------------------------------------------------------------------
@@ -177,6 +221,35 @@ def _connection(backend):
     return conn, target
 
 
+def _take_slot(backend, slept_to: float) -> int:
+    """Wait for the latest 429's or 503's resume-at time, unless it is ``slept_to``,
+    which the call slept through itself, and for a slot under the in-flight
+    limit; take the slot and return how many cuts the limit has had."""
+    with backend._lock:
+        while True:
+            wait = backend._resume_at - time.monotonic() if backend._resume_at != slept_to else 0
+            if wait <= 0 and backend._in_flight < int(backend._limit):
+                backend._in_flight += 1
+                return backend._cuts
+            backend._lock.wait(wait if wait > 0 else None)
+
+
+def _give_slot(backend, status: int | None, resume_at: float, cuts: int) -> None:
+    """Free the slot of an attempt started after ``cuts`` cuts. A 429 or 503
+    moves the resume-at time to ``resume_at`` if later and halves the limit,
+    to no less than 1; a 2xx to an attempt started since the latest cut
+    raises it by 1/limit, so by one per round of successes, up to MAX_IN_FLIGHT."""
+    with backend._lock:
+        backend._in_flight -= 1
+        if status in (429, 503):
+            backend._resume_at = max(backend._resume_at, resume_at)
+            backend._limit = max(1, int(backend._limit) // 2)
+            backend._cuts += 1
+        elif status is not None and 200 <= status < 300 and cuts == backend._cuts:
+            backend._limit = min(backend.MAX_IN_FLIGHT, backend._limit + 1 / backend._limit)
+        backend._lock.notify_all()
+
+
 def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exception]):
     """POST ``payload`` to ``backend.url`` and return ``read(response_json)``.
 
@@ -190,7 +263,8 @@ def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exce
     times, then raise ``error``. Before attempt ``n`` (from 1) it sleeps
     ``backend.backoff_s * n``; after a 429 or 503 whose ``Retry-After`` holds
     delta-seconds, it sleeps ``max(backend.backoff_s * n, Retry-After)``. An
-    HTTP-date or unreadable ``Retry-After`` keeps the linear backoff. Any
+    HTTP-date or unreadable ``Retry-After`` keeps the linear backoff. The
+    other threads calling the backend wait that long too (``_take_slot``). Any
     other status outside 2xx will not change on retry, so it raises
     ``error`` at once, naming the status. ``read`` raises ``error`` for a
     body of the wrong shape, which stops retrying too.
@@ -201,6 +275,7 @@ def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exce
         headers["Authorization"] = f"Bearer {backend.api_key}"
     last_error: object = None
     retry_after = 0.0
+    slept_to = 0.0  # the resume-at time this call set itself and sleeps through
     for attempt in range(backend.transport_retries + 1):
         if attempt > 0:
             time.sleep(max(backend.backoff_s * attempt, retry_after))
@@ -209,17 +284,21 @@ def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exce
             conn, target = _connection(backend)
         except ValueError as exc:
             raise error(f"{role} at {backend.url}: {exc}") from None
+        cuts = _take_slot(backend, slept_to)
+        status = None
         try:
             conn.request("POST", target, body=body, headers=headers)
             resp = conn.getresponse()
             status, raw = resp.status, resp.read()
             if status in (429, 503):
                 retry_after = _retry_after_s(resp.getheader("Retry-After"))
+                slept_to = time.monotonic() + max(backend.backoff_s * (attempt + 1), retry_after)
         except (OSError, http.client.HTTPException) as exc:
             last_error = exc
             continue
         finally:
             conn.close()
+            _give_slot(backend, status, slept_to, cuts)
         if status in (408, 429) or status >= 500:
             last_error = f"HTTP {status}"
             continue
@@ -239,7 +318,9 @@ class _HttpSettings:
     """Endpoint, identity, auth and retry settings shared by the HTTP backends.
 
     A backend may be called from several threads at once (see
-    ``embed_each``); its own state changes under ``_lock``.
+    ``embed_each``); its own state changes under ``_lock``. That state paces
+    the threads' attempts after a 429 or 503 (``_take_slot``, ``_give_slot``),
+    as TCP congestion avoidance paces segments (RFC 5681 §3.1).
     """
 
     MAX_IN_FLIGHT: ClassVar[int] = 8
@@ -252,7 +333,11 @@ class _HttpSettings:
     backoff_s: float = 0.5
     # One TLS context, built on the first https call.
     _tls: ssl.SSLContext | None = field(default=None, init=False, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+    _lock: threading.Condition = field(default_factory=threading.Condition, init=False, repr=False)
+    _limit: float = field(default=MAX_IN_FLIGHT, init=False, repr=False)
+    _in_flight: int = field(default=0, init=False, repr=False)
+    _resume_at: float = field(default=0.0, init=False, repr=False)
+    _cuts: int = field(default=0, init=False, repr=False)
 
 
 @dataclass(eq=False)

@@ -11,12 +11,14 @@ class CostEntry:
 
     ``output_tokens`` is backend-reported when available, otherwise estimated
     as ceil(characters / 4) of the generated text. ``wall_ms`` is zero until
-    stamped. ``evaluate`` stamps an expansion entry with the wall
-    time of the record's ranking (its expansion calls, embeddings and
-    retrieval), and an answer entry with that of the record's own answer
-    call, or of the memo lookup that served it. An answer batch's calls
-    overlap, so a summary's ``wall_ms_total`` can exceed the batch's wall
-    time, but it counts each call once.
+    stamped. ``evaluate`` stamps an expansion entry with the sum of the
+    wall times of the record's own expansion calls (generator calls, parse
+    retries included, and embeddings; a pair's, for every record ranked by
+    it), and an answer entry with that of the record's own answer call, or
+    of the memo lookup that served it; neither counts the time the record
+    waited for the rest of its window's batch. Batched calls overlap, so a
+    summary's ``wall_ms_total`` can exceed the batches' wall time, but it
+    counts each call once.
     """
 
     llm_calls: int = 0

@@ -17,14 +17,21 @@ import numpy as np
 
 from .backends import (
     EmbedderBackend,
+    GenerationResult,
     GeneratorBackend,
     chat_messages,
+    complete_until_done,
     embed_each,
     output_tokens_of,
 )
 from .config import DEFAULT_MAX_RETRIES
 from .costs import CostEntry
-from .errors import InvalidAnswerKeyError, ParseFailureError, TooFewOptionsError
+from .errors import (
+    ContrastiveRetrievalError,
+    InvalidAnswerKeyError,
+    ParseFailureError,
+    TooFewOptionsError,
+)
 from .vectors import normalize
 
 PAIR_SYSTEM_PROMPT = (
@@ -189,6 +196,39 @@ def parse_pair(raw: str) -> HypothesisPair:
     raise ParseFailureError("no JSON object with nonempty H_plus/H_minus strings found")
 
 
+class PairAttempts:
+    """One item's pair prompt, for ``complete_until_done`` to send until ``take`` is done.
+
+    A reply that parses, or the error that stopped a call, settles
+    ``outcome``; so does the last of ``max_retries + 1`` replies, whose raw
+    text becomes a fallback pair instead of failing the question. ``calls``,
+    ``tokens`` and ``seconds`` add up the replies.
+    """
+
+    def __init__(self, item: QAItem, max_retries: int = DEFAULT_MAX_RETRIES) -> None:
+        self.messages = chat_messages(*render_prompt(item))
+        self.outcome: HypothesisPair | ContrastiveRetrievalError | None = None
+        self.calls = self.tokens = 0
+        self.seconds = 0.0
+        self._max_calls = max_retries + 1
+
+    def take(self, reply: GenerationResult | ContrastiveRetrievalError, seconds: float) -> bool:
+        self.seconds += seconds
+        if isinstance(reply, ContrastiveRetrievalError):
+            self.outcome = reply
+            return True
+        self.calls += 1
+        self.tokens += output_tokens_of(reply)
+        try:
+            self.outcome = parse_pair(reply.text)
+        except ParseFailureError:
+            if self.calls < self._max_calls:
+                return False
+            fallback_text = reply.text.strip() or "(no usable generator output)"
+            self.outcome = HypothesisPair(h_plus=fallback_text, h_minus="", provenance="fallback")
+        return True
+
+
 def generate_pair(
     item: QAItem,
     backend: GeneratorBackend,
@@ -197,28 +237,16 @@ def generate_pair(
 ) -> tuple[HypothesisPair, CostEntry]:
     """Generate a hypothesis pair with one backend call per attempt.
 
-    After ``max_retries`` consecutive parse failures the last raw response
-    becomes a fallback pair instead of failing the question. Transport-level
-    errors (BackendUnavailableError) propagate.
+    A batch of one ``PairAttempts``: after ``max_retries`` consecutive parse
+    failures the last raw response becomes a fallback pair instead of
+    failing the question. Transport-level errors (BackendUnavailableError)
+    propagate.
     """
-    messages = chat_messages(*render_prompt(item))
-    calls = 0
-    tokens = 0
-    last_raw = ""
-    for _ in range(max_retries + 1):
-        result = backend.complete(messages, temperature=temperature)
-        calls += 1
-        tokens += output_tokens_of(result)
-        last_raw = result.text
-        try:
-            pair = parse_pair(result.text)
-        except ParseFailureError:
-            continue
-        return pair, CostEntry(llm_calls=calls, output_tokens=tokens)
-
-    fallback_text = last_raw.strip() or "(no usable generator output)"
-    pair = HypothesisPair(h_plus=fallback_text, h_minus="", provenance="fallback")
-    return pair, CostEntry(llm_calls=calls, output_tokens=tokens)
+    attempts = PairAttempts(item, max_retries)
+    complete_until_done(backend, [attempts], temperature)
+    if isinstance(attempts.outcome, ContrastiveRetrievalError):
+        raise attempts.outcome
+    return attempts.outcome, CostEntry(llm_calls=attempts.calls, output_tokens=attempts.tokens)
 
 
 def embed_pair(pair: HypothesisPair, embedder: EmbedderBackend) -> HypothesisPair:

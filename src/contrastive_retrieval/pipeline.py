@@ -14,6 +14,7 @@ import json
 import re
 import time
 from collections.abc import Callable, Sequence
+from itertools import islice
 from dataclasses import dataclass
 
 from .backends import (
@@ -21,15 +22,21 @@ from .backends import (
     GenerationResult,
     GeneratorBackend,
     Message,
+    Settled,
     chat_messages,
     complete_each,
+    complete_until_done,
+    embed_each,
     output_tokens_of,
 )
 from .config import RunConfig, check_lambda
 from .costs import CostEntry
 from .errors import ContrastiveRetrievalError, EmptyInputError
-from .hypotheses import (
+# generate_pair is not called here; perfbench/tracing.py wraps it under this
+# module's name.
+from .hypotheses import (  # noqa: F401
     HypothesisPair,
+    PairAttempts,
     QAItem,
     embed_pair,
     generate_pair,
@@ -43,6 +50,7 @@ from .retrieval import (
     METHOD_QUERY2DOC,
     METHOD_STANDARD,
     METHODS,
+    QUERY2DOC_SEPARATOR,
     Corpus,
     RankedResult,
     retrieve_chr,
@@ -138,29 +146,6 @@ def _memo_key(messages: list[Message]) -> bytes:
     return hashlib.blake2b(json.dumps(messages).encode("utf-8"), digest_size=16).digest()
 
 
-class _Settled:
-    """One batch's view of ``generator``: ``complete`` returns, never raises.
-
-    It returns the reply, or the ContrastiveRetrievalError that stopped the
-    call, with the call's wall seconds by ``clock`` (0.0 without one). It
-    keeps the generator's ``MAX_IN_FLIGHT``, so ``complete_each`` pools it
-    as it would the generator, and looks ``complete`` up per call.
-    """
-
-    def __init__(self, generator: GeneratorBackend, clock: Callable[[], float] | None) -> None:
-        self.MAX_IN_FLIGHT = getattr(generator, "MAX_IN_FLIGHT", 1)
-        self._generator = generator
-        self._clock = clock
-
-    def complete(self, messages: list[Message], temperature: float):
-        started = self._clock() if self._clock else 0.0
-        try:
-            outcome = self._generator.complete(messages, temperature)
-        except ContrastiveRetrievalError as exc:
-            outcome = exc
-        return outcome, self._clock() - started if self._clock else 0.0
-
-
 def _answer_each(
     generator: GeneratorBackend,
     message_lists: Sequence[list[Message]],
@@ -179,7 +164,7 @@ def _answer_each(
     """
     if isinstance(generator, AnswerMemo):
         return generator.answer_each(message_lists, temperature, clock)
-    return list(complete_each(_Settled(generator, clock), message_lists, temperature))
+    return list(complete_each(Settled(generator, clock), message_lists, temperature))
 
 
 @dataclass(frozen=True)
@@ -261,78 +246,130 @@ class _Ranked:
     error: str | None
 
 
-def _pair_once(
-    item: QAItem, config: RunConfig, generator: GeneratorBackend, embedder: EmbedderBackend
-) -> Callable[[], tuple[HypothesisPair, CostEntry]]:
-    """A function returning the item's embedded pair and the cost of the calls that made it.
+class _Fetched:
+    """An embedder that returns vectors fetched already, one per call, in order."""
 
-    The first call generates and embeds the pair; every later call returns
-    it, or raises the error the first call raised, without a backend call.
+    def __init__(self, vectors) -> None:
+        self._vectors = iter(vectors)
+
+    def embed(self, text: str):
+        return next(self._vectors)
+
+
+class _Call:
+    """One generator call of an expansion, made by ``complete_until_done``."""
+
+    calls = 1
+
+    def __init__(self, messages: list[Message]) -> None:
+        self.messages = messages
+
+    def take(self, reply: GenerationResult | ContrastiveRetrievalError, seconds: float) -> bool:
+        self.outcome, self.seconds = reply, seconds
+        self.tokens = 0 if isinstance(reply, ContrastiveRetrievalError) else output_tokens_of(reply)
+        return True
+
+
+class _Expansion:
+    """One item's expansion for a method, or for the methods sharing its pair.
+
+    What to send: the generator ``requests``, then ``texts()`` to embed. How
+    to rank: ``rank``, from the replies and ``vectors``, with no backend
+    call. It looks up retrieve_* and embed_pair in this module when it runs,
+    so a name rebound here (for tracing, say) is the one it calls.
     """
-    outcome: list = []
 
-    def pair() -> tuple[HypothesisPair, CostEntry]:
-        if not outcome:
-            try:
-                made, cost = generate_pair(item, generator, config.max_retries, config.temperature)
-                outcome.append((embed_pair(made, embedder), cost))
-            except ContrastiveRetrievalError as exc:
-                outcome.append(exc)
-        if isinstance(outcome[0], ContrastiveRetrievalError):
-            raise outcome[0]
-        return outcome[0]
+    def __init__(self, item: QAItem, config: RunConfig) -> None:
+        self.item, self.vectors, self.embed_seconds = item, [], 0.0
+        try:
+            self.requests, self._error = self._requests(config), None
+        except ContrastiveRetrievalError as exc:  # a prompt that cannot be rendered
+            self.requests, self._error = [], exc
 
-    return pair
+    def _requests(self, config: RunConfig) -> list:
+        return []
 
+    def error(self) -> ContrastiveRetrievalError | None:
+        """The first error that stopped one of its calls, if any."""
+        outcomes = [self._error, *(r.outcome for r in self.requests), *self.vectors]
+        return next((o for o in outcomes if isinstance(o, ContrastiveRetrievalError)), None)
 
-def _expand_standard(item, corpus, config, lam, generator, embedder, pair):
-    return retrieve_standard(item, corpus, config.k, embedder), None, 0, 0
+    def cost(self) -> CostEntry:
+        """Its generator calls and tokens, and the sum of its own calls' wall times."""
+        seconds = self.embed_seconds + sum(r.seconds for r in self.requests)
+        calls, tokens = sum(r.calls for r in self.requests), sum(r.tokens for r in self.requests)
+        return _cost_of(calls, tokens, seconds)
 
-
-def _expand_chr(item, corpus, config, lam, generator, embedder, pair):
-    embedded, cost = pair()
-    ranked = retrieve_chr(embedded, corpus, lam, config.k)
-    return ranked, embedded, cost.llm_calls, cost.output_tokens
-
-
-def _expand_h_plus_only(item, corpus, config, lam, generator, embedder, pair):
-    embedded, cost = pair()
-    ranked = retrieve_h_plus_only(embedded, corpus, config.k)
-    return ranked, embedded, cost.llm_calls, cost.output_tokens
+    def texts(self) -> list[str]:
+        """The texts to embed: by default, its replies'."""
+        return [r.outcome.text for r in self.requests]
 
 
-def _expand_hyde(item, corpus, config, lam, generator, embedder, pair):
-    prompts = [
-        chat_messages(*render_hypo_doc_prompt(item, draft=draft, total=config.hyde_n))
-        for draft in range(1, config.hyde_n + 1)
-    ]
-    results = list(complete_each(generator, prompts, config.temperature))
-    texts = [result.text for result in results]
-    tokens = sum(output_tokens_of(result) for result in results)
-    return retrieve_hyde(texts, corpus, config.k, embedder), None, config.hyde_n, tokens
+class _Standard(_Expansion):
+    def texts(self):
+        return [self.item.stem]
+
+    def rank(self, corpus, k, method, lam):
+        return retrieve_standard(self.item, corpus, k, _Fetched(self.vectors)), None
 
 
-def _expand_query2doc(item, corpus, config, lam, generator, embedder, pair):
-    prompt = render_pseudo_doc_prompt(item)
-    result = generator.complete(chat_messages(*prompt), temperature=config.temperature)
-    # An empty generation degrades to repeating the stem as pseudo-doc.
-    pseudo = result.text.strip() or item.stem
-    ranked = retrieve_query2doc(item, pseudo, corpus, config.k, embedder)
-    return ranked, None, 1, output_tokens_of(result)
+class _HyDE(_Expansion):
+    def _requests(self, config):
+        prompts = [render_hypo_doc_prompt(self.item, draft=draft, total=config.hyde_n)
+                   for draft in range(1, config.hyde_n + 1)]
+        return [_Call(chat_messages(*prompt)) for prompt in prompts]
+
+    def rank(self, corpus, k, method, lam):
+        return retrieve_hyde(self.texts(), corpus, k, _Fetched(self.vectors)), None
 
 
-# Each method's expansion stage: (item, corpus, config, lam, generator,
-# embedder, pair) -> (ranked, pair, llm_calls, tokens), where ``lam`` is
-# chr's weight and ``pair`` the item's ``_pair_once``. The stages look up
-# retrieve_*, generate_pair and embed_pair in this module when they run,
-# so a name rebound here (for tracing, say) is the one they call.
+class _Query2doc(_Expansion):
+    def _requests(self, config):
+        return [_Call(chat_messages(*render_pseudo_doc_prompt(self.item)))]
+
+    def _pseudo(self) -> str:
+        # An empty generation degrades to repeating the stem as pseudo-doc.
+        return self.requests[0].outcome.text.strip() or self.item.stem
+
+    def texts(self):
+        return [self.item.stem + QUERY2DOC_SEPARATOR + self._pseudo()]
+
+    def rank(self, corpus, k, method, lam):
+        return retrieve_query2doc(self.item, self._pseudo(), corpus, k, _Fetched(self.vectors)), None
+
+
+class _Pair(_Expansion):
+    """The item's hypothesis pair, shared by chr at every weight and h_plus_only."""
+
+    embedded: HypothesisPair | None = None
+
+    def _requests(self, config):
+        return [PairAttempts(self.item, config.max_retries)]
+
+    def texts(self):
+        pair = self.requests[0].outcome
+        return [pair.h_plus, pair.h_minus] if pair.h_minus else [pair.h_plus]
+
+    def rank(self, corpus, k, method, lam):
+        if self.embedded is None:
+            self.embedded = embed_pair(self.requests[0].outcome, _Fetched(self.vectors))
+        if method == METHOD_CHR:
+            return retrieve_chr(self.embedded, corpus, lam, k), self.embedded
+        return retrieve_h_plus_only(self.embedded, corpus, k), self.embedded
+
+
+# Each method's expansion; methods of one class share an item's expansion.
 _EXPANSIONS = {
-    METHOD_STANDARD: _expand_standard,
-    METHOD_HYDE: _expand_hyde,
-    METHOD_QUERY2DOC: _expand_query2doc,
-    METHOD_CHR: _expand_chr,
-    METHOD_H_PLUS_ONLY: _expand_h_plus_only,
+    METHOD_STANDARD: _Standard,
+    METHOD_HYDE: _HyDE,
+    METHOD_QUERY2DOC: _Query2doc,
+    METHOD_CHR: _Pair,
+    METHOD_H_PLUS_ONLY: _Pair,
 }
+
+# Items per window: a window sends its generator calls, its embeddings and
+# its answers as one batch each (see ``evaluate``).
+WINDOW = 8
 
 
 def evaluate(
@@ -350,22 +387,35 @@ def evaluate(
 ) -> tuple[dict[str, list[EvalRecord]], dict[float, list[EvalRecord]]]:
     """Evaluate every item under each method, then chr at each weight.
 
-    One loop over items; never aborts on a single item. An item runs
-    ``methods`` in METHODS order (chr at ``config.lam``), then chr at each
-    of ``lambdas`` in ascending order. Its hypothesis pair is generated and
-    embedded once, by the first ranking that needs it, whose record carries
-    the pair's wall time; every ranking by the pair carries the pair's cost,
-    or the error that stopped it. So the corpus computes the pair's two
-    products once per item, and the other rankings score from its memos.
-    Once the item is ranked every way, its answer prompts go to
-    ``answer_generator`` as one batch: a generator with ``MAX_IN_FLIGHT``
-    above 1 gets that many at once, any other one call at a time in plan
-    order, and an ``AnswerMemo`` sends only the prompts it lacks. So no
-    expansion call overlaps an answer call, and an answer that fails marks
-    only its own record.
+    Never aborts on a single item. Each item is ranked under ``methods`` in
+    METHODS order (chr at ``config.lam``), then by chr at each of
+    ``lambdas`` in ascending order. The items go in windows of ``WINDOW``
+    consecutive items, and each window takes four steps:
 
-    ``clock`` stamps wall_ms on cost entries; passing None zeroes timings,
-    which keeps record files byte-identical across reruns of deterministic
+    1. Every generator call its expansions need goes out as one batch: the
+       pair prompts, the HyDE drafts and the Query2doc prompts. Pair
+       prompts whose reply fails to parse go again, with identical
+       messages, in follow-up batches, up to ``config.max_retries`` times.
+    2. Every embedding goes out as one batch: the stems, the Query2doc
+       texts, the drafts and each pair's H+ and H-.
+    3. The items are ranked one by one, with no backend call. An item's
+       pair is generated and embedded once, so the corpus computes its two
+       products once and the item's other rankings by it score from its
+       memos.
+    4. The window's answer prompts go to ``answer_generator`` as one batch;
+       an ``AnswerMemo`` sends only the prompts it lacks.
+
+    A batch to a backend with ``MAX_IN_FLIGHT`` above 1 has that many calls
+    in flight at once; any other backend is called one call at a time, in
+    order. No two batches overlap, so no embedding overlaps a generator
+    call. Every call is settled: one that fails marks only the records that
+    needed it, with its error, and every other call is still made.
+
+    A record's cost is that of its expansion's calls: every ranking by the
+    pair carries the pair's cost. ``clock`` stamps wall_ms on cost entries,
+    with the sum of the wall times of the record's own calls, not the time
+    it waited for its window's batch; passing None zeroes timings, which
+    keeps record files byte-identical across reruns of deterministic
     backends. Returns (records by method, records by weight), each list
     sorted by item id. Raises EmptyInputError for no items and ValueError
     for an unknown or repeated method or a repeated, negative or non-finite
@@ -386,21 +436,20 @@ def evaluate(
     plan = [(m, config.lam if m == METHOD_CHR else None) for m in by_method]
     plan += [(METHOD_CHR, lam) for lam in by_lambda]
     outputs = [*by_method.values(), *by_lambda.values()]
+    kinds = list(dict.fromkeys(_EXPANSIONS[method] for method, _ in plan))
 
-    def expand(item: QAItem, method: str, lam: float | None, pair) -> _Ranked:
+    def rank(item: QAItem, method: str, lam: float | None, expansion: _Expansion) -> _Ranked:
         ranked = RankedResult(hits=(), method=method, lam=lam)
-        embedded, cost, messages, error = None, CostEntry(), None, None
-        try:
-            started = clock() if clock else 0.0
-            ranked, embedded, calls, tokens = _EXPANSIONS[method](
-                item, corpus, config, lam, generator, embedder, pair
-            )
-            cost = _cost_of(calls, tokens, clock() - started if clock else 0.0)
-            prompt = build_answer_prompt(item, ranked, corpus)
-            messages = chat_messages(ANSWER_SYSTEM_PROMPT, prompt)
-        except ContrastiveRetrievalError as exc:
-            error = _error_text(exc)
-        return _Ranked(ranked, embedded, cost, messages, error)
+        embedded, cost, messages, error = None, CostEntry(), None, expansion.error()
+        if error is None:
+            try:
+                ranked, embedded = expansion.rank(corpus, config.k, method, lam)
+                cost = expansion.cost()
+                prompt = build_answer_prompt(item, ranked, corpus)
+                messages = chat_messages(ANSWER_SYSTEM_PROMPT, prompt)
+            except ContrastiveRetrievalError as exc:
+                error = exc
+        return _Ranked(ranked, embedded, cost, messages, error and _error_text(error))
 
     def record(item: QAItem, method: str, lam: float | None, done: _Ranked, reply) -> EvalRecord:
         predicted, answer_cost, error = ABSTAIN, CostEntry(), done.error
@@ -425,17 +474,35 @@ def evaluate(
             error=error,
         )
 
-    for item in dataset:
-        pair = _pair_once(item, config, generator, embedder)
-        # Rank the item every way first, so no embed overlaps its answers.
-        ranked = [expand(item, method, lam, pair) for method, lam in plan]
+    for start in range(0, len(dataset), WINDOW):
+        window = dataset[start:start + WINDOW]
+        expansions = [{kind: kind(item, config) for kind in kinds} for item in window]
+        flat = [expansion for per_item in expansions for expansion in per_item.values()]
+        # 1. The generator calls, resent in rounds until every pair parses.
+        requests = [request for expansion in flat for request in expansion.requests]
+        complete_until_done(generator, requests, config.temperature, clock)
+        # 2. The embeddings.
+        embedding = [(e, e.texts()) for e in flat if e.error() is None]
+        texts = [text for _, own in embedding for text in own]
+        fetched = iter(list(embed_each(Settled(embedder, clock), texts)))
+        for expansion, own in embedding:
+            for vector, seconds in islice(fetched, len(own)):
+                expansion.vectors.append(vector)
+                expansion.embed_seconds += seconds
+        # 3. The rankings, item by item.
+        ranked = [
+            [rank(item, method, lam, per_item[_EXPANSIONS[method]]) for method, lam in plan]
+            for item, per_item in zip(window, expansions)
+        ]
+        # 4. The answers.
         replies = iter(_answer_each(
-            answer_generator, [r.messages for r in ranked if r.messages], config.temperature,
-            clock,
+            answer_generator, [r.messages for rs in ranked for r in rs if r.messages],
+            config.temperature, clock,
         ))
-        for (method, lam), done, records in zip(plan, ranked, outputs):
-            reply = next(replies) if done.messages else None
-            records.append(record(item, method, lam, done, reply))
+        for item, item_ranked in zip(window, ranked):
+            for (method, lam), done, records in zip(plan, item_ranked, outputs):
+                reply = next(replies) if done.messages else None
+                records.append(record(item, method, lam, done, reply))
     for records in outputs:
         records.sort(key=lambda r: r.item_id)
     return by_method, by_lambda

@@ -413,6 +413,66 @@ def test_a_batch_raises_its_first_failing_input_after_the_calls_in_flight(serve,
     assert server.in_flight == 0
 
 
+def test_a_batch_against_a_server_that_admits_two_requests_succeeds_in_input_order(serve):
+    # The server serves 2 requests at once and rejects the rest with 429 and
+    # Retry-After: 1. Each call retries at most twice, so the batch succeeds
+    # only if the backend's threads back off together and send fewer at once.
+    lock = threading.Lock()
+    busy = [0]
+    arrivals: list[float] = []
+    rejections: list[float] = []
+
+    def reply(payload):
+        with lock:
+            arrivals.append(time.monotonic())
+            if busy[0] == 2:
+                rejections.append(time.monotonic())
+                return Reply(429, {"error": "busy"}, headers={"Retry-After": "1"})
+            busy[0] += 1
+        time.sleep(0.05)
+        with lock:
+            busy[0] -= 1
+        return Reply(body={"data": [{"embedding": [1.0, float(_number(payload))]}]})
+
+    server = serve(reply)
+    vectors = embed_each(HttpEmbedderBackend(server.url(), "m"), [f"text {i}" for i in range(32)])
+    assert [round(vec[1] / vec[0]) for vec in vectors] == list(range(32))
+    assert 0 < len(rejections) < 32
+    # No thread sent a request while a rejection's second ran (the margins
+    # allow for requests already on their way and for timer slack).
+    assert not any(r + 0.1 < a < r + 0.9 for r in rejections for a in arrivals)
+
+
+def test_pacing_state_stays_whole_under_a_short_switch_interval(serve):
+    # Every fifth request is rate limited with no wait, so the in-flight
+    # limit is cut and raised again while many workers take and free slots;
+    # a lost update would leave a slot taken or the limit out of range.
+    lock = threading.Lock()
+    seen = [0]
+
+    def reply(payload):
+        with lock:
+            seen[0] += 1
+            limited = seen[0] % 5 == 0
+        if limited:
+            return Reply(429, headers={"Retry-After": "0"})
+        return Reply(body={"choices": [{"message": {"content": f"reply {_number(payload)}"}}]})
+
+    server = serve(reply)
+    backend = HttpGeneratorBackend(server.url(), "m", transport_retries=5, backoff_s=0.0)
+    prompts = [[{"role": "user", "content": f"prompt {i}"}] for i in range(100)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = list(complete_each(backend, prompts))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [int(result.text.split()[-1]) for result in results] == list(range(100))
+    assert backend._in_flight == 0
+    assert 1 <= backend._limit <= backend.MAX_IN_FLIGHT
+    assert server.max_in_flight <= backend.MAX_IN_FLIGHT
+
+
 def test_a_batch_counts_every_call_under_a_short_switch_interval(serve):
     # More workers than cores, switching threads as often as the interpreter
     # allows: a lost update of ``calls`` would show here.

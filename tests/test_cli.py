@@ -150,7 +150,8 @@ def test_run_resends_a_pair_prompt_that_failed_to_parse(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert run_cli("run", "--mock", "--seed", "0", "--out", str(out)) == 0
     assert len(pair_calls) == 21
-    assert pair_calls[1] == pair_calls[0]
+    # The garbled prompt is sent again in a later batch, with identical messages.
+    assert pair_calls.count(pair_calls[0]) == 2
     records = load_records(out / "records_chr.jsonl")
     assert all(r.cost.llm_calls == 1 for r in records[1:])
     assert records[0].cost.llm_calls == 2

@@ -8,6 +8,7 @@ import pytest
 
 from contrastive_retrieval.analysis import lambda_sweep
 from contrastive_retrieval.backends import (
+    PAIR_MARKER,
     GenerationResult,
     HttpEmbedderBackend,
     HttpGeneratorBackend,
@@ -27,6 +28,7 @@ from contrastive_retrieval.pipeline import (
     ABSTAIN,
     ANSWER_INSTRUCTION,
     ANSWER_SYSTEM_PROMPT,
+    WINDOW,
     AnswerMemo,
     accuracy,
     build_answer_prompt,
@@ -35,6 +37,7 @@ from contrastive_retrieval.pipeline import (
     run_benchmark,
     summarize,
 )
+from contrastive_retrieval.hypotheses import render_hypo_doc_prompt, render_prompt
 from contrastive_retrieval.retrieval import Corpus, RankedResult
 from bundled_data import build_bundled_corpus_texts, build_bundled_dataset
 from helpers import (
@@ -700,6 +703,201 @@ def test_an_answer_costs_its_own_calls_wall_time_not_its_batchs(dataset, corpus,
         assert [r.answer_cost.wall_ms for r in records] == [1000] * 3
     assert [r.answer_cost.wall_ms for r in by_lambda[1.0]] == [0] * 3
     assert summarize(by_method["chr"])["answer_cost"]["wall_ms_total"] == 3000
+
+
+# ----------------------------------------------------------------------
+# Windows
+# ----------------------------------------------------------------------
+
+class CountingEmbedder:
+    """The mock embedder, counting its calls."""
+
+    def __init__(self, mock):
+        self.mock, self.dimension, self.model = mock, mock.dimension, mock.model
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        return self.mock.embed(text)
+
+
+EVERY_WAY = dict(methods=("standard", "hyde", "query2doc", "chr", "h_plus_only"),
+                 lambdas=(0.5, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, WINDOW - 1, WINDOW, WINDOW + 1])
+def test_a_window_makes_the_records_and_calls_of_its_items_evaluated_alone(
+    dataset, corpus, embedder, n
+):
+    def run(items):
+        gen = MockGeneratorBackend(seed=0, embedder=embedder)
+        answers = MockGeneratorBackend(seed=0, embedder=embedder)
+        counting = CountingEmbedder(embedder)
+        by_method, by_lambda = evaluate(
+            items, corpus, mock_config(), generator=gen, answer_generator=answers,
+            embedder=counting, clock=None, **EVERY_WAY,
+        )
+        outputs = [[record_to_dict(r) for r in rs] for rs in (*by_method.values(),
+                                                               *by_lambda.values())]
+        return outputs, (gen.calls, counting.calls, answers.calls)
+
+    items = dataset[:n]
+    together, calls = run(items)
+    alone = [run([item]) for item in items]
+    assert together == [[r for outputs, _ in alone for r in outputs[i]]
+                        for i in range(len(together))]
+    assert calls == tuple(sum(counts) for counts in zip(*(c for _, c in alone)))
+    assert all(r["error"] is None for records in together for r in records)
+
+
+def test_a_window_sends_its_items_generator_calls_at_once_and_resends_a_garbled_pair(
+    dataset, corpus, embedder
+):
+    items = dataset[:3]
+    mock = MockGeneratorBackend(seed=0, embedder=embedder)
+    lock = threading.Lock()  # the mocks are used one call at a time
+    # (kind, item index, start, end, messages) per request served.
+    served: list[tuple[str, int, float, float, object]] = []
+    garbled = f"Question: {items[1].stem}\n"
+
+    def item_of(text):
+        return next(i for i, item in enumerate(items) if item.stem in text)
+
+    def generate(payload):
+        started = time.perf_counter()
+        messages = payload["messages"]
+        prompt = messages[-1]["content"]
+        kind = "pair" if PAIR_MARKER in prompt else "answer" if ANSWER_INSTRUCTION in prompt \
+            else "other"
+        with lock:
+            first = kind == "pair" and garbled in prompt and not any(
+                s[0] == "pair" and s[4] == messages for s in served)
+            text = "not a pair" if first else mock.complete(messages).text
+        time.sleep(0.02)  # long enough for a batch's requests to meet
+        with lock:
+            served.append((kind, item_of(prompt), started, time.perf_counter(), messages))
+        return Reply(body={"choices": [{"message": {"content": text}}]})
+
+    def embed(payload):
+        started = time.perf_counter()
+        with lock:
+            vector = embedder.embed(payload["input"]).tolist()
+            served.append(("embed", -1, started, time.perf_counter(), None))
+        return Reply(body={"data": [{"embedding": vector}]})
+
+    def run(generator, embedder):
+        return _flat(*evaluate(
+            items, corpus, mock_config(hyde_n=2), methods=("standard", "hyde", "query2doc", "chr"),
+            lambdas=(0.5,), generator=generator, answer_generator=generator,
+            embedder=embedder, clock=None,
+        ))
+
+    generator_server, embedder_server = FaultServer(generate), FaultServer(embed)
+    try:
+        records = run(HttpGeneratorBackend(generator_server.url(), "m"),
+                      HttpEmbedderBackend(embedder_server.url(), "m"))
+    finally:
+        generator_server.close()
+        embedder_server.close()
+    assert all(r.error is None for r in records)
+
+    def overlap(a, b):
+        return a[2] < b[3] and b[2] < a[3]
+
+    generated = [s for s in served if s[0] != "embed"]
+    embedded = [s for s in served if s[0] == "embed"]
+    expanding = [s for s in generated if s[0] != "answer"]
+    assert any(overlap(a, b) for a in expanding for b in expanding if a[1] != b[1])
+    assert not any(overlap(g, e) for g in generated for e in embedded)
+    # The garbled prompt went again, with identical messages, once the
+    # window's first batch had ended.
+    pairs = [s for s in expanding if s[0] == "pair"]
+    assert len(pairs) == len(items) + 1
+    resent = [s for s in pairs if s[1] == 1]
+    assert len(resent) == 2 and resent[0][4] == resent[1][4]
+    first_batch = [s for s in expanding if s is not resent[1]]
+    assert resent[1][2] >= max(s[3] for s in first_batch)
+    chr_records = [r for r in records if r.method == "chr"]
+    assert [r.cost.llm_calls for r in chr_records] == [1, 2, 1, 1, 2, 1]
+    # The records are those of the in-process mocks.
+    expected = run(mock, embedder)
+    assert [(r.ranked, r.predicted) for r in records] == [
+        (r.ranked, r.predicted) for r in expected]
+
+
+def test_a_failed_pair_prompt_or_draft_marks_only_the_records_that_needed_it(
+    dataset, corpus, embedder
+):
+    items = dataset[:WINDOW]
+    failing = {
+        render_prompt(items[1])[1],
+        render_hypo_doc_prompt(items[2], draft=3, total=8)[1],
+    }
+
+    def run(generator):
+        return _flat(*evaluate(
+            items, corpus, mock_config(), generator=generator,
+            answer_generator=MockGeneratorBackend(seed=0, embedder=embedder),
+            embedder=embedder, clock=None, **EVERY_WAY,
+        ))
+
+    class FailingSome(PooledGenerator):
+        def complete(self, messages, temperature=0.0):
+            if messages[-1]["content"] in failing:
+                with self.lock:
+                    self.prompts.append(messages[-1]["content"])
+                raise BackendUnavailableError("expansion rejected: HTTP 400")
+            return super().complete(messages, temperature)
+
+    expected = run(MockGeneratorBackend(seed=0, embedder=embedder))
+    pooled = FailingSome(MockGeneratorBackend(seed=0, embedder=embedder))
+    got = run(pooled)
+    # Each failing prompt was sent once, and every other call was made.
+    assert sorted(p for p in pooled.prompts if p in failing) == sorted(failing)
+    needed = {(items[1].id, "chr"), (items[1].id, "h_plus_only"), (items[2].id, "hyde")}
+    for record, want in zip(got, expected):
+        if (record.item_id, record.method) in needed:
+            assert record.error == "BackendUnavailableError: expansion rejected: HTTP 400"
+            assert (record.ranked.hits, record.pair, record.cost) == ((), None, CostEntry())
+            assert (record.predicted, record.answer_cost) == (ABSTAIN, CostEntry())
+        else:
+            assert record_to_dict(record) == record_to_dict(want)
+    assert sum(r.error is not None for r in got) == 1 + 1 + 1 + len(EVERY_WAY["lambdas"])
+
+
+def test_an_expansion_costs_its_own_calls_wall_time_not_its_windows(dataset, corpus, embedder):
+    now = [0.0]
+
+    class Ticking:
+        """A mock backend on a clock that each of its calls moves one second on."""
+
+        def __init__(self, mock):
+            self.mock = mock
+
+        def complete(self, messages, temperature=0.0):
+            now[0] += 1.0
+            return self.mock.complete(messages, temperature)
+
+        def embed(self, text):
+            now[0] += 1.0
+            return self.mock.embed(text)
+
+    by_method, by_lambda = evaluate(
+        dataset[:3], corpus, mock_config(hyde_n=2),
+        generator=Ticking(MockGeneratorBackend(seed=0, embedder=embedder)),
+        answer_generator=MockGeneratorBackend(seed=0, embedder=embedder),
+        embedder=Ticking(embedder), clock=lambda: now[0], **EVERY_WAY,
+    )
+    # standard: the stem; hyde: 2 drafts and their embeddings; query2doc: the
+    # prompt and the stem with its pseudo-document; the pair: its prompt, H+
+    # and H-. The window's expansion batches took 3 * 13 seconds.
+    own_seconds = {"standard": 1, "hyde": 4, "query2doc": 2, "chr": 3, "h_plus_only": 3}
+    for method, records in by_method.items():
+        assert [r.cost.wall_ms for r in records] == [own_seconds[method] * 1000] * 3
+    for records in by_lambda.values():
+        assert [r.cost.wall_ms for r in records] == [3000] * 3
+    assert all(r.answer_cost.wall_ms == 0 for rs in by_method.values() for r in rs)
+    assert summarize(by_method["hyde"])["expansion_cost"]["wall_ms_total"] == 12000
 
 
 # ----------------------------------------------------------------------
