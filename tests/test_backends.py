@@ -419,14 +419,10 @@ def test_a_batch_against_a_server_that_admits_two_requests_succeeds_in_input_ord
     # only if the backend's threads back off together and send fewer at once.
     lock = threading.Lock()
     busy = [0]
-    arrivals: list[float] = []
-    rejections: list[float] = []
 
     def reply(payload):
         with lock:
-            arrivals.append(time.monotonic())
             if busy[0] == 2:
-                rejections.append(time.monotonic())
                 return Reply(429, {"error": "busy"}, headers={"Retry-After": "1"})
             busy[0] += 1
         time.sleep(0.05)
@@ -437,29 +433,64 @@ def test_a_batch_against_a_server_that_admits_two_requests_succeeds_in_input_ord
     server = serve(reply)
     vectors = embed_each(HttpEmbedderBackend(server.url(), "m"), [f"text {i}" for i in range(32)])
     assert [round(vec[1] / vec[0]) for vec in vectors] == list(range(32))
-    assert 0 < len(rejections) < 32
-    # No thread sent a request while a rejection's second ran (the margins
-    # allow for requests already on their way and for timer slack).
-    assert not any(r + 0.1 < a < r + 0.9 for r in rejections for a in arrivals)
+    assert 32 < len(server.requests) < 64
 
 
-def test_pacing_state_stays_whole_under_a_short_switch_interval(serve):
-    # Every fifth request is rate limited with no wait, so the in-flight
-    # limit is cut and raised again while many workers take and free slots;
-    # a lost update would leave a slot taken or the limit out of range.
+def test_a_429_holds_every_thread_of_the_backend_until_its_retry_after(serve):
+    # Four threads call one backend, 8 texts each; the first thread's second
+    # request is rejected with Retry-After: 1 and every other one is served.
     lock = threading.Lock()
-    seen = [0]
+    arrivals: list[float] = []
+    rejected: list[float] = []
 
     def reply(payload):
         with lock:
-            seen[0] += 1
-            limited = seen[0] % 5 == 0
-        if limited:
-            return Reply(429, headers={"Retry-After": "0"})
-        return Reply(body={"choices": [{"message": {"content": f"reply {_number(payload)}"}}]})
+            arrivals.append(time.monotonic())
+            if _number(payload) == 1 and not rejected:
+                rejected.append(arrivals[-1])
+                return Reply(429, headers={"Retry-After": "1"})
+        return Reply(body={"data": [{"embedding": [1.0, float(_number(payload))]}]},
+                     delay_s=0.1)
 
     server = serve(reply)
-    backend = HttpGeneratorBackend(server.url(), "m", transport_retries=5, backoff_s=0.0)
+    backend = HttpEmbedderBackend(server.url(), "m")
+    got: dict[int, int] = {}
+
+    def embed_eight(first):
+        for i in range(first, first + 8):
+            vec = backend.embed(f"text {i}")
+            got[i] = round(vec[1] / vec[0])
+
+    threads = [threading.Thread(target=embed_eight, args=(8 * j,)) for j in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert got == {i: i for i in range(32)}
+    # No request arrived in the second after the rejection, beyond those
+    # already on their way; the margins allow for timer slack.
+    assert not any(rejected[0] + 0.25 < a < rejected[0] + 0.9 for a in arrivals)
+    assert len(server.requests) == 33
+
+
+def test_pacing_state_stays_whole_under_a_short_switch_interval(serve):
+    # Every fifth prompt is rate limited once with no wait, so the in-flight
+    # limit is cut and raised again while many workers take and free slots;
+    # a lost update would leave a slot taken or the limit out of range.
+    lock = threading.Lock()
+    limited: set[int] = set()
+
+    def reply(payload):
+        i = _number(payload)
+        with lock:
+            if i % 5 == 0 and i not in limited:
+                limited.add(i)
+                return Reply(429, headers={"Retry-After": "0"})
+        return Reply(body={"choices": [{"message": {"content": f"reply {i}"}}]})
+
+    server = serve(reply)
+    backend = HttpGeneratorBackend(server.url(), "m", backoff_s=0.0)
     prompts = [[{"role": "user", "content": f"prompt {i}"}] for i in range(100)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
