@@ -767,8 +767,8 @@ def test_a_window_sends_its_items_generator_calls_at_once_and_resends_a_garbled_
         started = time.perf_counter()
         messages = payload["messages"]
         prompt = messages[-1]["content"]
-        kind = "pair" if PAIR_MARKER in prompt else "answer" if ANSWER_INSTRUCTION in prompt \
-            else "other"
+        kind = ("pair" if PAIR_MARKER in prompt
+                else "answer" if ANSWER_INSTRUCTION in prompt else "other")
         with lock:
             first = kind == "pair" and garbled in prompt and not any(
                 s[0] == "pair" and s[4] == messages for s in served)
