@@ -440,21 +440,17 @@ class MockEmbedderBackend:
         self.model = f"mock-embedder-seed{seed}-dim{dimension}"
         self._token_cache: dict[str, np.ndarray] = {}
 
-    def _token_vector(self, token: str) -> np.ndarray:
-        vec = self._token_cache.get(token)
-        if vec is None:
-            rng = np.random.default_rng(_stable_hash("tok", self.seed, token))
-            vec = rng.standard_normal(self.dimension)
-            self._token_cache[token] = vec
-        return vec
-
     def embed(self, text: str) -> np.ndarray:
-        tokens = re.findall(r"[a-z0-9]+", text.lower())
-        if not tokens:
-            tokens = ["<empty>"]
-        total = np.zeros(self.dimension)
-        for token in tokens:
-            total += self._token_vector(token)
+        tokens = re.findall(r"[a-z0-9]+", text.lower()) or ["<empty>"]
+        cache = self._token_cache
+        # Each token's vector is seeded by its token, so the order the missing
+        # ones are made in does not matter.
+        for token in set(tokens).difference(cache):
+            rng = np.random.default_rng(_stable_hash("tok", self.seed, token))
+            cache[token] = rng.standard_normal(self.dimension)
+        # An axis-0 reduction adds the rows one by one in token order, so the
+        # sum is bit-identical to a += loop over them.
+        total = np.add.reduce(list(map(cache.__getitem__, tokens)))
         if float(np.dot(total, total)) < 1e-20:
             raise EmbedderFailureError("token vectors cancelled to zero")
         return normalize(total)
@@ -497,6 +493,8 @@ class MockGeneratorBackend:
         self.seed = seed
         self.embedder = embedder or MockEmbedderBackend(seed=seed)
         self.calls = 0
+        # Each option text's vector: the answers of one item share its options.
+        self._option_vectors: dict[str, np.ndarray] = {}
 
     def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
         self.calls += 1
@@ -564,7 +562,10 @@ class MockGeneratorBackend:
         ctx_vec = self.embedder.embed(context)
         best_letter, best_score = options[0][0], -2.0
         for letter, text in options:
-            score = float(np.dot(self.embedder.embed(text), ctx_vec))
+            vector = self._option_vectors.get(text)
+            if vector is None:
+                vector = self._option_vectors[text] = self.embedder.embed(text)
+            score = float(np.dot(vector, ctx_vec))
             if score > best_score:
                 best_letter, best_score = letter, score
         return f"Answer: {best_letter}"

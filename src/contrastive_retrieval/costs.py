@@ -16,9 +16,10 @@ class CostEntry:
     retries included, and embeddings; a pair's, for every record ranked by
     it), and an answer entry with that of the record's own answer call, or
     of the memo lookup that served it; neither counts the time the record
-    waited for the rest of its window's batch. Batched calls overlap, so a
-    summary's ``wall_ms_total`` can exceed the batches' wall time, but it
-    counts each call once.
+    waited for the rest of its window's batch. An embedding that repeats a
+    text of its window's batch is not sent again and adds no seconds.
+    Batched calls overlap, so a summary's ``wall_ms_total`` can exceed the
+    batches' wall time, but it counts each call once.
     """
 
     llm_calls: int = 0

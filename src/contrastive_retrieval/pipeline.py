@@ -14,7 +14,6 @@ import json
 import re
 import time
 from collections.abc import Callable, Sequence
-from itertools import islice
 from dataclasses import dataclass
 
 from .backends import (
@@ -397,7 +396,9 @@ def evaluate(
        prompts whose reply fails to parse go again, with identical
        messages, in follow-up batches, up to ``config.max_retries`` times.
     2. Every embedding goes out as one batch: the stems, the Query2doc
-       texts, the drafts and each pair's H+ and H-.
+       texts, the drafts and each pair's H+ and H-. Each distinct text is
+       sent once; a repeat shares its first's vector, or its error, and
+       adds no seconds to its expansion's cost.
     3. The items are ranked one by one, with no backend call. An item's
        pair is generated and embedded once, so the corpus computes its two
        products once and the item's other rankings by it score from its
@@ -481,12 +482,14 @@ def evaluate(
         # 1. The generator calls, resent in rounds until every pair parses.
         requests = [request for expansion in flat for request in expansion.requests]
         complete_until_done(generator, requests, config.temperature, clock)
-        # 2. The embeddings.
+        # 2. The embeddings, each distinct text once.
         embedding = [(e, e.texts()) for e in flat if e.error() is None]
-        texts = [text for _, own in embedding for text in own]
-        fetched = iter(list(embed_each(Settled(embedder, clock), texts)))
+        distinct = list(dict.fromkeys(text for _, own in embedding for text in own))
+        fetched = dict(zip(distinct, list(embed_each(Settled(embedder, clock), distinct))))
         for expansion, own in embedding:
-            for vector, seconds in islice(fetched, len(own)):
+            for text in own:
+                vector, seconds = fetched[text]
+                fetched[text] = (vector, 0.0)  # a repeat adds no seconds
                 expansion.vectors.append(vector)
                 expansion.embed_seconds += seconds
         # 3. The rankings, item by item.

@@ -19,6 +19,7 @@ from contrastive_retrieval.backends import (
     HttpGeneratorBackend,
     MockEmbedderBackend,
     MockGeneratorBackend,
+    _stable_hash,
     complete_each,
     embed_each,
     estimate_output_tokens,
@@ -26,6 +27,7 @@ from contrastive_retrieval.backends import (
 )
 from contrastive_retrieval.errors import BackendUnavailableError, EmbedderFailureError
 from contrastive_retrieval.hypotheses import parse_pair, render_prompt
+from contrastive_retrieval.vectors import normalize
 from helpers import (
     AdversarialGeneratorBackend,
     FailingGeneratorBackend,
@@ -600,6 +602,31 @@ def test_mock_embedder_deterministic_unit_and_shared_vocab():
     overlap = float(np.dot(emb.embed("alpha beta"), emb.embed("alpha beta delta")))
     disjoint = float(np.dot(emb.embed("alpha beta"), emb.embed("epsilon zeta")))
     assert overlap > disjoint
+
+
+def _mock_embedding_by_a_loop(text, dimension, seed):
+    """The mock embedder's vector for ``text``, summed by a += loop over its tokens."""
+    tokens = re.findall(r"[a-z0-9]+", text.lower()) or ["<empty>"]
+    total = np.zeros(dimension)
+    for token in tokens:
+        total += np.random.default_rng(_stable_hash("tok", seed, token)).standard_normal(dimension)
+    return normalize(total)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("dimension", [2, 64, 384])
+def test_mock_embedder_bits_equal_a_loop_over_the_token_vectors(dimension, seed):
+    words = np.random.default_rng(3).integers(0, 120, size=300)
+    texts = [
+        "", " ?! ",  # no tokens
+        "alpha",
+        "Alpha beta ALPHA gamma beta alpha",
+        " ".join(f"w{word}" for word in words),  # 300 tokens, most repeated
+    ]
+    emb = MockEmbedderBackend(dimension=dimension, seed=seed)
+    for text in texts * 2:  # the second pass finds every token vector made
+        want = _mock_embedding_by_a_loop(text, dimension, seed)
+        assert emb.embed(text).tobytes() == want.tobytes()
 
 
 def test_mock_embedder_seed_changes_vectors():

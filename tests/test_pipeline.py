@@ -3,11 +3,13 @@ from __future__ import annotations
 import random
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from contrastive_retrieval.analysis import lambda_sweep
 from contrastive_retrieval.backends import (
+    HYPO_DOC_MARKER,
     PAIR_MARKER,
     GenerationResult,
     HttpEmbedderBackend,
@@ -21,6 +23,7 @@ from contrastive_retrieval.costs import CostEntry
 from contrastive_retrieval.dataio import record_to_dict
 from contrastive_retrieval.errors import (
     BackendUnavailableError,
+    EmbedderFailureError,
     EmptyInputError,
     UnknownDocIdError,
 )
@@ -37,8 +40,23 @@ from contrastive_retrieval.pipeline import (
     run_benchmark,
     summarize,
 )
-from contrastive_retrieval.hypotheses import render_hypo_doc_prompt, render_prompt
-from contrastive_retrieval.retrieval import Corpus, RankedResult
+from contrastive_retrieval.hypotheses import (
+    embed_pair,
+    generate_pair,
+    render_hypo_doc_prompt,
+    render_prompt,
+    render_pseudo_doc_prompt,
+)
+from contrastive_retrieval.retrieval import (
+    QUERY2DOC_SEPARATOR,
+    Corpus,
+    RankedResult,
+    retrieve_chr,
+    retrieve_h_plus_only,
+    retrieve_hyde,
+    retrieve_query2doc,
+    retrieve_standard,
+)
 from bundled_data import build_bundled_corpus_texts, build_bundled_dataset
 from helpers import (
     AdversarialGeneratorBackend,
@@ -255,6 +273,7 @@ def test_a_failing_hyde_draft_over_http_is_only_that_items_error(dataset, corpus
     failing = f"Question: {items[1].stem}\n"
     mock = MockGeneratorBackend(seed=0, embedder=embedder)
     lock = threading.Lock()  # the mocks are used one call at a time
+    healthy_drafts = set()  # the draft replies of the items that do not fail
 
     def generate(payload):
         prompt = payload["messages"][-1]["content"]
@@ -262,6 +281,8 @@ def test_a_failing_hyde_draft_over_http_is_only_that_items_error(dataset, corpus
             return Reply(400)
         with lock:
             text = mock.complete(payload["messages"]).text
+            if HYPO_DOC_MARKER in prompt and failing not in prompt:
+                healthy_drafts.add(text)
         return Reply(body={"choices": [{"message": {"content": text}}]})
 
     def embed(payload):
@@ -278,7 +299,8 @@ def test_a_failing_hyde_draft_over_http_is_only_that_items_error(dataset, corpus
         )
         # The failing item sent its eight drafts and nothing after them.
         assert len(generator_server.requests) == 3 * 8 + 2
-        assert len(embedder_server.requests) == 2 * 8
+        # Each distinct draft of the other two items was embedded once.
+        assert len(embedder_server.requests) == len(healthy_drafts)
     finally:
         generator_server.close()
         embedder_server.close()
@@ -710,14 +732,36 @@ def test_an_answer_costs_its_own_calls_wall_time_not_its_batchs(dataset, corpus,
 # ----------------------------------------------------------------------
 
 class CountingEmbedder:
-    """The mock embedder, counting its calls."""
+    """The mock embedder, keeping the text of each call; a text in ``failing`` fails."""
 
-    def __init__(self, mock):
+    def __init__(self, mock, failing=()):
         self.mock, self.dimension, self.model = mock, mock.dimension, mock.model
-        self.calls = 0
+        self.failing = set(failing)
+        self.texts: list[str] = []
+
+    @property
+    def calls(self):
+        return len(self.texts)
 
     def embed(self, text):
-        self.calls += 1
+        self.texts.append(text)
+        if text in self.failing:
+            raise EmbedderFailureError("embedder rejected the text")
+        return self.mock.embed(text)
+
+
+class Ticking:
+    """A mock backend on a clock that each of its calls moves one second on."""
+
+    def __init__(self, mock, now):
+        self.mock, self.now = mock, now
+
+    def complete(self, messages, temperature=0.0):
+        self.now[0] += 1.0
+        return self.mock.complete(messages, temperature)
+
+    def embed(self, text):
+        self.now[0] += 1.0
         return self.mock.embed(text)
 
 
@@ -867,26 +911,11 @@ def test_a_failed_pair_prompt_or_draft_marks_only_the_records_that_needed_it(
 
 def test_an_expansion_costs_its_own_calls_wall_time_not_its_windows(dataset, corpus, embedder):
     now = [0.0]
-
-    class Ticking:
-        """A mock backend on a clock that each of its calls moves one second on."""
-
-        def __init__(self, mock):
-            self.mock = mock
-
-        def complete(self, messages, temperature=0.0):
-            now[0] += 1.0
-            return self.mock.complete(messages, temperature)
-
-        def embed(self, text):
-            now[0] += 1.0
-            return self.mock.embed(text)
-
     by_method, by_lambda = evaluate(
         dataset[:3], corpus, mock_config(hyde_n=2),
-        generator=Ticking(MockGeneratorBackend(seed=0, embedder=embedder)),
+        generator=Ticking(MockGeneratorBackend(seed=0, embedder=embedder), now),
         answer_generator=MockGeneratorBackend(seed=0, embedder=embedder),
-        embedder=Ticking(embedder), clock=lambda: now[0], **EVERY_WAY,
+        embedder=Ticking(embedder, now), clock=lambda: now[0], **EVERY_WAY,
     )
     # standard: the stem; hyde: 2 drafts and their embeddings; query2doc: the
     # prompt and the stem with its pseudo-document; the pair: its prompt, H+
@@ -898,6 +927,106 @@ def test_an_expansion_costs_its_own_calls_wall_time_not_its_windows(dataset, cor
         assert [r.cost.wall_ms for r in records] == [3000] * 3
     assert all(r.answer_cost.wall_ms == 0 for rs in by_method.values() for r in rs)
     assert summarize(by_method["hyde"])["expansion_cost"]["wall_ms_total"] == 12000
+
+
+# ----------------------------------------------------------------------
+# A window's embeddings
+# ----------------------------------------------------------------------
+
+def expansions_of(item, mock, hyde_n=8):
+    """The item's drafts, Query2doc pseudo-document and pair, as ``mock`` writes them."""
+    def reply(prompt):
+        return mock.complete(chat_messages(*prompt)).text
+
+    drafts = [reply(render_hypo_doc_prompt(item, draft=d, total=hyde_n))
+              for d in range(1, hyde_n + 1)]
+    pseudo = reply(render_pseudo_doc_prompt(item)).strip() or item.stem
+    return drafts, pseudo, generate_pair(item, mock)[0]
+
+
+def test_a_window_embeds_each_distinct_text_once_and_ranks_as_one_call_per_use_does(
+    dataset, corpus, embedder
+):
+    mock = MockGeneratorBackend(seed=0, embedder=embedder)
+    counting = CountingEmbedder(embedder)
+    records = _flat(*evaluate(
+        dataset, corpus, mock_config(), generator=mock, answer_generator=mock,
+        embedder=counting, clock=None, **EVERY_WAY,
+    ))
+    expansions = {item.id: expansions_of(item, mock) for item in dataset}
+    needed = []  # each window's texts, repeats included
+    for start in range(0, len(dataset), WINDOW):
+        needed.append([])
+        for item in dataset[start:start + WINDOW]:
+            drafts, pseudo, pair = expansions[item.id]
+            needed[-1] += [item.stem, *drafts, item.stem + QUERY2DOC_SEPARATOR + pseudo,
+                           pair.h_plus, pair.h_minus]
+    assert counting.calls == sum(len(set(texts)) for texts in needed)
+    assert counting.calls < sum(len(texts) for texts in needed)  # the drafts repeat
+    # The rankings and answers are those of the retrieve_* functions, which
+    # embed a text at each use.
+    k = mock_config().k
+    for record in records:
+        item = next(item for item in dataset if item.id == record.item_id)
+        drafts, pseudo, pair = expansions[item.id]
+        ranked = {
+            "standard": lambda: retrieve_standard(item, corpus, k, embedder),
+            "hyde": lambda: retrieve_hyde(drafts, corpus, k, embedder),
+            "query2doc": lambda: retrieve_query2doc(item, pseudo, corpus, k, embedder),
+            "chr": lambda: retrieve_chr(embed_pair(pair, embedder), corpus, record.lam, k),
+            "h_plus_only": lambda: retrieve_h_plus_only(embed_pair(pair, embedder), corpus, k),
+        }[record.method]()
+        reply = mock.complete(chat_messages(
+            ANSWER_SYSTEM_PROMPT, build_answer_prompt(item, ranked, corpus))).text
+        assert record.ranked == ranked
+        assert record.predicted == extract_answer(reply, list(item.options))
+
+
+def test_a_failed_embedding_of_a_repeated_text_marks_every_record_that_needed_it(
+    dataset, corpus, embedder
+):
+    twin = replace(dataset[0], id=dataset[0].id + "-twin")
+    items = [dataset[0], dataset[1], twin]
+    drafts, _, _ = expansions_of(dataset[1], MockGeneratorBackend(seed=0, embedder=embedder))
+    repeated = next(draft for draft in drafts if drafts.count(draft) > 1)
+    failing = {dataset[0].stem, repeated}
+
+    def run(counting):
+        return _flat(*evaluate(
+            items, corpus, mock_config(), generator=MockGeneratorBackend(seed=0, embedder=embedder),
+            answer_generator=MockGeneratorBackend(seed=0, embedder=embedder),
+            embedder=counting, clock=None, **EVERY_WAY,
+        ))
+
+    expected = run(CountingEmbedder(embedder))
+    counting = CountingEmbedder(embedder, failing)
+    got = run(counting)
+    assert sorted(t for t in counting.texts if t in failing) == sorted(failing)
+    needed = {(dataset[0].id, "standard"), (twin.id, "standard"), (dataset[1].id, "hyde")}
+    for record, want in zip(got, expected):
+        if (record.item_id, record.method) in needed:
+            assert record.error == "EmbedderFailureError: embedder rejected the text"
+            assert (record.ranked.hits, record.cost, record.predicted) == ((), CostEntry(), ABSTAIN)
+        else:
+            assert record_to_dict(record) == record_to_dict(want)
+    assert sum(r.error is not None for r in got) == len(needed)
+
+
+def test_a_repeated_embedding_adds_no_seconds_to_its_expansions_cost(dataset, corpus, embedder):
+    twin = replace(dataset[0], id=dataset[0].id + "-twin")
+    drafts, _, _ = expansions_of(dataset[0], MockGeneratorBackend(seed=0, embedder=embedder))
+    assert len(set(drafts)) < len(drafts)
+    now = [0.0]
+    by_method, _ = evaluate(
+        [dataset[0], twin], corpus, mock_config(), methods=("standard", "hyde"),
+        generator=Ticking(MockGeneratorBackend(seed=0, embedder=embedder), now),
+        answer_generator=MockGeneratorBackend(seed=0, embedder=embedder),
+        embedder=Ticking(embedder, now), clock=lambda: now[0],
+    )
+    # The item pays for its stem and for each distinct draft once; its twin
+    # repeats every text, so it pays only for its own eight draft prompts.
+    assert [r.cost.wall_ms for r in by_method["standard"]] == [1000, 0]
+    assert [r.cost.wall_ms for r in by_method["hyde"]] == [(8 + len(set(drafts))) * 1000, 8000]
 
 
 # ----------------------------------------------------------------------
