@@ -262,9 +262,10 @@ def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exce
     and bodies that are not JSON are retried ``backend.transport_retries``
     times, then raise ``error``. Before attempt ``n`` (from 1) it sleeps
     ``backend.backoff_s * n``; after a 429 or 503 whose ``Retry-After`` holds
-    delta-seconds, it sleeps ``max(backend.backoff_s * n, Retry-After)``. An
-    HTTP-date or unreadable ``Retry-After`` keeps the linear backoff. The
-    other threads calling the backend wait that long too (``_take_slot``). Any
+    delta-seconds, it sleeps ``max(backend.backoff_s * n, Retry-After)``, the
+    ``Retry-After`` cut to ``backend.timeout``. An HTTP-date or unreadable
+    ``Retry-After`` keeps the linear backoff. The other threads calling the
+    backend wait that long too (``_take_slot``). Any
     other status outside 2xx will not change on retry, so it raises
     ``error`` at once, naming the status. ``read`` raises ``error`` for a
     body of the wrong shape, which stops retrying too.
@@ -291,7 +292,7 @@ def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exce
             resp = conn.getresponse()
             status, raw = resp.status, resp.read()
             if status in (429, 503):
-                retry_after = _retry_after_s(resp.getheader("Retry-After"))
+                retry_after = min(_retry_after_s(resp.getheader("Retry-After")), backend.timeout)
                 slept_to = time.monotonic() + max(backend.backoff_s * (attempt + 1), retry_after)
         except (OSError, http.client.HTTPException) as exc:
             last_error = exc

@@ -14,10 +14,10 @@ class CostEntry:
     stamped. ``evaluate`` stamps an expansion entry with the sum of the
     wall times of the record's own expansion calls (generator calls, parse
     retries included, and embeddings; a pair's, for every record ranked by
-    it), and an answer entry with that of the record's own answer call, or
-    of the memo lookup that served it; neither counts the time the record
-    waited for the rest of its window's batch. An embedding that repeats a
-    text of its window's batch is not sent again and adds no seconds.
+    it), and an answer entry with that of the record's own answer call;
+    neither counts the time the record waited for the rest of its window's
+    batch. An embedding that repeats a text of its window's batch, and an
+    answer the memo served, are not sent again and add no seconds.
     Batched calls overlap, so a summary's ``wall_ms_total`` can exceed the
     batches' wall time, but it counts each call once.
     """

@@ -149,18 +149,15 @@ def render_prompt(item: QAItem) -> tuple[str, str]:
     return PAIR_SYSTEM_PROMPT, _render(item, PAIR_USER_TEMPLATE)
 
 
-def render_hypo_doc_prompt(
-    item: QAItem, draft: int | None = None, total: int | None = None
-) -> tuple[str, str]:
-    """Render the single hypothetical-passage prompt (embedding-averaging methods).
+def render_hypo_doc_prompt(item: QAItem, draft: int, total: int) -> tuple[str, str]:
+    """Render draft ``draft`` of ``total`` of the hypothetical-passage prompt
+    (embedding-averaging methods).
 
-    Multi-sample callers number each draft; the numbering line keeps repeated
-    samples distinct even under temperature-0 or deterministic backends.
+    The numbering line keeps repeated samples distinct even under
+    temperature-0 or deterministic backends.
     """
     user = _render(item, HYPO_DOC_USER_TEMPLATE)
-    if draft is not None:
-        user += f"\n\nDraft {draft} of {total or draft}: vary the wording and emphasis."
-    return HYPO_DOC_SYSTEM_PROMPT, user
+    return HYPO_DOC_SYSTEM_PROMPT, user + f"\n\nDraft {draft} of {total}: vary the wording and emphasis."
 
 
 def render_pseudo_doc_prompt(item: QAItem) -> tuple[str, str]:

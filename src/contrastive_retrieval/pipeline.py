@@ -10,11 +10,12 @@ as incorrect.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .backends import (
     EmbedderBackend,
@@ -70,100 +71,52 @@ ANSWER_INSTRUCTION = (
     'Answer with the single letter of the best option, formatted exactly as "Answer: X".'
 )
 
+@dataclass
 class AnswerMemo:
-    """A generator that sends each distinct temperature-0 prompt once.
+    """One run's answers: ``evaluate`` sends each distinct temperature-0 prompt once.
 
-    Wraps the generator of one run's answer calls. At temperature 0 the
-    reply to a message list is keyed by a 16-byte digest of the whole list,
-    roles included, and a repeat is served from the memo. At any other
-    temperature every call reaches the backend, because a stored reply
-    would change sampling. A call that raises stores nothing, so a repeat
-    in a later batch asks the backend again. Only answers go through it: a
+    ``replies`` holds the reply to each message list sent to ``generator``
+    at temperature 0, keyed by a 16-byte digest of the whole list, roles
+    included; a call that failed stores nothing, so a later batch sends it
+    again. At any other temperature every call reaches the backend, because
+    a stored reply would change sampling. Only answers go through it: a
     parse retry of a pair prompt resends identical messages and must reach
-    the backend. ``calls`` counts the calls that reached the backend,
-    ``hits`` the replies served from the memo.
+    the backend. ``calls`` counts the answer calls that reached
+    ``generator``, ``hits`` the replies served without one.
     """
 
-    def __init__(self, generator: GeneratorBackend) -> None:
-        self._generator = generator
-        self._replies: dict[bytes, tuple[str, int | None]] = {}
-        self.calls = 0
-        self.hits = 0
-
-    def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
-        [(outcome, _)] = self.answer_each([messages], temperature)
-        if isinstance(outcome, ContrastiveRetrievalError):
-            raise outcome
-        return outcome
-
-    def answer_each(
-        self,
-        message_lists: Sequence[list[Message]],
-        temperature: float = 0.0,
-        clock: Callable[[], float] | None = None,
-    ) -> list[tuple[GenerationResult | ContrastiveRetrievalError, float]]:
-        """One batch of answers, as ``_answer_each`` makes it, sending only what the memo lacks.
-
-        In input order, a prompt the memo holds is a hit, and so is a later
-        repeat of a prompt in this batch. Only the first of each distinct
-        missing prompt reaches the generator, all of them in one batch; a
-        repeat shares its first's reply, or its error. A hit's or a repeat's
-        seconds are its lookup's.
-        """
-        outcomes: list = [None] * len(message_lists)
-        # Each missing key's inputs, with their lookup seconds. A sampled
-        # call is keyed by its position, which no stored reply has.
-        missing: dict[bytes | int, list[tuple[int, float]]] = {}
-        for i, messages in enumerate(message_lists):
-            started = clock() if clock else 0.0
-            key = _memo_key(messages) if temperature == 0 else i
-            reply = self._replies.get(key)
-            seconds = clock() - started if clock else 0.0
-            if reply is not None:
-                self.hits += 1
-                outcomes[i] = (GenerationResult(*reply), seconds)
-            else:
-                missing.setdefault(key, []).append((i, seconds))
-        sent = _answer_each(
-            self._generator, [message_lists[waiting[0][0]] for waiting in missing.values()],
-            temperature, clock,
-        )
-        self.calls += len(sent)
-        for (key, waiting), (outcome, seconds) in zip(missing.items(), sent):
-            (first, _), *repeats = waiting
-            outcomes[first] = (outcome, seconds)
-            if not isinstance(outcome, ContrastiveRetrievalError):
-                if temperature == 0:
-                    self._replies[key] = (outcome.text, outcome.output_tokens)
-                self.hits += len(repeats)
-            for i, lookup_s in repeats:
-                outcomes[i] = (outcome, lookup_s)
-        return outcomes
+    generator: GeneratorBackend
+    replies: dict[bytes, GenerationResult] = field(default_factory=dict)
+    calls: int = 0
+    hits: int = 0
 
 
 def _memo_key(messages: list[Message]) -> bytes:
     return hashlib.blake2b(json.dumps(messages).encode("utf-8"), digest_size=16).digest()
 
 
-def _answer_each(
-    generator: GeneratorBackend,
-    message_lists: Sequence[list[Message]],
-    temperature: float,
-    clock: Callable[[], float] | None,
-) -> list[tuple[GenerationResult | ContrastiveRetrievalError, float]]:
-    """Each message list's reply, or the error that stopped its call, and its seconds.
+def _once(send, inputs: Sequence, keys: Sequence, memo: dict) -> list[tuple]:
+    """Each input's (outcome, seconds), in input order, sending each key's input once.
 
-    The calls go out as one ``complete_each`` batch, so a generator with
-    ``MAX_IN_FLIGHT`` above 1 gets that many at once and any other is
-    called one at a time in input order; an ``AnswerMemo`` first serves
-    what it holds. A call that raises a ContrastiveRetrievalError fails
-    only its own input: every other call is still made, and its result
-    kept. Seconds are the call's own wall time by ``clock``, 0.0 without
-    one. Results are in input order.
+    ``keys`` has one key per input; inputs of one key are equal. One input
+    of each key that ``memo`` lacks goes out through ``send``, all of them
+    in one settled batch; ``send`` yields (the result, or the
+    ContrastiveRetrievalError that stopped the call, its seconds) per
+    input, as ``Settled`` does. The key's first input takes that outcome;
+    every other input shares it, or its error, and adds 0 s. A key whose
+    call succeeded enters ``memo``; a failed one does not, so a later batch
+    sends it again.
     """
-    if isinstance(generator, AnswerMemo):
-        return generator.answer_each(message_lists, temperature, clock)
-    return list(complete_each(Settled(generator, clock), message_lists, temperature))
+    missing = {key: given for key, given in zip(keys, inputs) if key not in memo}
+    sent = dict(zip(missing, list(send(list(missing.values())))))
+    errors = {}
+    for key, (outcome, _) in sent.items():
+        if isinstance(outcome, ContrastiveRetrievalError):
+            errors[key] = outcome
+        else:
+            memo[key] = outcome
+    return [sent.pop(key) if key in sent else (errors[key] if key in errors else memo[key], 0.0)
+            for key in keys]
 
 
 @dataclass(frozen=True)
@@ -403,8 +356,12 @@ def evaluate(
        pair is generated and embedded once, so the corpus computes its two
        products once and the item's other rankings by it score from its
        memos.
-    4. The window's answer prompts go to ``answer_generator`` as one batch;
-       an ``AnswerMemo`` sends only the prompts it lacks.
+    4. The window's answer prompts go to ``answer_generator`` as one batch.
+       At temperature 0 each distinct prompt goes once per ``AnswerMemo``:
+       the one passed as ``answer_generator``, which keeps the replies of
+       earlier windows and calls, else one of this call's own. A repeat
+       shares its first's reply, or its error, and adds no seconds to its
+       answer cost.
 
     A batch to a backend with ``MAX_IN_FLIGHT`` above 1 has that many calls
     in flight at once; any other backend is called one call at a time, in
@@ -438,6 +395,8 @@ def evaluate(
     plan += [(METHOD_CHR, lam) for lam in by_lambda]
     outputs = [*by_method.values(), *by_lambda.values()]
     kinds = list(dict.fromkeys(_EXPANSIONS[method] for method, _ in plan))
+    answers = (answer_generator if isinstance(answer_generator, AnswerMemo)
+               else AnswerMemo(answer_generator))
 
     def rank(item: QAItem, method: str, lam: float | None, expansion: _Expansion) -> _Ranked:
         ranked = RankedResult(hits=(), method=method, lam=lam)
@@ -484,12 +443,11 @@ def evaluate(
         complete_until_done(generator, requests, config.temperature, clock)
         # 2. The embeddings, each distinct text once.
         embedding = [(e, e.texts()) for e in flat if e.error() is None]
-        distinct = list(dict.fromkeys(text for _, own in embedding for text in own))
-        fetched = dict(zip(distinct, list(embed_each(Settled(embedder, clock), distinct))))
+        texts = [text for _, own in embedding for text in own]
+        fetched = iter(_once(lambda batch: embed_each(Settled(embedder, clock), batch),
+                             texts, texts, {}))
         for expansion, own in embedding:
-            for text in own:
-                vector, seconds = fetched[text]
-                fetched[text] = (vector, 0.0)  # a repeat adds no seconds
+            for vector, seconds in itertools.islice(fetched, len(own)):
                 expansion.vectors.append(vector)
                 expansion.embed_seconds += seconds
         # 3. The rankings, item by item.
@@ -497,11 +455,20 @@ def evaluate(
             [rank(item, method, lam, per_item[_EXPANSIONS[method]]) for method, lam in plan]
             for item, per_item in zip(window, expansions)
         ]
-        # 4. The answers.
-        replies = iter(_answer_each(
-            answer_generator, [r.messages for rs in ranked for r in rs if r.messages],
-            config.temperature, clock,
-        ))
+        # 4. The answers: at temperature 0, each distinct prompt once per
+        # memo; at any other, every prompt, keyed by its position.
+        messages = [r.messages for rs in ranked for r in rs if r.messages]
+        keys, memo = [_memo_key(m) for m in messages], answers.replies
+        if config.temperature != 0:
+            keys, memo = range(len(messages)), {}
+        answers.calls += len(set(keys) - memo.keys())
+        held = len(memo)
+        replies = _once(lambda batch: complete_each(
+            Settled(answers.generator, clock), batch, config.temperature), messages, keys, memo)
+        # A hit is an answer in the memo that this batch did not store; a
+        # repeat that shared a failed call is none.
+        answers.hits += sum(key in memo for key in keys) - (len(memo) - held)
+        replies = iter(replies)
         for item, item_ranked in zip(window, ranked):
             for (method, lam), done, records in zip(plan, item_ranked, outputs):
                 reply = next(replies) if done.messages else None

@@ -205,6 +205,7 @@ def test_http_backend_retries_until_success(serve, cls, call, body, error):
     (503, "soon", 0.01, [0.01]),
     (429, "\u00b2", 0.01, [0.01]),  # a digit, but not an ASCII one
     (500, "1", 0.01, [0.01]),  # read only on 429 and 503
+    (429, "10000000000", 0.01, [60.0]),  # cut to the backend's timeout
 ])
 @pytest.mark.parametrize("cls, call, body, error", HTTP_BACKENDS)
 def test_http_backend_honours_retry_after(serve, sleeps, status, retry_after, backoff_s,
@@ -474,6 +475,27 @@ def test_a_429_holds_every_thread_of_the_backend_until_its_retry_after(serve):
     # already on their way; the margins allow for timer slack.
     assert not any(rejected[0] + 0.25 < a < rejected[0] + 0.9 for a in arrivals)
     assert len(server.requests) == 33
+
+
+def test_a_retry_after_beyond_the_timeout_holds_a_pooled_batch_only_that_long(serve, sleeps):
+    # The first request of a pooled batch is rejected with a Retry-After of
+    # 10^10 s, longer than a thread can wait. Its retry sleeps the backend's
+    # timeout instead, and the ninth text, which starts only once the first
+    # is done, waits out the rest of that hold.
+    rejected: list[int] = []
+
+    def reply(payload):
+        if _number(payload) == 0 and not rejected:
+            rejected.append(0)
+            return Reply(429, headers={"Retry-After": "10000000000"})
+        return Reply(body={"data": [{"embedding": [1.0, float(_number(payload))]}]})
+
+    server = serve(reply)
+    backend = HttpEmbedderBackend(server.url(), "m", timeout=0.5)
+    vectors = embed_each(backend, [f"text {i}" for i in range(backend.MAX_IN_FLIGHT + 1)])
+    assert [round(vec[1] / vec[0]) for vec in vectors] == list(range(backend.MAX_IN_FLIGHT + 1))
+    assert sleeps == [0.5]
+    assert len(server.requests) == backend.MAX_IN_FLIGHT + 2
 
 
 def test_pacing_state_stays_whole_under_a_short_switch_interval(serve):

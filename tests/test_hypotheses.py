@@ -71,14 +71,14 @@ def test_render_prompt_rejects_single_option():
     with pytest.raises(TooFewOptionsError):
         render_prompt(item)
     with pytest.raises(TooFewOptionsError):
-        render_hypo_doc_prompt(item)
+        render_hypo_doc_prompt(item, draft=1, total=1)
     with pytest.raises(TooFewOptionsError):
         render_pseudo_doc_prompt(item)
 
 
 def test_render_expansion_prompts_have_distinct_markers():
     item = two_option_item()
-    _, hypo = render_hypo_doc_prompt(item)
+    _, hypo = render_hypo_doc_prompt(item, draft=1, total=1)
     _, pseudo = render_pseudo_doc_prompt(item)
     assert "one hypothetical evidence passage" in hypo
     assert "pseudo-document" in pseudo

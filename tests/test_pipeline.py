@@ -513,47 +513,99 @@ class CountingGenerator:
         return GenerationResult(text=f"Answer: A ({self.calls})", output_tokens=self.calls)
 
 
-def test_answer_memo_sends_each_temperature_0_prompt_once():
+def _chr_answers(items, corpus, embedder, answers, lambdas=(1.0,), **overrides):
+    """Rank ``items`` by chr at config.lam (1.0), then at ``lambdas``: the weight
+    1.0 repeats chr's answer prompt."""
+    by_method, by_lambda = evaluate(
+        items, corpus, mock_config(**overrides), methods=("chr",), lambdas=lambdas,
+        generator=MockGeneratorBackend(seed=0, embedder=embedder), answer_generator=answers,
+        embedder=embedder, clock=None,
+    )
+    return by_method["chr"], *by_lambda.values()
+
+
+def test_answer_memo_sends_each_temperature_0_prompt_once(dataset, corpus, embedder):
     backend = CountingGenerator()
     memo = AnswerMemo(backend)
-    first = memo.complete(chat_messages("sys", "q1"))
-    assert memo.complete(chat_messages("sys", "q1")) == first
-    assert memo.complete(chat_messages("sys", "q1"), temperature=0.0) == first
-    memo.complete(chat_messages("sys", "q2"))
+    chr_records, swept = _chr_answers(dataset[:2], corpus, embedder, memo)
+    # A reply's token count is its call's number, so a shared reply shows.
+    assert [r.answer_cost.output_tokens for r in chr_records] == [1, 2]
+    assert [r.answer_cost for r in swept] == [r.answer_cost for r in chr_records]
     assert backend.calls == memo.calls == 2
     assert memo.hits == 2
+    # A later evaluate with the same memo sends none of them again.
+    again, swept = _chr_answers(dataset[:2], corpus, embedder, memo)
+    assert [r.answer_cost for r in again] == [r.answer_cost for r in swept] == [
+        r.answer_cost for r in chr_records]
+    assert backend.calls == memo.calls == 2
+    assert memo.hits == 6
 
 
-def test_answer_memo_keys_on_every_message():
+def test_answer_memo_keys_on_every_message(dataset, corpus, embedder, monkeypatch):
     backend = CountingGenerator()
     memo = AnswerMemo(backend)
-    a = memo.complete(chat_messages("system one", "same question"))
-    b = memo.complete(chat_messages("system two", "same question"))
-    assert a != b
+    [a] = _chr_answers(dataset[:1], corpus, embedder, memo, lambdas=())[0]
+    # The same user prompt under another system prompt is another prompt.
+    monkeypatch.setattr("contrastive_retrieval.pipeline.ANSWER_SYSTEM_PROMPT", "system two")
+    [b] = _chr_answers(dataset[:1], corpus, embedder, memo, lambdas=())[0]
+    assert a.answer_cost != b.answer_cost
     assert backend.calls == memo.calls == 2
     assert memo.hits == 0
 
 
-def test_answer_memo_passes_sampled_calls_through():
+def test_answer_memo_passes_sampled_calls_through(dataset, corpus, embedder):
     backend = CountingGenerator()
     memo = AnswerMemo(backend)
-    a = memo.complete(chat_messages("sys", "q1"), temperature=0.7)
-    b = memo.complete(chat_messages("sys", "q1"), temperature=0.7)
-    assert a != b
+    [a], [b] = _chr_answers(dataset[:1], corpus, embedder, memo, temperature=0.7)
+    assert a.answer_cost != b.answer_cost
     assert backend.calls == memo.calls == 2
     assert memo.hits == 0
 
 
-def test_answer_memo_stores_nothing_for_a_failed_call():
+def test_answer_memo_stores_nothing_for_a_failed_call(dataset, corpus, embedder):
     backend = CountingGenerator(failures=1)
     memo = AnswerMemo(backend)
-    with pytest.raises(BackendUnavailableError):
-        memo.complete(chat_messages("sys", "q1"))
-    result = memo.complete(chat_messages("sys", "q1"))
-    assert result == GenerationResult(text="Answer: A (2)", output_tokens=2)
-    assert memo.complete(chat_messages("sys", "q1")) == result
+    [a], [b] = _chr_answers(dataset[:1], corpus, embedder, memo)
+    # The weight 1.0 shares the failed call's error, and is no hit.
+    assert a.error == b.error == "BackendUnavailableError: transient"
+    assert (backend.calls, memo.calls, memo.hits) == (1, 1, 0)
+    [a], [b] = _chr_answers(dataset[:1], corpus, embedder, memo)
+    assert a.error is None
+    assert a.answer_cost.output_tokens == 2
+    assert b.answer_cost == a.answer_cost
     assert backend.calls == memo.calls == 2
     assert memo.hits == 1
+
+
+def test_a_plain_answer_generator_gets_each_distinct_temperature_0_prompt_once(
+    dataset, corpus, embedder
+):
+    backend = CountingGenerator()
+    chr_records, swept = _chr_answers(dataset[:3], corpus, embedder, backend)
+    assert backend.calls == 3
+    assert [r.answer_cost.output_tokens for r in chr_records] == [1, 2, 3]
+    assert [r.answer_cost for r in swept] == [r.answer_cost for r in chr_records]
+
+
+def test_an_answer_that_failed_in_one_window_is_sent_again_in_the_next(
+    dataset, corpus, embedder
+):
+    # The first answer call, the first item's chr prompt, fails. Its twin
+    # comes at position WINDOW + 1, in the second window.
+    first = dataset[0]
+    items = [*dataset[:WINDOW], replace(first, id="twin")]
+    backend = CountingGenerator(failures=1)
+    chr_records, swept = _chr_answers(items, corpus, embedder, backend)
+    by_id = {r.item_id: r for r in chr_records}
+    swept_by_id = {r.item_id: r for r in swept}
+    assert by_id["twin"].ranked.hits == by_id[first.id].ranked.hits
+    assert by_id[first.id].error == swept_by_id[first.id].error == (
+        "BackendUnavailableError: transient")
+    assert by_id["twin"].error is None
+    assert by_id["twin"].answer_cost.output_tokens == WINDOW + 1  # the last call
+    assert swept_by_id["twin"].answer_cost == by_id["twin"].answer_cost
+    # Each distinct prompt of a window went once.
+    assert backend.calls == WINDOW + 1
 
 
 def test_answer_memo_hit_keeps_the_record_answer_cost(dataset, corpus, embedder):
@@ -631,11 +683,12 @@ def test_a_failed_answer_marks_only_its_own_record(dataset, corpus, embedder):
     assert pooled.prompts.count(failing) == 1
     assert len(pooled.prompts) == len(set(prompts)) == memo.calls
     assert threading.get_ident() not in pooled.threads  # each batch went to the pool
-    # The memo stored nothing for the failed prompt, so asking again reaches
-    # the backend.
-    with pytest.raises(BackendUnavailableError):
-        memo.complete(chat_messages(ANSWER_SYSTEM_PROMPT, failing))
+    # The memo stored nothing for the failed prompt, so a second run with it
+    # sends that prompt again, and no other.
+    again = run(memo)
+    assert again[0].error == got[0].error
     assert pooled.prompts.count(failing) == 2
+    assert len(pooled.prompts) == memo.calls == len(set(prompts)) + 1
 
 
 def test_an_http_generator_gets_an_items_answers_at_once_each_distinct_prompt_once(
