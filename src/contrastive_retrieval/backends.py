@@ -65,14 +65,11 @@ class GenerationResult:
 
 
 class GeneratorBackend(Protocol):
-    calls: int
-
     def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
         ...
 
 
 class EmbedderBackend(Protocol):
-    dimension: int
     # Identity of the vectors: the embedding cache reuses a vector only
     # under the identity that wrote it.
     model: str
@@ -259,8 +256,9 @@ def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exce
     and body in separate small writes (Nagle against delayed ACK).
 
     Connect errors, timeouts, 408 (request timeout), 429 (rate limited), 5xx
-    and bodies that are not JSON are retried ``backend.transport_retries``
-    times, then raise ``error``. Before attempt ``n`` (from 1) it sleeps
+    and bodies that are not JSON, or nest too deep to parse, are retried
+    ``backend.transport_retries`` times, then raise ``error``. Before
+    attempt ``n`` (from 1) it sleeps
     ``backend.backoff_s * n``; after a 429 or 503 whose ``Retry-After`` holds
     delta-seconds, it sleeps ``max(backend.backoff_s * n, Retry-After)``, the
     ``Retry-After`` cut to ``backend.timeout``. An HTTP-date or unreadable
@@ -307,7 +305,7 @@ def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exce
             raise error(f"{role} at {backend.url} rejected the request: HTTP {status}")
         try:
             parsed = json.loads(raw)
-        except ValueError as exc:  # truncated or not JSON; UnicodeDecodeError included
+        except (ValueError, RecursionError) as exc:  # truncated, not UTF-8 or JSON, too deep
             last_error = exc
             continue
         return read(parsed)

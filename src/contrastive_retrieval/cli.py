@@ -259,7 +259,10 @@ def _read_baselines(path: str, config: RunConfig) -> dict[str, float]:
     The run's ``config`` must equal ``config`` on every key in _BASELINE_KEYS.
     """
     with open(path, encoding="utf-8") as fh:
-        summary = json.load(fh)
+        try:
+            summary = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: invalid JSON (nested too deeply)") from None
     baselines = {}
     for method in (METHOD_STANDARD, METHOD_HYDE):
         try:
@@ -403,7 +406,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     lambdas = DEFAULT_SWEEP_GRID
-    if args.lambdas:
+    if args.lambdas is not None:
         lambdas = tuple(float(part) for part in args.lambdas.split(",") if part.strip())
     # Checked before the corpus load, so a bad grid or baselines file costs
     # no backend call.

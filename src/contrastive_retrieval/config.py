@@ -95,7 +95,10 @@ def config_from_dict(data: dict) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Read a JSON config file into a RunConfig."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: invalid JSON (nested too deeply)") from None
     if not isinstance(data, dict):
         raise ValueError("config file must contain a JSON object")
     return config_from_dict(data)

@@ -23,7 +23,7 @@ import struct
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import BinaryIO
 
@@ -119,6 +119,8 @@ def _parse_line(line_no: int, line: str) -> dict | None:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedLineError(line_no, f"invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise MalformedLineError(line_no, "invalid JSON (nested too deeply)") from None
     if not isinstance(obj, dict):
         raise MalformedLineError(line_no, "expected a JSON object")
     return obj
@@ -151,7 +153,9 @@ def load_corpus(
     StaleEmbeddingError naming the document and its line. A version 1 cache
     has no digests: with an embedder it counts as empty (one stderr line),
     without one it raises VersionMismatchError. The cache file is read only
-    when some document lacks an inline embedding.
+    when some document lacks an inline embedding. No file, a version 1 file
+    with an embedder, another embedder's file and an all-inline corpus all
+    give one empty ``CacheFile``, which no row can take a vector from.
 
     The cache's tables and its vector block are read through one open
     file. The block is streamed in chunks of CACHE_CHUNK_ROWS records: each
@@ -201,20 +205,32 @@ def load_corpus(
 
     reading = len(inline) < len(ids) and cache_path and Path(cache_path).exists()
     with open(cache_path, "rb") if reading else nullcontext() as fh:
-        cache = _reusable_cache(fh, embedder) if fh else None
+        cache = _reusable_cache(fh, embedder)
         hit_rows, hit_pos, misses, fault = _match_cache(cache, embedder, ids, texts, lines, inline)
-        matrix = np.empty((len(ids), cache.dimension if cache else 0))
+        matrix = np.empty((len(ids), cache.dimension))
         # Every record is checked before anything is embedded or rewritten.
-        others = _read_block(fh, cache, matrix, hit_rows, hit_pos, bool(misses)) if cache else {}
+        others = _read_block(fh, cache, matrix, hit_rows, hit_pos, bool(misses))
     if fault is not None:
         raise fault
     fresh: dict[int, np.ndarray] = {}
 
     def write_back() -> None:
-        if cache_path and fresh:
-            _write_back(
-                cache_path, embedder.model, cache, others, matrix, hit_rows, fresh, ids, texts
-            )
+        # A kept row is read from ``matrix`` before ``Corpus`` normalizes it:
+        # it is its record's float32 values in float64, which holds them
+        # exactly, so the rewrite stores the same bytes.
+        if not (cache_path and fresh):
+            return
+        entries: dict[str, np.ndarray] = {}
+        digests: dict[str, bytes] = {}
+        for row in sorted([*hit_rows, *fresh]):
+            entries[ids[row]] = fresh[row] if row in fresh else matrix[row]
+            digests[ids[row]] = text_digest(texts[row])
+        for pos, vec in others.items():
+            doc_id = cache.ids[pos]
+            if doc_id not in entries:
+                entries[doc_id] = vec
+                digests[doc_id] = cache.digest(pos)
+        cache_embeddings(cache_path, entries, digests, embedder.model)
 
     try:
         for row, vec in zip(misses, embed_each(embedder, [texts[row] for row in misses])):
@@ -232,7 +248,7 @@ def load_corpus(
     others = None  # the set-aside records are not needed past the write-back
 
     vectors = {**inline, **fresh}
-    dimension = _check_dimensions(matrix.shape[1], hit_rows, vectors, ids, lines)
+    dimension = _check_dimensions(cache.dimension, vectors, ids, lines)
     if matrix.shape[1] != dimension:
         matrix = np.empty((len(ids), dimension))  # no row came from the cache
     for row, vec in vectors.items():
@@ -240,8 +256,12 @@ def load_corpus(
     return Corpus(ids, texts, matrix, _adopt=True)
 
 
-def _reusable_cache(fh: BinaryIO, embedder: EmbedderBackend | None) -> CacheFile | None:
-    """The tables of the cache open as ``fh`` if ``embedder`` may reuse its records, else None."""
+def _reusable_cache(fh: BinaryIO | None, embedder: EmbedderBackend | None) -> CacheFile:
+    """The tables of the cache open as ``fh``; an empty cache when there is no
+    file, or when ``embedder`` may not reuse its records."""
+    empty = CacheFile(model="", ids=[], digests=b"", dimension=0)
+    if fh is None:
+        return empty
     try:
         cache = load_cache(fh)
     except VersionMismatchError as exc:
@@ -249,16 +269,16 @@ def _reusable_cache(fh: BinaryIO, embedder: EmbedderBackend | None) -> CacheFile
             raise
         print(f"{fh.name}: version 1 cache has no text digests; re-embedding every document",
               file=sys.stderr)
-        return None
+        return empty
     if embedder is not None and cache.model != embedder.model:
         print(f"{fh.name}: written by embedder {cache.model!r}, not {embedder.model!r}; "
               f"re-embedding every document", file=sys.stderr)
-        return None
+        return empty
     return cache
 
 
 def _match_cache(
-    cache: CacheFile | None,
+    cache: CacheFile,
     embedder: EmbedderBackend | None,
     ids: list[str],
     texts: list[str],
@@ -270,48 +290,44 @@ def _match_cache(
     Returns the hit rows, their cache positions and the miss rows, all in
     file order, and the error for the first row nothing can fill. Each id is
     looked up once. Without an embedder a record whose digest is unset is
-    taken by id; every other row goes through the per-row check in file
-    order, and the first bad row's error is returned, not raised, so that a
-    drifting record in the block still raises first. A text is hashed only
-    when a record's digest is compared.
+    taken by id. The texts of the other rows with a record are hashed into
+    one buffer and compared with their records' digests in one step. The
+    rows then neither hit nor inline are the misses; without an embedder
+    the first is the error instead (StaleEmbeddingError if its id has a
+    record, else MalformedLineError), returned, not raised, so that a
+    drifting record in the block still raises first.
     """
-    if cache is None:
-        pos = np.full(len(ids), -1)
-    elif cache.ids == ids:
+    if cache.ids == ids:
         pos = np.arange(len(ids))  # the order the write-back leaves
     else:
         index = dict(zip(cache.ids, range(len(cache.ids))))
         pos = np.array([index.get(doc_id, -1) for doc_id in ids], dtype=np.intp)
+    is_inline = np.zeros(len(ids), dtype=bool)
+    is_inline[list(inline)] = True
+    found = (pos >= 0) & ~is_inline
     hit = np.zeros(len(ids), dtype=bool)
-    if embedder is None and cache is not None:
+    if embedder is None:
         unset = ~np.frombuffer(cache.digests, np.uint8).reshape(-1, DIGEST_SIZE).any(1)
-        found = pos >= 0
         hit[found] = unset[pos[found]]
-    hit[list(inline)] = False
-    misses: list[int] = []
-    fault = None
-    for row in np.flatnonzero(~hit).tolist():
-        if row in inline:
-            continue
-        doc_id, at = ids[row], int(pos[row])
-        if at >= 0 and cache.digest(at) == text_digest(texts[row]):
-            hit[row] = True
-        elif embedder is not None:
-            misses.append(row)
-        elif at >= 0:
-            fault = StaleEmbeddingError(lines[doc_id], doc_id)
-            break
-        else:
-            fault = MalformedLineError(
-                lines[doc_id], f"document {doc_id!r} has no embedding and no embedder is configured"
-            )
-            break
+    compare = np.flatnonzero(found & ~hit)
+    computed = b"".join(text_digest(texts[row]) for row in compare.tolist())
+    stored = np.frombuffer(cache.digests, f"V{DIGEST_SIZE}")[pos[compare]]
+    hit[compare] = stored == np.frombuffer(computed, f"V{DIGEST_SIZE}")
+    rest = np.flatnonzero(~(hit | is_inline)).tolist()
     hit_rows = np.flatnonzero(hit)
-    return hit_rows.tolist(), pos[hit_rows].tolist(), misses, fault
+    hits = hit_rows.tolist(), pos[hit_rows].tolist()
+    if embedder is not None or not rest:
+        return *hits, rest, None
+    doc_id = ids[rest[0]]
+    if pos[rest[0]] >= 0:
+        return *hits, [], StaleEmbeddingError(lines[doc_id], doc_id)
+    return *hits, [], MalformedLineError(
+        lines[doc_id], f"document {doc_id!r} has no embedding and no embedder is configured"
+    )
 
 
 def _read_block(
-    fh: BinaryIO,
+    fh: BinaryIO | None,
     cache: CacheFile,
     matrix: np.ndarray,
     hit_rows: list[int],
@@ -327,12 +343,14 @@ def _read_block(
     are then copied into ``matrix``, not yet normalized. With
     ``keep_others``, the float32 rows of the records no hit takes are
     returned by position, for the write-back; otherwise nothing is kept.
+    An empty cache has no block, so nothing is read and ``fh`` may be None.
     """
     count, dimension = len(cache.ids), cache.dimension
     order = np.argsort(hit_pos)
     src = np.array(hit_pos, dtype=np.intp)[order]
     dst = np.array(hit_rows, dtype=np.intp)[order]
-    other_pos = np.setdiff1d(np.arange(count), src) if keep_others else np.empty(0, np.intp)
+    # The positions no hit takes; np.setdiff1d would import numpy.ma (1.3 MB of RSS).
+    other_pos = np.flatnonzero(np.bincount(src, minlength=count) == 0) if keep_others else src[:0]
     others = np.empty((len(other_pos), dimension), dtype="<f4")
     stored = np.empty((min(count, CACHE_CHUNK_ROWS), dimension), dtype="<f4")
     converted = np.empty(stored.shape)
@@ -357,60 +375,28 @@ def _read_block(
     return dict(zip(other_pos.tolist(), others))
 
 
-def _write_back(
-    path: str | Path,
-    model: str,
-    cache: CacheFile | None,
-    others: dict[int, np.ndarray],
-    matrix: np.ndarray,
-    hit_rows: list[int],
-    fresh: dict[int, np.ndarray],
-    ids: list[str],
-    texts: list[str],
-) -> None:
-    """Rewrite the cache with the corpus's vectors, then the file's other records.
-
-    A kept row is read from ``matrix`` before ``Corpus`` normalizes it: it
-    is its record's float32 values in float64, which holds them exactly, so
-    the rewrite stores the same bytes.
-    """
-    entries: dict[str, np.ndarray] = {}
-    digests: dict[str, bytes] = {}
-    for row in sorted([*hit_rows, *fresh]):
-        entries[ids[row]] = fresh[row] if row in fresh else matrix[row]
-        digests[ids[row]] = text_digest(texts[row])
-    for pos, vec in others.items():
-        doc_id = cache.ids[pos]
-        if doc_id not in entries:
-            entries[doc_id] = vec
-            digests[doc_id] = cache.digest(pos)
-    cache_embeddings(path, entries, digests, model)
-
-
 def _check_dimensions(
     cached: int,
-    hit_rows: list[int],
     vectors: dict[int, np.ndarray],
     ids: list[str],
     lines: dict[str, int],
 ) -> int:
     """The corpus dimension; DimensionMismatchError names the first row that differs.
 
-    ``cached`` is the cache's dimension, which every hit row has.
+    A row has its vector's dimension if it is in ``vectors``, else it is a
+    cache hit, of the cache's dimension ``cached``.
     """
-    dims = {row: vec.shape[0] for row, vec in vectors.items()}
-    if hit_rows:
-        dims[hit_rows[0]] = cached
-    if not dims:
+    if not ids:
         return 0  # no documents: Corpus raises EmptyCorpusError
-    dimension = dims[min(dims)]
-    bad = [row for row, dim in dims.items() if dim != dimension]
-    if bad:
-        row = min(bad)
+    dims = np.full(len(ids), cached)
+    dims[list(vectors)] = [vec.shape[0] for vec in vectors.values()]
+    bad = np.flatnonzero(dims != dims[0])
+    if bad.size:
+        row = bad[0]
         raise DimensionMismatchError(
-            f"line {lines[ids[row]]}: embedding dimension {dims[row]} != {dimension}"
+            f"line {lines[ids[row]]}: embedding dimension {dims[row]} != {dims[0]}"
         )
-    return dimension
+    return int(dims[0])
 
 
 def load_dataset(path: str | Path) -> list[QAItem]:
@@ -588,17 +574,9 @@ def record_to_dict(record: EvalRecord) -> dict:
         "predicted": record.predicted,
         "correct": record.correct,
         "pair": pair,
-        "cost": _cost_to_dict(record.cost),
-        "answer_cost": _cost_to_dict(record.answer_cost),
+        "cost": asdict(record.cost),
+        "answer_cost": asdict(record.answer_cost),
         "error": record.error,
-    }
-
-
-def _cost_to_dict(cost: CostEntry) -> dict:
-    return {
-        "llm_calls": cost.llm_calls,
-        "output_tokens": cost.output_tokens,
-        "wall_ms": cost.wall_ms,
     }
 
 

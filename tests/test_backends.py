@@ -19,6 +19,7 @@ from contrastive_retrieval.backends import (
     HttpGeneratorBackend,
     MockEmbedderBackend,
     MockGeneratorBackend,
+    Settled,
     _stable_hash,
     complete_each,
     embed_each,
@@ -247,6 +248,18 @@ def test_http_backend_truncated_body_then_success(serve, sleeps, truncated, cls,
     call(backend)
     assert len(server.requests) == 2
     assert sleeps == [0.5]
+
+
+def test_a_reply_nested_past_the_recursion_limit_is_retried_then_settles_as_an_error(
+    serve, sleeps
+):
+    server = serve(Reply(200, b"[" * 100_000 + b"]" * 100_000))
+    backend = HttpGeneratorBackend(server.url(), "m", transport_retries=2, backoff_s=0.5)
+    [(outcome, _)] = complete_each(Settled(backend), [MESSAGES])
+    assert isinstance(outcome, BackendUnavailableError)
+    assert "maximum recursion depth" in str(outcome)
+    assert len(server.requests) == 3
+    assert sleeps == [0.5, 1.0]
 
 
 @pytest.mark.parametrize("cls, call, body, error", HTTP_BACKENDS)

@@ -31,6 +31,10 @@ from contrastive_retrieval.synthdata import DATASET_FILE, RATINGS_FILE, bundled_
 from helpers import shifted_query_answer
 
 
+# Nested far past Python's recursion limit: json.load raises RecursionError.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
 def run_cli(*argv: str) -> int:
     return main_cli(list(argv))
 
@@ -332,6 +336,16 @@ def test_run_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys, backend_
     assert not out.exists()
 
 
+def test_run_rejects_a_config_nested_past_the_recursion_limit(tmp_path, capsys, backend_calls):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(DEEP_JSON)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config_path), "--out", str(out)) == 1
+    assert f"error: {config_path}: invalid JSON (nested too deeply)" in capsys.readouterr().err
+    assert backend_calls == []
+    assert not out.exists()
+
+
 def test_run_flag_overrides_config(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"mock": True, "k": 3}), encoding="utf-8")
@@ -492,10 +506,21 @@ def test_sweep_rejects_bad_baselines_before_any_backend_call(
     assert not out.exists()
 
 
+def test_sweep_rejects_baselines_nested_past_the_recursion_limit(tmp_path, capsys, backend_calls):
+    path = tmp_path / "summary.json"
+    path.write_bytes(DEEP_JSON)
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--mock", "--baselines", str(path), "--out", str(out)) == 1
+    assert f"error: {path}: invalid JSON (nested too deeply)" in capsys.readouterr().err
+    assert backend_calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lambdas, message", [
     ("0.2,-1", "lambdas must be nonnegative"),
     ("0.5,0.5", "lambdas must be distinct"),
     ("nan,0.5", "lambdas must be nonnegative and finite, not nan"),
+    ("", "need at least one lambda"),
 ])
 def test_sweep_rejects_bad_grid_before_any_backend_call(
     tmp_path, capsys, backend_calls, lambdas, message
@@ -571,6 +596,19 @@ def test_embed_subcommand(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "1 documents (dimension 2)" in out and err == ""
     assert version_1.read_bytes() == b"CHRE" + struct.pack("<IIQ", 1, 2, 0)
+
+
+def test_embed_names_the_line_of_a_corpus_nested_past_the_recursion_limit(
+    tmp_path, capsys, backend_calls
+):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_bytes(b'{"id": "d0", "text": "first"}\n' + DEEP_JSON + b"\n")
+    cache_path = tmp_path / "emb.bin"
+    assert run_cli("embed", "--corpus", str(corpus_path), "--cache", str(cache_path),
+                   "--mock") == 1
+    assert "error: line 2: invalid JSON (nested too deeply)" in capsys.readouterr().err
+    assert backend_calls == []
+    assert not cache_path.exists()
 
 
 def test_embed_embeds_only_what_its_cache_cannot_vouch_for(tmp_path, capsys, backend_calls):

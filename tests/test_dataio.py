@@ -67,17 +67,20 @@ def write_lines(path, rows):
 
 
 class CountingEmbedder:
-    """The mock embedder, counting calls; raises ``error`` on call ``fail_on``."""
+    """The mock embedder, counting calls and recording their texts; raises
+    ``error`` on call ``fail_on``."""
 
     def __init__(self, dimension=8, seed=0, fail_on=None, error=EmbedderFailureError):
         self.inner = MockEmbedderBackend(dimension=dimension, seed=seed)
         self.model = self.inner.model
         self.calls = 0
+        self.texts = []
         self.fail_on = fail_on
         self.error = error
 
     def embed(self, text):
         self.calls += 1
+        self.texts.append(text)
         if self.calls == self.fail_on:
             raise self.error(f"embed call {self.calls} failed")
         return self.inner.embed(text)
@@ -124,6 +127,8 @@ def per_line_parse(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedLineError(line_no, f"invalid JSON ({exc.msg})") from exc
+            except RecursionError:
+                raise MalformedLineError(line_no, "invalid JSON (nested too deeply)") from None
             if not isinstance(obj, dict):
                 raise MalformedLineError(line_no, "expected a JSON object")
             yield line_no, obj
@@ -257,13 +262,14 @@ def test_iter_jsonl_scans_one_line_at_a_time(tmp_path, monkeypatch):
 
 
 def test_iter_jsonl_deep_nesting_raises_the_per_line_error_type(tmp_path):
-    # The recursion limit is met at another stack depth, so the message
-    # (which container was open) may differ; the type may not.
+    # The recursion limit is met at another stack depth in the in-place
+    # scan than in json.loads; either way the line is a malformed one.
     path = tmp_path / "lines.jsonl"
     path.write_bytes(b'{"a": ' + b'[{"a": ' * 1500 + b"1" + b"}]" * 1500 + b"}\n")
     ours, reference = parse_outcome(_iter_jsonl, path), parse_outcome(per_line_parse, path)
     assert ours[0] == reference[0]  # the same pairs ahead of the error
-    assert ours[1] is reference[1] is RecursionError
+    assert ours[1] is reference[1] is MalformedLineError
+    assert ours[2] == reference[2] == 1
 
 
 def test_iter_jsonl_yields_a_line_before_reading_the_next(tmp_path):
@@ -671,6 +677,15 @@ MATCH_CASES = {
         ["d1", "inline2", "d3"],
         [("d1", "unset"), ("inline2", "unset"), ("d3", "set")],
     ),
+    "stale_record_after_set_rows": (
+        ["d1", "d2", "d3"],
+        [("d1", "set"), ("d2", "set"), ("x1", "stale"), ("d3", "unset")],
+    ),
+    "inline_row_cached_stale": (
+        ["d1", "inline2", "d3"],
+        [("d1", "set"), ("inline2", "stale"), ("d3", "unset")],
+    ),
+    "no_corpus_id_cached": (["inline1", "inline2"], [("x1", "set"), ("x2", "stale")]),
 }
 
 
@@ -683,15 +698,22 @@ def test_cache_match_takes_each_row_from_its_own_record(tmp_path, rows, records)
 
 
 @pytest.mark.parametrize(
-    ("records", "error"),
+    ("rows", "records", "error"),
     [
-        ([("d1", "unset"), ("d3", "stale"), ("d4", "unset")], MalformedLineError),
-        ([("d1", "unset"), ("d2", "stale"), ("d4", "unset")], StaleEmbeddingError),
+        (["d1", "d2", "d3", "d4"], [("d1", "unset"), ("d3", "stale"), ("d4", "unset")],
+         MalformedLineError),
+        (["d1", "d2", "d3", "d4"], [("d1", "unset"), ("d2", "stale"), ("d4", "unset")],
+         StaleEmbeddingError),
+        (["d1", "d2", "d3", "d4"], [("d1", "set"), ("d2", "stale"), ("d3", "set"), ("d4", "set")],
+         StaleEmbeddingError),
+        (["inline1", "d2", "d3"], [("inline1", "stale"), ("d3", "stale")], MalformedLineError),
+        (["inline1", "d2", "d3"], [("x1", "set"), ("x2", "unset")], MalformedLineError),
     ],
-    ids=["row_2_missing_row_3_stale", "row_2_stale_row_3_missing"],
+    ids=["row_2_missing_row_3_stale", "row_2_stale_row_3_missing", "row_2_stale_after_set_rows",
+         "inline_row_1_cached_stale_row_2_missing", "no_corpus_id_cached"],
 )
-def test_cache_match_raises_for_the_first_bad_row(tmp_path, records, error):
-    path, cache_path, _ = _match_case(tmp_path, ["d1", "d2", "d3", "d4"], records)
+def test_cache_match_raises_for_the_first_bad_row(tmp_path, rows, records, error):
+    path, cache_path, _ = _match_case(tmp_path, rows, records)
     with pytest.raises(error, match="'d2'") as excinfo:
         load_corpus(path, cache_path=cache_path)
     assert excinfo.value.line_no == 2
@@ -710,6 +732,62 @@ def test_cache_match_with_an_embedder_reuses_only_set_digests(tmp_path):
     assert embedder.calls == 2
     assert corpus.matrix.tobytes() == expected.tobytes()
     assert load_cache(cache_path).ids == ["d1", "d2", "d4", "d5"]
+
+
+def _reference_match(rows, records, embedder, cached):
+    """The cache rule, row by row in file order, for a ``_match_case`` layout.
+
+    ``cached`` is the matrix ``_match_case`` gives, each row from its inline
+    vector or its record. Returns the matrix bytes ``load_corpus`` must
+    build and the texts it must embed, in order, or the type and line of the
+    error it must raise. An inline row takes its own vector whatever the
+    cache holds. Another row takes its record's vector when the record's
+    digest is its text's, or, without an embedder, unset. Otherwise an
+    embedder embeds it; without one the first such row fails,
+    StaleEmbeddingError if it has a record, else MalformedLineError.
+    """
+    digests = dict(records)
+    matrix, texts = [], []
+    for line_no, doc_id in enumerate(rows, start=1):
+        kind = digests.get(doc_id)
+        if doc_id.startswith("inline") or kind == "set" or (kind == "unset" and embedder is None):
+            matrix.append(cached[line_no - 1])
+        elif embedder is not None:
+            texts.append(f"text {doc_id}")
+            matrix.append(reference_normalize_rows([embedder.inner.embed(texts[-1])], passes=2)[0])
+        else:
+            return StaleEmbeddingError if kind else MalformedLineError, line_no
+    return np.array(matrix).tobytes(), texts
+
+
+def test_cache_match_agrees_with_the_per_row_rule_on_random_mixes(tmp_path):
+    # Inline, set, unset, stale and uncached rows, inline rows sometimes
+    # cached too, and records of other ids, in a shuffled cache.
+    rng = np.random.default_rng(25)
+    for mix in range(100):
+        rows, records = [], []
+        for i in range(int(rng.integers(1, 9))):
+            kind = rng.choice(["inline", "set", "unset", "stale", "uncached"])
+            doc_id = f"inline{i}" if kind == "inline" else f"d{i}"
+            rows.append(doc_id)
+            if kind == "inline" and rng.random() < 0.5:
+                kind = rng.choice(["set", "unset", "stale"])  # an inline row also cached
+            if kind not in ("inline", "uncached"):
+                records.append((doc_id, str(kind)))
+        for i in range(int(rng.integers(0, 4))):
+            records.append((f"x{i}", str(rng.choice(["set", "unset", "stale"]))))
+        records = [records[j] for j in rng.permutation(len(records))]
+        for embedder in (None, CountingEmbedder(dimension=MATCH_DIM)):
+            model = embedder.model if embedder else ""
+            path, cache_path, cached = _match_case(tmp_path, rows, records, model)
+            expected = _reference_match(rows, records, embedder, cached)
+            try:
+                got = load_corpus(path, embedder=embedder, cache_path=cache_path).matrix.tobytes()
+            except (StaleEmbeddingError, MalformedLineError) as exc:
+                outcome = type(exc), exc.line_no
+            else:
+                outcome = got, embedder.texts if embedder else []
+            assert outcome == expected, (mix, rows, records, model)
 
 
 # ----------------------------------------------------------------------
