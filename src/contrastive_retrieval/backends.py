@@ -201,21 +201,11 @@ def _retry_after_s(value: str | None) -> float:
 
 
 def _connection(backend):
-    """A new connection to ``backend.url`` and the request target on it."""
-    parts = urlsplit(backend.url)
-    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    if parts.scheme == "http":
-        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=backend.timeout)
-    elif parts.scheme == "https":
-        with backend._lock:
-            if backend._tls is None:
-                backend._tls = ssl.create_default_context()
-        conn = http.client.HTTPSConnection(
-            parts.hostname, parts.port, timeout=backend.timeout, context=backend._tls
-        )
-    else:
-        raise ValueError(f"URL scheme {parts.scheme!r} is not http or https")
-    return conn, target
+    """A new connection to ``backend.url``'s host and port."""
+    if backend._tls is None:
+        return http.client.HTTPConnection(*backend._host, timeout=backend.timeout)
+    return http.client.HTTPSConnection(*backend._host, timeout=backend.timeout,
+                                       context=backend._tls)
 
 
 def _take_slot(backend, slept_to: float) -> int:
@@ -279,14 +269,11 @@ def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exce
         if attempt > 0:
             time.sleep(max(backend.backoff_s * attempt, retry_after))
         retry_after = 0.0
-        try:
-            conn, target = _connection(backend)
-        except ValueError as exc:
-            raise error(f"{role} at {backend.url}: {exc}") from None
+        conn = _connection(backend)
         cuts = _take_slot(backend, slept_to)
         status = None
         try:
-            conn.request("POST", target, body=body, headers=headers)
+            conn.request("POST", backend._target, body=body, headers=headers)
             resp = conn.getresponse()
             status, raw = resp.status, resp.read()
             if status in (429, 503):
@@ -320,6 +307,9 @@ class _HttpSettings:
     ``embed_each``); its own state changes under ``_lock``. That state paces
     the threads' attempts after a 429 or 503 (``_take_slot``, ``_give_slot``),
     as TCP congestion avoidance paces segments (RFC 5681 §3.1).
+
+    The URL is checked once, at construction: a scheme other than http or
+    https, no host or a bad port raises ValueError naming it.
     """
 
     MAX_IN_FLIGHT: ClassVar[int] = 8
@@ -330,13 +320,30 @@ class _HttpSettings:
     timeout: float = 60.0
     transport_retries: int = 2
     backoff_s: float = 0.5
-    # One TLS context, built on the first https call.
+    # The URL's (host, port) and request target, and for https its one TLS
+    # context, all made at construction.
+    _host: tuple[str, int | None] = field(default=("", None), init=False, repr=False)
+    _target: str = field(default="/", init=False, repr=False)
     _tls: ssl.SSLContext | None = field(default=None, init=False, repr=False)
     _lock: threading.Condition = field(default_factory=threading.Condition, init=False, repr=False)
     _limit: float = field(default=MAX_IN_FLIGHT, init=False, repr=False)
     _in_flight: int = field(default=0, init=False, repr=False)
     _resume_at: float = field(default=0.0, init=False, repr=False)
     _cuts: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        parts = urlsplit(self.url)
+        if parts.scheme not in ("http", "https"):
+            raise ValueError(f"{self.url}: URL scheme {parts.scheme!r} is not http or https")
+        if not parts.hostname:
+            raise ValueError(f"{self.url}: URL has no host")
+        try:
+            self._host = (parts.hostname, parts.port)
+        except ValueError as exc:  # a port that is not a number in 0-65535
+            raise ValueError(f"{self.url}: {exc}") from None
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if parts.scheme == "https":
+            self._tls = ssl.create_default_context()
 
 
 @dataclass(eq=False)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -50,6 +49,7 @@ from .config import (
     GENERATOR_API_KEY_ENV,
     RunConfig,
     load_config,
+    read_json,
 )
 # cache_embeddings is not called here; perfbench/tracing.py wraps it under
 # this module's name too.
@@ -258,11 +258,7 @@ def _read_baselines(path: str, config: RunConfig) -> dict[str, float]:
 
     The run's ``config`` must equal ``config`` on every key in _BASELINE_KEYS.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            summary = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: invalid JSON (nested too deeply)") from None
+    summary = read_json(path)
     baselines = {}
     for method in (METHOD_STANDARD, METHOD_HYDE):
         try:
@@ -298,6 +294,8 @@ def _clock(config: RunConfig):
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    # --out, else the config file's out_dir, else out/ (sweep's default is stdout).
+    config = dataclasses.replace(config, out_dir=config.out_dir or "out")
     generator, embedder = _make_backends(config)
     methods = METHODS if args.method == "all" else (_CLI_METHODS[args.method],)
     items, dataset_name, corpus_path = _resolve_inputs(config)
@@ -425,7 +423,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = lambda_sweep(by_lambda, baselines)
     _report_memo(answers)
     _write_reports(
-        args.out_dir, [("sweep", sweep, sweep_to_dict, render_sweep_table, render_sweep_svg)]
+        config.out_dir, [("sweep", sweep, sweep_to_dict, render_sweep_table, render_sweep_svg)]
     )
     return 0
 

@@ -57,7 +57,8 @@ class RunConfig:
     dataset_path: str = ""
     cache_path: str = ""
     ratings_path: str = ""
-    out_dir: str = "out"
+    # Unset, each command's own default applies: out/ for run, stdout for sweep.
+    out_dir: str = ""
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
@@ -92,13 +93,20 @@ def config_from_dict(data: dict) -> RunConfig:
     return RunConfig(**data)
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Read a JSON config file into a RunConfig."""
+def read_json(path: str | Path):
+    """The JSON value in the file at ``path``, else a ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: invalid JSON (nested too deeply)") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Read a JSON config file into a RunConfig."""
+    data = read_json(path)
     if not isinstance(data, dict):
-        raise ValueError("config file must contain a JSON object")
+        raise ValueError(f"{path}: config file must contain a JSON object")
     return config_from_dict(data)

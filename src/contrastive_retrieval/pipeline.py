@@ -10,12 +10,11 @@ as incorrect.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import re
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .backends import (
     EmbedderBackend,
@@ -187,27 +186,6 @@ def _error_text(exc: ContrastiveRetrievalError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-@dataclass(frozen=True)
-class _Ranked:
-    """One ranking of an item before its answer: the answer's messages, or the error."""
-
-    ranked: RankedResult
-    pair: HypothesisPair | None
-    cost: CostEntry
-    messages: list[Message] | None
-    error: str | None
-
-
-class _Fetched:
-    """An embedder that returns vectors fetched already, one per call, in order."""
-
-    def __init__(self, vectors) -> None:
-        self._vectors = iter(vectors)
-
-    def embed(self, text: str):
-        return next(self._vectors)
-
-
 class _Call:
     """One generator call of an expansion, made by ``complete_until_done``."""
 
@@ -226,13 +204,15 @@ class _Expansion:
     """One item's expansion for a method, or for the methods sharing its pair.
 
     What to send: the generator ``requests``, then ``texts()`` to embed. How
-    to rank: ``rank``, from the replies and ``vectors``, with no backend
-    call. It looks up retrieve_* and embed_pair in this module when it runs,
-    so a name rebound here (for tracing, say) is the one it calls.
+    to rank: ``rank``, from the replies and the ``fetched`` vector (or
+    error) of each text, with no backend call: it passes itself to
+    retrieve_* and embed_pair as their embedder, and ``embed`` looks the
+    text up. It looks up retrieve_* and embed_pair in this module when it
+    runs, so a name rebound here (for tracing, say) is the one it calls.
     """
 
     def __init__(self, item: QAItem, config: RunConfig) -> None:
-        self.item, self.vectors, self.embed_seconds = item, [], 0.0
+        self.item, self.fetched, self.embed_seconds = item, {}, 0.0
         try:
             self.requests, self._error = self._requests(config), None
         except ContrastiveRetrievalError as exc:  # a prompt that cannot be rendered
@@ -243,7 +223,7 @@ class _Expansion:
 
     def error(self) -> ContrastiveRetrievalError | None:
         """The first error that stopped one of its calls, if any."""
-        outcomes = [self._error, *(r.outcome for r in self.requests), *self.vectors]
+        outcomes = [self._error, *(r.outcome for r in self.requests), *self.fetched.values()]
         return next((o for o in outcomes if isinstance(o, ContrastiveRetrievalError)), None)
 
     def cost(self) -> CostEntry:
@@ -256,13 +236,17 @@ class _Expansion:
         """The texts to embed: by default, its replies'."""
         return [r.outcome.text for r in self.requests]
 
+    def embed(self, text: str):
+        """The vector fetched for ``text`` in step 2 of ``evaluate``."""
+        return self.fetched[text]
+
 
 class _Standard(_Expansion):
     def texts(self):
         return [self.item.stem]
 
     def rank(self, corpus, k, method, lam):
-        return retrieve_standard(self.item, corpus, k, _Fetched(self.vectors)), None
+        return retrieve_standard(self.item, corpus, k, self), None
 
 
 class _HyDE(_Expansion):
@@ -272,7 +256,7 @@ class _HyDE(_Expansion):
         return [_Call(chat_messages(*prompt)) for prompt in prompts]
 
     def rank(self, corpus, k, method, lam):
-        return retrieve_hyde(self.texts(), corpus, k, _Fetched(self.vectors)), None
+        return retrieve_hyde(self.texts(), corpus, k, self), None
 
 
 class _Query2doc(_Expansion):
@@ -287,7 +271,7 @@ class _Query2doc(_Expansion):
         return [self.item.stem + QUERY2DOC_SEPARATOR + self._pseudo()]
 
     def rank(self, corpus, k, method, lam):
-        return retrieve_query2doc(self.item, self._pseudo(), corpus, k, _Fetched(self.vectors)), None
+        return retrieve_query2doc(self.item, self._pseudo(), corpus, k, self), None
 
 
 class _Pair(_Expansion):
@@ -304,7 +288,7 @@ class _Pair(_Expansion):
 
     def rank(self, corpus, k, method, lam):
         if self.embedded is None:
-            self.embedded = embed_pair(self.requests[0].outcome, _Fetched(self.vectors))
+            self.embedded = embed_pair(self.requests[0].outcome, self)
         if method == METHOD_CHR:
             return retrieve_chr(self.embedded, corpus, lam, k), self.embedded
         return retrieve_h_plus_only(self.embedded, corpus, k), self.embedded
@@ -351,17 +335,20 @@ def evaluate(
     2. Every embedding goes out as one batch: the stems, the Query2doc
        texts, the drafts and each pair's H+ and H-. Each distinct text is
        sent once; a repeat shares its first's vector, or its error, and
-       adds no seconds to its expansion's cost.
-    3. The items are ranked one by one, with no backend call. An item's
-       pair is generated and embedded once, so the corpus computes its two
-       products once and the item's other rankings by it score from its
-       memos.
+       adds no seconds to its expansion's cost. Each expansion keeps the
+       vector or error of each of its texts, keyed by the text.
+    3. The items are ranked one by one, with no backend call, each into
+       its record as it stands unanswered: predicted ``abstain``, an empty
+       answer cost, or the ranking's error. An item's pair is generated and
+       embedded once, so the corpus computes its two products once and the
+       item's other rankings by it score from its memos.
     4. The window's answer prompts go to ``answer_generator`` as one batch.
        At temperature 0 each distinct prompt goes once per ``AnswerMemo``:
        the one passed as ``answer_generator``, which keeps the replies of
        earlier windows and calls, else one of this call's own. A repeat
        shares its first's reply, or its error, and adds no seconds to its
-       answer cost.
+       answer cost. Each answered record then takes its prediction,
+       correctness and answer cost, or the answer's error.
 
     A batch to a backend with ``MAX_IN_FLIGHT`` above 1 has that many calls
     in flight at once; any other backend is called one call at a time, in
@@ -398,41 +385,23 @@ def evaluate(
     answers = (answer_generator if isinstance(answer_generator, AnswerMemo)
                else AnswerMemo(answer_generator))
 
-    def rank(item: QAItem, method: str, lam: float | None, expansion: _Expansion) -> _Ranked:
+    def rank(item: QAItem, method: str, lam: float | None, expansion: _Expansion):
+        """The item's record as it stands unanswered, and its answer call's messages or None."""
         ranked = RankedResult(hits=(), method=method, lam=lam)
-        embedded, cost, messages, error = None, CostEntry(), None, expansion.error()
+        pair, cost, messages, error = None, CostEntry(), None, expansion.error()
         if error is None:
             try:
-                ranked, embedded = expansion.rank(corpus, config.k, method, lam)
+                ranked, pair = expansion.rank(corpus, config.k, method, lam)
                 cost = expansion.cost()
                 prompt = build_answer_prompt(item, ranked, corpus)
                 messages = chat_messages(ANSWER_SYSTEM_PROMPT, prompt)
             except ContrastiveRetrievalError as exc:
                 error = exc
-        return _Ranked(ranked, embedded, cost, messages, error and _error_text(error))
-
-    def record(item: QAItem, method: str, lam: float | None, done: _Ranked, reply) -> EvalRecord:
-        predicted, answer_cost, error = ABSTAIN, CostEntry(), done.error
-        if reply is not None:
-            outcome, seconds = reply
-            if isinstance(outcome, ContrastiveRetrievalError):
-                error = _error_text(outcome)
-            else:
-                answer_cost = _cost_of(1, output_tokens_of(outcome), seconds)
-                predicted = extract_answer(outcome.text, list(item.options))
-        return EvalRecord(
-            item_id=item.id,
-            method=method,
-            ranked=done.ranked,
-            predicted=predicted,
-            correct=predicted != ABSTAIN and predicted == item.answer_key,
-            cost=done.cost,
-            answer_cost=answer_cost,
-            lam=lam,
-            pair=done.pair,
-            dataset=dataset_name,
-            error=error,
-        )
+        record = EvalRecord(
+            item.id, method, ranked, predicted=ABSTAIN, correct=False, cost=cost,
+            answer_cost=CostEntry(), lam=lam, pair=pair, dataset=dataset_name,
+            error=error and _error_text(error))
+        return record, messages
 
     for start in range(0, len(dataset), WINDOW):
         window = dataset[start:start + WINDOW]
@@ -442,37 +411,41 @@ def evaluate(
         requests = [request for expansion in flat for request in expansion.requests]
         complete_until_done(generator, requests, config.temperature, clock)
         # 2. The embeddings, each distinct text once.
-        embedding = [(e, e.texts()) for e in flat if e.error() is None]
-        texts = [text for _, own in embedding for text in own]
-        fetched = iter(_once(lambda batch: embed_each(Settled(embedder, clock), batch),
-                             texts, texts, {}))
-        for expansion, own in embedding:
-            for vector, seconds in itertools.islice(fetched, len(own)):
-                expansion.vectors.append(vector)
-                expansion.embed_seconds += seconds
-        # 3. The rankings, item by item.
-        ranked = [
-            [rank(item, method, lam, per_item[_EXPANSIONS[method]]) for method, lam in plan]
-            for item, per_item in zip(window, expansions)
-        ]
+        embedding = [(e, text) for e in flat if e.error() is None for text in e.texts()]
+        texts = [text for _, text in embedding]
+        fetched = _once(lambda batch: embed_each(Settled(embedder, clock), batch), texts, texts, {})
+        for (expansion, text), (vector, seconds) in zip(embedding, fetched):
+            expansion.fetched[text] = vector
+            expansion.embed_seconds += seconds
+        # 3. The rankings, item by item in plan order, each record unanswered.
+        pending = [(item, records, *rank(item, method, lam, per_item[_EXPANSIONS[method]]))
+                   for item, per_item in zip(window, expansions)
+                   for (method, lam), records in zip(plan, outputs)]
         # 4. The answers: at temperature 0, each distinct prompt once per
         # memo; at any other, every prompt, keyed by its position.
-        messages = [r.messages for rs in ranked for r in rs if r.messages]
+        messages = [m for *_, m in pending if m]
         keys, memo = [_memo_key(m) for m in messages], answers.replies
         if config.temperature != 0:
             keys, memo = range(len(messages)), {}
         answers.calls += len(set(keys) - memo.keys())
         held = len(memo)
-        replies = _once(lambda batch: complete_each(
-            Settled(answers.generator, clock), batch, config.temperature), messages, keys, memo)
+        replies = iter(_once(lambda batch: complete_each(
+            Settled(answers.generator, clock), batch, config.temperature), messages, keys, memo))
         # A hit is an answer in the memo that this batch did not store; a
         # repeat that shared a failed call is none.
         answers.hits += sum(key in memo for key in keys) - (len(memo) - held)
-        replies = iter(replies)
-        for item, item_ranked in zip(window, ranked):
-            for (method, lam), done, records in zip(plan, item_ranked, outputs):
-                reply = next(replies) if done.messages else None
-                records.append(record(item, method, lam, done, reply))
+        for item, records, record, asked in pending:
+            if asked:
+                outcome, seconds = next(replies)
+                if isinstance(outcome, ContrastiveRetrievalError):
+                    record = replace(record, error=_error_text(outcome))
+                else:
+                    predicted = extract_answer(outcome.text, list(item.options))
+                    record = replace(
+                        record, predicted=predicted,
+                        correct=predicted != ABSTAIN and predicted == item.answer_key,
+                        answer_cost=_cost_of(1, output_tokens_of(outcome), seconds))
+            records.append(record)
     for records in outputs:
         records.sort(key=lambda r: r.item_id)
     return by_method, by_lambda

@@ -199,3 +199,32 @@ def test_pooled_batches_keep_perfbench_call_counts_whole(monkeypatch, method):
     # The embedder's batches did run in the pool.
     embeds = spans["embedder"]
     assert any(overlap(a, b) for i, a in enumerate(embeds) for b in embeds[i + 1:])
+
+
+# Every name perfbench wraps on the ranking and answering path, with the
+# module its span is named after.
+TRACED_ON_EVALUATE = (
+    "retrieval.retrieve_standard", "retrieval.retrieve_hyde", "retrieval.retrieve_query2doc",
+    "retrieval.retrieve_chr", "retrieval.retrieve_h_plus_only", "hypotheses.embed_pair",
+    "hypotheses.parse_pair", "pipeline.build_answer_prompt", "pipeline.extract_answer",
+    "retrieval.top_k_from_scores",
+)
+
+
+def test_evaluate_calls_every_name_perfbench_traces():
+    # The tracer rebinds module globals, so only a call made through them at
+    # call time shows up as a span; a name bound once would read 0.
+    tracing = _perfbench_tracing()
+    embedder = MockEmbedderBackend(dimension=64, seed=0)
+    generator = MockGeneratorBackend(seed=0, embedder=embedder)
+    ids, texts = zip(*build_bundled_corpus_texts())
+    corpus = Corpus(ids, texts, [embedder.embed(text) for text in texts])
+    tracer = tracing.Tracer()
+    with tracer.install():
+        evaluate(
+            build_bundled_dataset()[:2], corpus, RunConfig(mock=True), methods=METHODS,
+            lambdas=(0.5,), generator=generator, answer_generator=generator,
+            embedder=embedder, clock=None,
+        )
+    traced = {span[0] for span in tracer.spans}
+    assert [name for name in TRACED_ON_EVALUATE if name not in traced] == []

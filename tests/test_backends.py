@@ -337,10 +337,20 @@ def test_https_backend_builds_one_tls_context(sleeps):
 
 
 def test_http_backend_rejects_other_url_schemes(sleeps):
-    backend = HttpGeneratorBackend("ftp://127.0.0.1/v1", "m", transport_retries=2)
-    with pytest.raises(BackendUnavailableError, match="'ftp' is not http or https"):
-        backend.complete(MESSAGES)
+    with pytest.raises(ValueError, match="'ftp' is not http or https"):
+        HttpGeneratorBackend("ftp://127.0.0.1/v1", "m", transport_retries=2)
     assert sleeps == []
+
+
+@pytest.mark.parametrize("cls", [HttpGeneratorBackend, HttpEmbedderBackend])
+@pytest.mark.parametrize("url, message", [
+    ("http:///v1", "URL has no host"),
+    ("http://127.0.0.1:99999/v1", "Port out of range"),
+    ("https://127.0.0.1:x/v1", "Port could not be cast"),
+], ids=["no-host", "port-range", "port-not-a-number"])
+def test_http_backends_check_their_url_once_at_construction(cls, url, message):
+    with pytest.raises(ValueError, match=re.escape(f"{url}: {message}")):
+        cls(url, "m")
 
 
 def test_http_call_does_not_import_requests(serve):

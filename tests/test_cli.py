@@ -27,8 +27,9 @@ from contrastive_retrieval.config import DEFAULT_SWEEP_GRID, RunConfig
 from contrastive_retrieval.dataio import load_cache, load_corpus, load_dataset, load_records
 from contrastive_retrieval.errors import BackendUnavailableError
 from contrastive_retrieval.hypotheses import embed_pair
-from contrastive_retrieval.synthdata import DATASET_FILE, RATINGS_FILE, bundled_path
+from contrastive_retrieval.synthdata import CORPUS_FILE, DATASET_FILE, RATINGS_FILE, bundled_path
 from helpers import shifted_query_answer
+from http_faults import FaultServer, Reply
 
 
 # Nested far past Python's recursion limit: json.load raises RecursionError.
@@ -344,6 +345,75 @@ def test_run_rejects_a_config_nested_past_the_recursion_limit(tmp_path, capsys, 
     assert f"error: {config_path}: invalid JSON (nested too deeply)" in capsys.readouterr().err
     assert backend_calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--config", b'{"mock": true,\n', "invalid JSON (Expecting property name"),
+    ("--baselines", b'{"methods": ', "invalid JSON (Expecting value"),
+    ("--config", b'\xff{"mock": true}', "invalid JSON ('utf-8' codec can't decode"),
+    ("--baselines", b'\xff{}', "invalid JSON ('utf-8' codec can't decode"),
+    ("--config", b'[{"mock": true}]', "config file must contain a JSON object"),
+], ids=["config-not-json", "baselines-not-json", "config-not-utf8", "baselines-not-utf8",
+        "config-not-an-object"])
+def test_a_config_or_baselines_file_that_cannot_be_read_is_named(
+    tmp_path, capsys, backend_calls, flag, content, message
+):
+    path = tmp_path / "given.json"
+    path.write_bytes(content)
+    command = "run" if flag == "--config" else "sweep"
+    out = tmp_path / "out"
+    assert run_cli(command, "--mock", flag, str(path), "--out", str(out)) == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert backend_calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("url", [
+    "ftp://127.0.0.1:9/v1/chat", "http:///v1/chat", "http://127.0.0.1:99999/v1/chat",
+], ids=["scheme", "no-host", "port"])
+def test_run_rejects_a_malformed_endpoint_url_before_any_backend_call(tmp_path, capsys, url):
+    # The embedder's endpoint is live, so ingest's calls to it would show.
+    server = FaultServer(Reply(200, {"data": [{"embedding": [1.0, 0.0]}]}))
+    try:
+        config = {"generator_url": url, "embedder_url": server.url(),
+                  "dataset_path": str(bundled_path(DATASET_FILE)),
+                  "corpus_path": str(bundled_path(CORPUS_FILE))}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(config_path), "--out", str(out)) == 1
+        assert f"error: {url}: " in capsys.readouterr().err
+        assert server.requests == []
+        assert not out.exists()
+    finally:
+        server.close()
+
+
+def test_the_out_flag_else_the_config_files_out_dir_else_the_default(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"mock": True, "out_dir": "from-config"}),
+                           encoding="utf-8")
+    sweep = ("sweep", "--lambdas", "0.5,1.0")
+    # sweep: the file's out_dir, else stdout.
+    assert run_cli(*sweep, "--config", str(config_path)) == 0
+    assert capsys.readouterr().out == "wrote from-config\n"
+    assert (tmp_path / "from-config" / "report_sweep.json").exists()
+    assert run_cli(*sweep, "--config", str(config_path), "--out", "flag-out") == 0
+    assert capsys.readouterr().out == "wrote flag-out\n"
+    assert (tmp_path / "flag-out" / "report_sweep.json").exists()
+    assert run_cli(*sweep, "--mock") == 0
+    assert capsys.readouterr().out.startswith("Lambda")
+    # run: the file's out_dir, else out/, which summary.json records.
+    assert run_cli("run", "--method", "chr", "--config", str(config_path)) == 0
+    assert (tmp_path / "from-config" / "records_chr.jsonl").exists()
+    assert run_cli("run", "--method", "chr", "--mock") == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["config"]["out_dir"] == "out"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "flag-out", "from-config", "out"]
 
 
 def test_run_flag_overrides_config(tmp_path):
