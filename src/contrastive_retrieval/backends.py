@@ -18,11 +18,12 @@ request asks the server to close. Proxy settings (``HTTP_PROXY``,
 and ``Retry-After``; a permanent status or a reply of the wrong shape fails
 at once (see ``_post_with_retries``).
 
-``complete_each`` and ``embed_each`` make the calls of one batch whose
-inputs do not depend on each other. A backend class whose ``MAX_IN_FLIGHT``
-is above 1 (the HTTP backends, 8) gets up to that many calls at once from
-worker threads, and the HTTP backends fewer for a while after a 429 or 503;
-every other backend is called one at a time.
+``embed_each`` (raising the first failure) and ``settle`` (every call's
+result or error) make the calls of one batch whose inputs do not depend on
+each other. A backend class whose ``MAX_IN_FLIGHT`` is above 1 (the HTTP
+backends, 8) gets up to that many calls at once from worker threads, and
+the HTTP backends fewer for a while after a 429 or 503; every other backend
+is called one at a time.
 
 Deterministic in-process mocks implement the same contracts so the whole
 pipeline runs offline: a rule-driven generator keyed off prompt markers and
@@ -95,13 +96,6 @@ def chat_messages(system: str, user: str) -> list[Message]:
     return [{"role": "system", "content": system}, {"role": "user", "content": user}]
 
 
-def complete_each(
-    generator: GeneratorBackend, message_lists: Sequence[list[Message]], temperature: float = 0.0
-) -> Iterator[GenerationResult]:
-    """``generator.complete(messages, temperature)`` per message list, as ``embed_each``."""
-    return _each(generator, "complete", [(messages, temperature) for messages in message_lists])
-
-
 def embed_each(embedder: EmbedderBackend, texts: Sequence[str]) -> Iterator[np.ndarray]:
     """``embedder.embed(text)`` per text, yielded in input order.
 
@@ -113,53 +107,44 @@ def embed_each(embedder: EmbedderBackend, texts: Sequence[str]) -> Iterator[np.n
     before it were yielded, the later ones are dropped. Closing the iterator
     early, as Ctrl-C does, also waits for the calls in flight.
     """
-    return _each(embedder, "embed", [(text,) for text in texts])
+    return _each(embedder, lambda text: embedder.embed(text), texts)
 
 
-def _each(backend, method: str, calls: list[tuple]) -> Iterator:
-    # The method is looked up per call, so a wrapper set on the backend's
-    # class sees every call.
+def settle(backend, call: Callable, inputs: Sequence, clock: Callable | None = None) -> list[tuple]:
+    """Each input's (``call(input)``, or the ContrastiveRetrievalError that
+    stopped it, its wall seconds by ``clock``, 0.0 without one), in input
+    order. Every call is made, pooled by ``backend``'s ``MAX_IN_FLIGHT`` as
+    ``embed_each`` pools them."""
+    def timed(given) -> tuple:
+        started = clock() if clock else 0.0
+        try:
+            outcome = call(given)
+        except ContrastiveRetrievalError as exc:
+            outcome = exc
+        return outcome, clock() - started if clock else 0.0
+
+    return list(_each(backend, timed, inputs))
+
+
+def _each(backend, call: Callable, inputs: Sequence) -> Iterator:
+    # Each caller passes a ``call`` that looks the backend's method up when
+    # it runs, so a wrapper set on the backend's class sees every call.
     width = getattr(backend, "MAX_IN_FLIGHT", 1)
-    if width <= 1 or len(calls) <= 1:
-        for args in calls:
-            yield getattr(backend, method)(*args)
+    if width <= 1 or len(inputs) <= 1:
+        for given in inputs:
+            yield call(given)
         return
     # Imported here: only a pooled batch pays for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=min(width, len(calls))) as pool:
+    with ThreadPoolExecutor(max_workers=min(width, len(inputs))) as pool:
         window: deque = deque()
-        for args in calls:
+        for given in inputs:
             if len(window) == width:
                 yield window.popleft().result()
-            window.append(pool.submit(getattr(backend, method), *args))
+            window.append(pool.submit(call, given))
         while window:
             yield window.popleft().result()
-
-
-class Settled:
-    """``backend`` for a settled batch: a call returns (its result, or the
-    ContrastiveRetrievalError that stopped it, its wall seconds by ``clock``,
-    0.0 without one). It keeps the backend's ``MAX_IN_FLIGHT``, so
-    ``complete_each`` and ``embed_each`` pool it as they would the backend."""
-
-    def __init__(self, backend, clock: Callable[[], float] | None = None) -> None:
-        self.MAX_IN_FLIGHT = getattr(backend, "MAX_IN_FLIGHT", 1)
-        self._backend, self._clock = backend, clock
-
-    def _call(self, method: str, *args) -> tuple:
-        started = self._clock() if self._clock else 0.0
-        try:
-            outcome = getattr(self._backend, method)(*args)
-        except ContrastiveRetrievalError as exc:
-            outcome = exc
-        return outcome, self._clock() - started if self._clock else 0.0
-
-    def complete(self, messages: list[Message], temperature: float = 0.0) -> tuple:
-        return self._call("complete", messages, temperature)
-
-    def embed(self, text: str) -> tuple:
-        return self._call("embed", text)
 
 
 def complete_until_done(
@@ -169,12 +154,12 @@ def complete_until_done(
     clock: Callable[[], float] | None = None,
 ) -> None:
     """Send each request's ``messages`` until its ``take(outcome, seconds)``
-    returns True; each round is one settled ``complete_each`` batch of the
-    requests not yet done, so a failed call reaches only its own request."""
+    returns True; each round is one ``settle`` batch of the requests not yet
+    done, so a failed call reaches only its own request."""
     pending = list(requests)
     while pending:
-        batch = [r.messages for r in pending]
-        outcomes = list(complete_each(Settled(generator, clock), batch, temperature))
+        outcomes = settle(generator, lambda messages: generator.complete(messages, temperature),
+                          [r.messages for r in pending], clock)
         pending = [r for r, outcome in zip(pending, outcomes) if not r.take(*outcome)]
 
 
@@ -309,7 +294,9 @@ class _HttpSettings:
     as TCP congestion avoidance paces segments (RFC 5681 §3.1).
 
     The URL is checked once, at construction: a scheme other than http or
-    https, no host or a bad port raises ValueError naming it.
+    https, no host, a bad port, or a space or control character, which
+    ``http.client`` refuses to send, raises ValueError naming it. So does an
+    API key that is not printable ASCII; the message never holds the key.
     """
 
     MAX_IN_FLIGHT: ClassVar[int] = 8
@@ -341,6 +328,11 @@ class _HttpSettings:
             self._host = (parts.hostname, parts.port)
         except ValueError as exc:  # a port that is not a number in 0-65535
             raise ValueError(f"{self.url}: {exc}") from None
+        # Checked on the URL as given: urlsplit drops a tab or newline.
+        if re.search(r"[\x00-\x20\x7f]", self.url):
+            raise ValueError(f"{self.url}: URL holds a space or control character")
+        if self.api_key is not None and not (self.api_key.isascii() and self.api_key.isprintable()):
+            raise ValueError(f"{self.url}: API key holds a character that is not printable ASCII")
         self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         if parts.scheme == "https":
             self._tls = ssl.create_default_context()
@@ -357,7 +349,6 @@ class HttpGeneratorBackend(_HttpSettings):
     """
 
     seed: int | None = None
-    calls: int = field(default=0, init=False)
 
     def complete(self, messages: list[Message], temperature: float = 0.0) -> GenerationResult:
         payload: dict = {"model": self.model, "messages": messages, "temperature": temperature}
@@ -374,10 +365,7 @@ class HttpGeneratorBackend(_HttpSettings):
                 tokens = None  # not a count (a bool is an int): the estimate applies
             return GenerationResult(text=text, output_tokens=tokens)
 
-        result = _post_with_retries(self, "generator", payload, read, BackendUnavailableError)
-        with self._lock:
-            self.calls += 1
-        return result
+        return _post_with_retries(self, "generator", payload, read, BackendUnavailableError)
 
 
 @dataclass(eq=False)

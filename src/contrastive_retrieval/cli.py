@@ -191,7 +191,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _make_backends(config: RunConfig) -> tuple[GeneratorBackend, EmbedderBackend]:
     """The command's one generator (expansion and answers) and one embedder."""
     if config.mock:
-        embedder = MockEmbedderBackend(dimension=config.mock_dimension, seed=config.seed)
+        embedder = _make_embedder(config)
         return MockGeneratorBackend(seed=config.seed, embedder=embedder), embedder
     if not (config.generator_url and config.embedder_url):
         raise ValueError(
@@ -199,13 +199,20 @@ def _make_backends(config: RunConfig) -> tuple[GeneratorBackend, EmbedderBackend
             "in the config file or pass --mock"
         )
     gen_key = os.environ.get(GENERATOR_API_KEY_ENV)
+    generator = HttpGeneratorBackend(config.generator_url, config.generator_model,
+                                     api_key=gen_key, seed=config.seed)
+    return generator, _make_embedder(config)
+
+
+def _make_embedder(config: RunConfig) -> EmbedderBackend:
+    """The command's one embedder: ``embed`` needs no generator."""
+    if config.mock:
+        return MockEmbedderBackend(dimension=config.mock_dimension, seed=config.seed)
+    if not config.embedder_url:
+        raise ValueError("no embedder endpoint configured; set embedder_url "
+                         "in the config file or pass --mock")
     emb_key = os.environ.get(EMBEDDER_API_KEY_ENV)
-    return (
-        HttpGeneratorBackend(
-            config.generator_url, config.generator_model, api_key=gen_key, seed=config.seed
-        ),
-        HttpEmbedderBackend(config.embedder_url, config.embedder_model, api_key=emb_key),
-    )
+    return HttpEmbedderBackend(config.embedder_url, config.embedder_model, api_key=emb_key)
 
 
 def _resolve_inputs(config: RunConfig) -> tuple[list[QAItem], str, str]:
@@ -445,7 +452,7 @@ def cmd_stratify(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _, embedder = _make_backends(config)
+    embedder = _make_embedder(config)
     # Ingest embeds only what the cache cannot vouch for and writes it back.
     # Inline embeddings are not cached: the cache's identity is the embedder's.
     corpus = load_corpus(config.corpus_path, embedder=embedder, cache_path=config.cache_path)

@@ -27,7 +27,7 @@ EMBEDDER_API_KEY_ENV = "CHR_EMBEDDER_API_KEY"
 
 
 def check_lambda(lam: float, name: str = "lambda") -> None:
-    """Raise ValueError naming ``lam`` unless it is a finite weight >= 0."""
+    """Raise ValueError naming ``lam`` unless it is finite and >= 0: a weight or temperature."""
     if not 0 <= lam < math.inf:  # false for NaN too
         raise ValueError(f"{name} must be nonnegative and finite, not {lam!r}")
 
@@ -67,6 +67,7 @@ class RunConfig:
             if isinstance(value, bool) != (expected is bool) or not isinstance(value, expected):
                 raise ValueError(f"{field.name} must be {field.type}, not {value!r}")
         check_lambda(self.lam)
+        check_lambda(self.temperature, "temperature")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.hyde_n < 1:

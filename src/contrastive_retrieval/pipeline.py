@@ -21,12 +21,10 @@ from .backends import (
     GenerationResult,
     GeneratorBackend,
     Message,
-    Settled,
     chat_messages,
-    complete_each,
     complete_until_done,
-    embed_each,
     output_tokens_of,
+    settle,
 )
 from .config import RunConfig, check_lambda
 from .costs import CostEntry
@@ -94,20 +92,19 @@ def _memo_key(messages: list[Message]) -> bytes:
     return hashlib.blake2b(json.dumps(messages).encode("utf-8"), digest_size=16).digest()
 
 
-def _once(send, inputs: Sequence, keys: Sequence, memo: dict) -> list[tuple]:
+def _once(backend, call: Callable, inputs: Sequence, keys: Sequence, memo: dict, clock) -> list:
     """Each input's (outcome, seconds), in input order, sending each key's input once.
 
     ``keys`` has one key per input; inputs of one key are equal. One input
-    of each key that ``memo`` lacks goes out through ``send``, all of them
-    in one settled batch; ``send`` yields (the result, or the
-    ContrastiveRetrievalError that stopped the call, its seconds) per
-    input, as ``Settled`` does. The key's first input takes that outcome;
-    every other input shares it, or its error, and adds 0 s. A key whose
-    call succeeded enters ``memo``; a failed one does not, so a later batch
-    sends it again.
+    of each key that ``memo`` lacks goes to ``call`` in one ``settle``
+    batch to ``backend``, timed by ``clock``. The key's first input takes
+    that (result, or the ContrastiveRetrievalError that stopped the call,
+    seconds); every other input shares it, or its error, and adds 0 s. A
+    key whose call succeeded enters ``memo``; a failed one does not, so a
+    later batch sends it again.
     """
     missing = {key: given for key, given in zip(keys, inputs) if key not in memo}
-    sent = dict(zip(missing, list(send(list(missing.values())))))
+    sent = dict(zip(missing, settle(backend, call, list(missing.values()), clock)))
     errors = {}
     for key, (outcome, _) in sent.items():
         if isinstance(outcome, ContrastiveRetrievalError):
@@ -353,8 +350,9 @@ def evaluate(
     A batch to a backend with ``MAX_IN_FLIGHT`` above 1 has that many calls
     in flight at once; any other backend is called one call at a time, in
     order. No two batches overlap, so no embedding overlaps a generator
-    call. Every call is settled: one that fails marks only the records that
-    needed it, with its error, and every other call is still made.
+    call. Every batch goes through ``backends.settle``: a call that fails
+    marks only the records that needed it, with its error, and every other
+    call is still made.
 
     A record's cost is that of its expansion's calls: every ranking by the
     pair carries the pair's cost. ``clock`` stamps wall_ms on cost entries,
@@ -413,7 +411,7 @@ def evaluate(
         # 2. The embeddings, each distinct text once.
         embedding = [(e, text) for e in flat if e.error() is None for text in e.texts()]
         texts = [text for _, text in embedding]
-        fetched = _once(lambda batch: embed_each(Settled(embedder, clock), batch), texts, texts, {})
+        fetched = _once(embedder, lambda text: embedder.embed(text), texts, texts, {}, clock)
         for (expansion, text), (vector, seconds) in zip(embedding, fetched):
             expansion.fetched[text] = vector
             expansion.embed_seconds += seconds
@@ -429,8 +427,8 @@ def evaluate(
             keys, memo = range(len(messages)), {}
         answers.calls += len(set(keys) - memo.keys())
         held = len(memo)
-        replies = iter(_once(lambda batch: complete_each(
-            Settled(answers.generator, clock), batch, config.temperature), messages, keys, memo))
+        replies = iter(_once(answers.generator, lambda m: answers.generator.complete(
+            m, config.temperature), messages, keys, memo, clock))
         # A hit is an answer in the memo that this batch did not store; a
         # repeat that shared a failed call is none.
         answers.hits += sum(key in memo for key in keys) - (len(memo) - held)

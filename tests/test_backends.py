@@ -19,12 +19,11 @@ from contrastive_retrieval.backends import (
     HttpGeneratorBackend,
     MockEmbedderBackend,
     MockGeneratorBackend,
-    Settled,
     _stable_hash,
-    complete_each,
     embed_each,
     estimate_output_tokens,
     output_tokens_of,
+    settle,
 )
 from contrastive_retrieval.errors import BackendUnavailableError, EmbedderFailureError
 from contrastive_retrieval.hypotheses import parse_pair, render_prompt
@@ -89,7 +88,6 @@ def test_http_generator_success(serve):
     result = backend.complete(MESSAGES, temperature=0.5)
     assert result.text == "generated text"
     assert result.output_tokens == 42
-    assert backend.calls == 1
     [request] = server.requests
     assert request.path == "/v1/chat"
     assert request.payload["model"] == "test-model"
@@ -255,7 +253,7 @@ def test_a_reply_nested_past_the_recursion_limit_is_retried_then_settles_as_an_e
 ):
     server = serve(Reply(200, b"[" * 100_000 + b"]" * 100_000))
     backend = HttpGeneratorBackend(server.url(), "m", transport_retries=2, backoff_s=0.5)
-    [(outcome, _)] = complete_each(Settled(backend), [MESSAGES])
+    [(outcome, _)] = settle(backend, backend.complete, [MESSAGES])
     assert isinstance(outcome, BackendUnavailableError)
     assert "maximum recursion depth" in str(outcome)
     assert len(server.requests) == 3
@@ -347,10 +345,25 @@ def test_http_backend_rejects_other_url_schemes(sleeps):
     ("http:///v1", "URL has no host"),
     ("http://127.0.0.1:99999/v1", "Port out of range"),
     ("https://127.0.0.1:x/v1", "Port could not be cast"),
-], ids=["no-host", "port-range", "port-not-a-number"])
+    ("http://ex ample.com/v1/emb", "URL holds a space or control character"),
+    ("http://127.0.0.1:9/v1/emb eddings", "URL holds a space or control character"),
+    ("http://127.0.0.1:9/v1/emb\neddings", "URL holds a space or control character"),
+], ids=["no-host", "port-range", "port-not-a-number", "space-in-host", "space-in-path",
+        "newline-in-path"])
 def test_http_backends_check_their_url_once_at_construction(cls, url, message):
     with pytest.raises(ValueError, match=re.escape(f"{url}: {message}")):
         cls(url, "m")
+
+
+@pytest.mark.parametrize("cls", [HttpGeneratorBackend, HttpEmbedderBackend])
+@pytest.mark.parametrize("key", ["sk-secret123\n", "sk-secret\r\n123", "sk-\x00secret123",
+                                 "sk-secret123\u20ac"],
+                         ids=["newline", "crlf", "nul", "not-latin-1"])
+def test_http_backends_reject_an_api_key_that_is_not_printable_ascii(cls, key):
+    url = "http://127.0.0.1:9/v1"
+    with pytest.raises(ValueError, match=re.escape(f"{url}: API key")) as raised:
+        cls(url, "m", api_key=key)
+    assert "secret" not in str(raised.value)
 
 
 def test_http_call_does_not_import_requests(serve):
@@ -375,13 +388,21 @@ def _number(payload) -> int:
     return int(text.split()[-1])
 
 
+def _raising(settled):
+    """A settled batch's results in input order, up to its first error, which it raises."""
+    for outcome, _ in settled:
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome
+
+
 # Each HTTP backend with: its batch over inputs 0..n-1, the body answering
 # input i, the i a result answers, and the backend's error.
 HTTP_BATCHES = (
     pytest.param(
         HttpGeneratorBackend,
-        lambda b, n: complete_each(b, [[{"role": "user", "content": f"prompt {i}"}]
-                                       for i in range(n)]),
+        lambda b, n: _raising(settle(b, b.complete, [[{"role": "user", "content": f"prompt {i}"}]
+                                                     for i in range(n)])),
         lambda i: {"choices": [{"message": {"content": f"reply {i}"}}]},
         lambda result: int(result.text.split()[-1]),
         BackendUnavailableError, id="generator"),
@@ -413,8 +434,6 @@ def test_a_batch_holds_at_most_max_in_flight_requests_one_per_input(serve, cls, 
     assert [number(result) for result in batch(backend, n)] == list(range(n))
     assert 1 < server.max_in_flight <= cls.MAX_IN_FLIGHT
     assert sorted(_number(request.payload) for request in server.requests) == list(range(n))
-    if cls is HttpGeneratorBackend:
-        assert backend.calls == n
 
 
 @pytest.mark.parametrize("cls, batch, body, number, error", HTTP_BATCHES)
@@ -542,7 +561,7 @@ def test_pacing_state_stays_whole_under_a_short_switch_interval(serve):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = list(complete_each(backend, prompts))
+        results = [reply for reply, _ in settle(backend, backend.complete, prompts)]
     finally:
         sys.setswitchinterval(interval)
     assert [int(result.text.split()[-1]) for result in results] == list(range(100))
@@ -553,16 +572,16 @@ def test_pacing_state_stays_whole_under_a_short_switch_interval(serve):
 
 def test_a_batch_counts_every_call_under_a_short_switch_interval(serve):
     # More workers than cores, switching threads as often as the interpreter
-    # allows: a lost update of ``calls`` would show here.
+    # allows: every call still reaches the server once.
     server = serve(Reply(body=GENERATOR_BODY))
     backend = HttpGeneratorBackend(server.url(), "m")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = list(complete_each(backend, [MESSAGES] * 100))
+        results = settle(backend, backend.complete, [MESSAGES] * 100)
     finally:
         sys.setswitchinterval(interval)
-    assert len(results) == backend.calls == len(server.requests) == 100
+    assert len(results) == len(server.requests) == 100
 
 
 def test_a_backend_without_max_in_flight_is_called_one_at_a_time_in_the_callers_thread():

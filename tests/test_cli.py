@@ -23,7 +23,7 @@ from contrastive_retrieval.cli import (
     build_parser,
     main_cli,
 )
-from contrastive_retrieval.config import DEFAULT_SWEEP_GRID, RunConfig
+from contrastive_retrieval.config import DEFAULT_SWEEP_GRID, EMBEDDER_API_KEY_ENV, RunConfig
 from contrastive_retrieval.dataio import load_cache, load_corpus, load_dataset, load_records
 from contrastive_retrieval.errors import BackendUnavailableError
 from contrastive_retrieval.hypotheses import embed_pair
@@ -108,6 +108,25 @@ def test_run_all_methods_emits_reports(tmp_path):
     ):
         assert (out / name).exists(), name
     assert list(out.glob("*.partial")) == []
+
+
+def test_compare_cost_and_stratify_reproduce_a_runs_reports_byte_for_byte(tmp_path, capsys):
+    # Each report goes through the record codec (save_records, load_records,
+    # record_from_dict) and then through the renderers the run used.
+    out = tmp_path / "out"
+    assert run_cli("run", "--mock", "--seed", "0", "--out", str(out)) == 0
+    again = tmp_path / "again"
+    assert run_cli("compare", str(out / "records_chr.jsonl"), str(out / "records_hyde.jsonl"),
+                   "--out", str(again)) == 0
+    assert run_cli("cost", *map(str, sorted(out.glob("records_*.jsonl"))),
+                   "--out", str(again)) == 0
+    assert run_cli("stratify", "--records", str(out / "records_chr.jsonl"),
+                   "--ratings", str(bundled_path(RATINGS_FILE)), "--out", str(again)) == 0
+    capsys.readouterr()
+    for name in ("overlap", "cost", "strata"):
+        for suffix in (".json", ".txt"):
+            report = f"report_{name}{suffix}"
+            assert (again / report).read_bytes() == (out / report).read_bytes(), report
 
 
 def test_run_all_methods_generates_each_pair_once(tmp_path, capsys, generator_prompts):
@@ -370,7 +389,8 @@ def test_a_config_or_baselines_file_that_cannot_be_read_is_named(
 
 @pytest.mark.parametrize("url", [
     "ftp://127.0.0.1:9/v1/chat", "http:///v1/chat", "http://127.0.0.1:99999/v1/chat",
-], ids=["scheme", "no-host", "port"])
+    "http://127.0.0.1:9/v1/ch at",
+], ids=["scheme", "no-host", "port", "space-in-path"])
 def test_run_rejects_a_malformed_endpoint_url_before_any_backend_call(tmp_path, capsys, url):
     # The embedder's endpoint is live, so ingest's calls to it would show.
     server = FaultServer(Reply(200, {"data": [{"embedding": [1.0, 0.0]}]}))
@@ -698,6 +718,52 @@ def test_embed_embeds_only_what_its_cache_cannot_vouch_for(tmp_path, capsys, bac
         assert run_cli(*argv) == 0
         assert backend_calls.count("embed") == calls, (edit, argv)
     capsys.readouterr()
+
+
+def _embed_argv(tmp_path, config: dict) -> tuple[str, ...]:
+    """``embed`` of a three-passage corpus into ``emb.bin`` under ``config``."""
+    corpus_path, config_path = tmp_path / "corpus.jsonl", tmp_path / "config.json"
+    corpus_path.write_text("".join(json.dumps({"id": f"d{i}", "text": f"passage {i}"}) + "\n"
+                                   for i in range(3)), encoding="utf-8")
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    return ("embed", "--corpus", str(corpus_path), "--cache", str(tmp_path / "emb.bin"),
+            "--config", str(config_path))
+
+
+def test_embed_needs_only_an_embedder_endpoint(tmp_path, capsys):
+    server = FaultServer(Reply(200, {"data": [{"embedding": [1.0, 0.0]}]}))
+    try:
+        endpoint = {"embedder_url": server.url(), "embedder_model": "m"}
+        assert run_cli(*_embed_argv(tmp_path, endpoint)) == 0
+        assert len(server.requests) == 3
+        assert load_cache(tmp_path / "emb.bin").ids == ["d0", "d1", "d2"]
+        (tmp_path / "emb.bin").unlink()
+        capsys.readouterr()
+        # A generator endpoint alone does not do.
+        endpoint = {"generator_url": server.url(), "generator_model": "m"}
+        assert run_cli(*_embed_argv(tmp_path, endpoint)) == 1
+        assert "error: no embedder endpoint configured" in capsys.readouterr().err
+        assert len(server.requests) == 3
+        assert not (tmp_path / "emb.bin").exists()
+    finally:
+        server.close()
+
+
+def test_embed_rejects_an_api_key_with_a_control_character_without_printing_it(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv(EMBEDDER_API_KEY_ENV, "sk-secret123\n")
+    server = FaultServer(Reply(200, {"data": [{"embedding": [1.0, 0.0]}]}))
+    try:
+        endpoint = {"embedder_url": server.url(), "embedder_model": "m"}
+        assert run_cli(*_embed_argv(tmp_path, endpoint)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {server.url()}: API key" in err
+        assert "secret" not in err
+        assert server.requests == []
+        assert not (tmp_path / "emb.bin").exists()
+    finally:
+        server.close()
 
 
 def test_unknown_method_is_a_usage_error(tmp_path, capsys):

@@ -64,17 +64,18 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["lambda", "temperature"])
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
-def test_load_config_rejects_a_weight_that_is_not_finite(tmp_path, value):
+def test_load_config_rejects_a_weight_that_is_not_finite(tmp_path, key, value):
     # json accepts both tokens, and NaN compares false with every bound.
     path = tmp_path / "config.json"
-    path.write_text(f'{{"mock": true, "lambda": {value}}}', encoding="utf-8")
-    with pytest.raises(ValueError, match="^lambda must be nonnegative and finite"):
+    path.write_text(f'{{"mock": true, "{key}": {value}}}', encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{key} must be nonnegative and finite"):
         load_config(path)
 
 
 @pytest.mark.parametrize("field, value", [("lam", -0.1), ("k", 0), ("hyde_n", 0),
-                                          ("max_retries", -1)])
+                                          ("max_retries", -1), ("temperature", -1.0)])
 def test_run_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError):
         RunConfig(**{field: value})
