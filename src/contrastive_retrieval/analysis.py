@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .config import check_lambda
+from .config import sweep_grid
 from .errors import EmptyInputError, NoQualifyingCasesError, UnknownItemIdError
 # run_benchmark is not called here; perfbench/tracing.py wraps it under
 # this module's name too.
@@ -138,22 +138,6 @@ class SweepReport:
         lams = [lam for lam, _ in self.points]
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("sweep lambdas must be strictly increasing")
-
-
-def sweep_grid(lambdas: Sequence[float]) -> list[float]:
-    """The sweep's weights in ascending order.
-
-    Raises ValueError unless there is at least one weight and the weights
-    are finite, nonnegative and distinct.
-    """
-    if not lambdas:
-        raise ValueError("need at least one lambda")
-    for lam in lambdas:
-        check_lambda(lam, "lambdas")
-    lams = sorted(lambdas)
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise ValueError("lambdas must be distinct")
-    return lams
 
 
 def lambda_sweep(

@@ -33,6 +33,7 @@ together.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import http.client
 import json
@@ -45,10 +46,11 @@ from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import ClassVar, Protocol
-from urllib.parse import urlsplit
+from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
 
+from .config import EMBEDDER_API_KEY_ENV, GENERATOR_API_KEY_ENV, RunConfig
 from .errors import (
     BackendUnavailableError, ContrastiveRetrievalError, EmbedderFailureError, ZeroVectorError,
 )
@@ -185,14 +187,6 @@ def _retry_after_s(value: str | None) -> float:
     return float(value) if re.fullmatch(r"[0-9]+", value) else 0.0
 
 
-def _connection(backend):
-    """A new connection to ``backend.url``'s host and port."""
-    if backend._tls is None:
-        return http.client.HTTPConnection(*backend._host, timeout=backend.timeout)
-    return http.client.HTTPSConnection(*backend._host, timeout=backend.timeout,
-                                       context=backend._tls)
-
-
 def _take_slot(backend, slept_to: float) -> int:
     """Wait for the latest 429's or 503's resume-at time, unless it is ``slept_to``,
     which the call slept through itself, and for a slot under the in-flight
@@ -230,18 +224,18 @@ def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exce
     a connection would stall each response on servers that write headers
     and body in separate small writes (Nagle against delayed ACK).
 
-    Connect errors, timeouts, 408 (request timeout), 429 (rate limited), 5xx
+    A TLS certificate that fails verification raises ``error`` at once. Other
+    connect errors, timeouts, 408 (request timeout), 429 (rate limited), 5xx
     and bodies that are not JSON, or nest too deep to parse, are retried
-    ``backend.transport_retries`` times, then raise ``error``. Before
-    attempt ``n`` (from 1) it sleeps
-    ``backend.backoff_s * n``; after a 429 or 503 whose ``Retry-After`` holds
-    delta-seconds, it sleeps ``max(backend.backoff_s * n, Retry-After)``, the
-    ``Retry-After`` cut to ``backend.timeout``. An HTTP-date or unreadable
-    ``Retry-After`` keeps the linear backoff. The other threads calling the
-    backend wait that long too (``_take_slot``). Any
-    other status outside 2xx will not change on retry, so it raises
-    ``error`` at once, naming the status. ``read`` raises ``error`` for a
-    body of the wrong shape, which stops retrying too.
+    ``backend.transport_retries`` times, then raise ``error``. Before attempt
+    ``n`` (from 1) it sleeps ``backend.backoff_s * n``; after a 429 or 503
+    whose ``Retry-After`` holds delta-seconds, it sleeps
+    ``max(backend.backoff_s * n, Retry-After)``, the ``Retry-After`` cut to
+    ``backend.timeout``. An HTTP-date or unreadable ``Retry-After`` keeps the
+    linear backoff. The other threads calling the backend wait that long too
+    (``_take_slot``). Any other status outside 2xx will not change on retry,
+    so it raises ``error`` at once, naming the status. ``read`` raises
+    ``error`` for a body of the wrong shape, which stops retrying too.
     """
     body = json.dumps(payload).encode("utf-8")
     headers = {"Content-Type": "application/json", "Connection": "close"}
@@ -254,7 +248,7 @@ def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exce
         if attempt > 0:
             time.sleep(max(backend.backoff_s * attempt, retry_after))
         retry_after = 0.0
-        conn = _connection(backend)
+        conn = backend._connect()
         cuts = _take_slot(backend, slept_to)
         status = None
         try:
@@ -264,6 +258,8 @@ def _post_with_retries(backend, role: str, payload: dict, read, error: type[Exce
             if status in (429, 503):
                 retry_after = min(_retry_after_s(resp.getheader("Retry-After")), backend.timeout)
                 slept_to = time.monotonic() + max(backend.backoff_s * (attempt + 1), retry_after)
+        except ssl.SSLCertVerificationError as exc:  # a retry gets the same certificate
+            raise error(f"{role} at {backend.url} failed TLS verification: {exc.verify_message}")
         except (OSError, http.client.HTTPException) as exc:
             last_error = exc
             continue
@@ -293,10 +289,13 @@ class _HttpSettings:
     the threads' attempts after a 429 or 503 (``_take_slot``, ``_give_slot``),
     as TCP congestion avoidance paces segments (RFC 5681 §3.1).
 
-    The URL is checked once, at construction: a scheme other than http or
-    https, no host, a bad port, or a space or control character, which
-    ``http.client`` refuses to send, raises ValueError naming it. So does an
-    API key that is not printable ASCII; the message never holds the key.
+    The URL is checked once, at construction, where its connection factory
+    (HTTP, or HTTPS over one TLS context) and request target are made too. A
+    user name or password, which would never be sent, raises ValueError
+    naming the URL without it; then a scheme other than http or https, no
+    host, a bad port, or a space or control character, which ``http.client``
+    refuses to send, raises ValueError naming the URL. So does an API key
+    that is not printable ASCII; the message never holds the key.
     """
 
     MAX_IN_FLIGHT: ClassVar[int] = 8
@@ -307,11 +306,8 @@ class _HttpSettings:
     timeout: float = 60.0
     transport_retries: int = 2
     backoff_s: float = 0.5
-    # The URL's (host, port) and request target, and for https its one TLS
-    # context, all made at construction.
-    _host: tuple[str, int | None] = field(default=("", None), init=False, repr=False)
     _target: str = field(default="/", init=False, repr=False)
-    _tls: ssl.SSLContext | None = field(default=None, init=False, repr=False)
+    _connect: Callable[[], http.client.HTTPConnection] = field(init=False, repr=False)
     _lock: threading.Condition = field(default_factory=threading.Condition, init=False, repr=False)
     _limit: float = field(default=MAX_IN_FLIGHT, init=False, repr=False)
     _in_flight: int = field(default=0, init=False, repr=False)
@@ -320,12 +316,16 @@ class _HttpSettings:
 
     def __post_init__(self) -> None:
         parts = urlsplit(self.url)
+        if parts.username is not None:
+            bare = urlunsplit(parts._replace(netloc=parts.netloc.rpartition("@")[2]))
+            raise ValueError(f"{bare}: URL holds a user name or password, which is never "
+                             f"sent; set {GENERATOR_API_KEY_ENV} or {EMBEDDER_API_KEY_ENV}")
         if parts.scheme not in ("http", "https"):
             raise ValueError(f"{self.url}: URL scheme {parts.scheme!r} is not http or https")
         if not parts.hostname:
             raise ValueError(f"{self.url}: URL has no host")
         try:
-            self._host = (parts.hostname, parts.port)
+            port = parts.port
         except ValueError as exc:  # a port that is not a number in 0-65535
             raise ValueError(f"{self.url}: {exc}") from None
         # Checked on the URL as given: urlsplit drops a tab or newline.
@@ -334,8 +334,9 @@ class _HttpSettings:
         if self.api_key is not None and not (self.api_key.isascii() and self.api_key.isprintable()):
             raise ValueError(f"{self.url}: API key holds a character that is not printable ASCII")
         self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        if parts.scheme == "https":
-            self._tls = ssl.create_default_context()
+        tls = {"context": ssl.create_default_context()} if parts.scheme == "https" else {}
+        kind = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+        self._connect = functools.partial(kind, parts.hostname, port, timeout=self.timeout, **tls)
 
 
 @dataclass(eq=False)
@@ -425,7 +426,7 @@ class MockEmbedderBackend:
     offline retrieval tests.
     """
 
-    def __init__(self, dimension: int = 64, seed: int = 0):
+    def __init__(self, dimension: int = RunConfig.mock_dimension, seed: int = 0):
         if dimension < 2:
             raise ValueError("mock embedder dimension must be >= 2")
         self.dimension = dimension

@@ -33,7 +33,6 @@ from .analysis import (
     lambda_sweep,
     retrieval_shift,
     stratified_accuracy,
-    sweep_grid,
 )
 from .backends import (
     EmbedderBackend,
@@ -44,12 +43,14 @@ from .backends import (
     MockGeneratorBackend,
 )
 from .config import (
+    DEFAULT_K,
     DEFAULT_SWEEP_GRID,
     EMBEDDER_API_KEY_ENV,
     GENERATOR_API_KEY_ENV,
     RunConfig,
     load_config,
     read_json,
+    sweep_grid,
 )
 # cache_embeddings is not called here; perfbench/tracing.py wraps it under
 # this module's name too.
@@ -93,7 +94,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--mock", action="store_true", default=None,
         help="use seeded deterministic offline backends",
     )
-    parser.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
 
 
 def _add_data(parser: argparse.ArgumentParser) -> None:
@@ -101,6 +101,7 @@ def _add_data(parser: argparse.ArgumentParser) -> None:
                         help="QA dataset JSONL")
     parser.add_argument("--corpus", dest="corpus_path", metavar="CORPUS", help="corpus JSONL")
     parser.add_argument("--cache", dest="cache_path", metavar="CACHE", help="embedding cache file")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="overlap report between two record files")
     p_cmp.add_argument("records_a", help="records JSONL of the method expected correct")
     p_cmp.add_argument("records_b", help="records JSONL of the method expected wrong")
-    p_cmp.add_argument("--k", type=int, default=5, help="top-K denominator")
+    p_cmp.add_argument("--k", type=int, default=DEFAULT_K, help="top-K denominator")
     p_cmp.add_argument("--out", default=None, help="output directory")
     p_cmp.set_defaults(func=cmd_compare)
 
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data(p_sweep)
     p_sweep.add_argument(
         "--lambdas", default=None,
-        help="comma-separated weights (default: 0.2,0.4,0.6,0.8,1.0,1.2,1.4)",
+        help=f"comma-separated weights (default: {','.join(map(str, DEFAULT_SWEEP_GRID))})",
     )
     p_sweep.add_argument("--k", type=int, default=None)
     p_sweep.add_argument("--hyde-n", dest="hyde_n", type=int, default=None)
@@ -166,9 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="corpus JSONL")
     p_embed.add_argument("--cache", dest="cache_path", metavar="CACHE", required=True,
                          help="cache file to write")
-    p_embed.add_argument("--config", default=None)
-    p_embed.add_argument("--seed", type=int, default=None)
-    p_embed.add_argument("--mock", action="store_true", default=None)
+    _add_common(p_embed)
     p_embed.set_defaults(func=cmd_embed)
 
     return parser
@@ -207,7 +206,7 @@ def _make_backends(config: RunConfig) -> tuple[GeneratorBackend, EmbedderBackend
 def _make_embedder(config: RunConfig) -> EmbedderBackend:
     """The command's one embedder: ``embed`` needs no generator."""
     if config.mock:
-        return MockEmbedderBackend(dimension=config.mock_dimension, seed=config.seed)
+        return MockEmbedderBackend(seed=config.seed)
     if not config.embedder_url:
         raise ValueError("no embedder endpoint configured; set embedder_url "
                          "in the config file or pass --mock")
@@ -410,9 +409,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    lambdas = DEFAULT_SWEEP_GRID
-    if args.lambdas is not None:
-        lambdas = tuple(float(part) for part in args.lambdas.split(",") if part.strip())
+    lambdas = DEFAULT_SWEEP_GRID if args.lambdas is None else [
+        float(part) for part in args.lambdas.split(",") if part.strip()]
     # Checked before the corpus load, so a bad grid or baselines file costs
     # no backend call.
     lambdas = sweep_grid(lambdas)

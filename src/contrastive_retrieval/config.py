@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -30,6 +31,22 @@ def check_lambda(lam: float, name: str = "lambda") -> None:
     """Raise ValueError naming ``lam`` unless it is finite and >= 0: a weight or temperature."""
     if not 0 <= lam < math.inf:  # false for NaN too
         raise ValueError(f"{name} must be nonnegative and finite, not {lam!r}")
+
+
+def sweep_grid(lambdas: Sequence[float]) -> list[float]:
+    """The sweep's weights in ascending order.
+
+    Raises ValueError unless there is at least one weight and the weights
+    are finite, nonnegative and distinct.
+    """
+    if not lambdas:
+        raise ValueError("need at least one lambda")
+    for lam in lambdas:
+        check_lambda(lam, "lambdas")
+    lams = sorted(lambdas)
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise ValueError("lambdas must be distinct")
+    return lams
 
 
 # What each RunConfig annotation accepts; postponed annotations are strings.

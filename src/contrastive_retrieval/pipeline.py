@@ -26,7 +26,7 @@ from .backends import (
     output_tokens_of,
     settle,
 )
-from .config import RunConfig, check_lambda
+from .config import RunConfig, sweep_grid
 from .costs import CostEntry
 from .errors import ContrastiveRetrievalError, EmptyInputError
 # generate_pair is not called here; perfbench/tracing.py wraps it under this
@@ -154,7 +154,7 @@ def build_answer_prompt(item: QAItem, hits: RankedResult, corpus: Corpus) -> str
     return "\n".join(lines)
 
 
-_ANSWER_LINE_RE = re.compile(r"^\s*answer\s*:\s*\(?([A-Za-z])\)?(?![\w])", re.IGNORECASE | re.MULTILINE)
+_ANSWER_LINE_RE = re.compile(r"^[\s*_#>-]*answer[\s*_]*:[\s*_]*\(?([A-Za-z])\)?(?!\w)", re.I | re.M)
 _PAREN_RE = re.compile(r"\(([A-Za-z])\)")
 _LEADING_RE = re.compile(r"^\s*([A-Za-z])(?![\w])")
 
@@ -162,7 +162,8 @@ _LEADING_RE = re.compile(r"^\s*([A-Za-z])(?![\w])")
 def extract_answer(raw: str, options: Sequence[str]) -> str:
     """Pull the chosen option letter out of free-form generator text.
 
-    Priority: an "Answer: X" line, then a parenthesized "(X)", then a bare
+    Priority: an "Answer: X" line (Markdown emphasis, a heading or a list
+    marker around it allowed), then a parenthesized "(X)", then a bare
     leading letter. Only letters among ``options`` count; anything else
     abstains.
     """
@@ -360,9 +361,9 @@ def evaluate(
     it waited for its window's batch; passing None zeroes timings, which
     keeps record files byte-identical across reruns of deterministic
     backends. Returns (records by method, records by weight), each list
-    sorted by item id. Raises EmptyInputError for no items and ValueError
-    for an unknown or repeated method or a repeated, negative or non-finite
-    weight, before any backend call.
+    sorted by item id. Raises EmptyInputError for no items, and ValueError
+    for an unknown or repeated method or for non-empty ``lambdas`` that are
+    not a valid ``config.sweep_grid``, before any backend call.
     """
     if not dataset:
         raise EmptyInputError("dataset must contain at least one item")
@@ -370,11 +371,10 @@ def evaluate(
         if method not in _EXPANSIONS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     by_method: dict[str, list[EvalRecord]] = {m: [] for m in METHODS if m in methods}
-    by_lambda: dict[float, list[EvalRecord]] = {lam: [] for lam in sorted(lambdas)}
-    if len(by_method) < len(methods) or len(by_lambda) < len(lambdas):
-        raise ValueError("methods and lambdas must be distinct")
-    for lam in by_lambda:
-        check_lambda(lam, "lambdas")
+    if len(by_method) < len(methods):
+        raise ValueError("methods must be distinct")
+    by_lambda: dict[float, list[EvalRecord]] = {
+        lam: [] for lam in (sweep_grid(lambdas) if lambdas else ())}
 
     plan = [(m, config.lam if m == METHOD_CHR else None) for m in by_method]
     plan += [(METHOD_CHR, lam) for lam in by_lambda]

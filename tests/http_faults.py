@@ -10,6 +10,14 @@ connection that carried it), so a test can check both what the client sent
 and how it connected, and the most requests it held unanswered at once
 (``max_in_flight``). Nothing leaves the machine.
 
+With ``tls=True`` the server speaks HTTPS with ``loopback.pem``, a
+self-signed certificate for 127.0.0.1 followed by its key, made once with
+``openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes
+-days 36500 -subj /CN=127.0.0.1 -addext subjectAltName=IP:127.0.0.1
+-out cert.pem -keyout key.pem`` and ``cat cert.pem key.pem``. No client
+trusts it, so a connection whose client checks certificates is counted and
+then ends in the handshake, with no request.
+
     server = FaultServer(Reply(429, headers={"Retry-After": "1"}), Reply(body={...}))
     server = FaultServer(lambda payload: Reply(body=vectors[payload["input"]]))
     backend = HttpEmbedderBackend(server.url("/v1/embeddings"), "m")
@@ -20,10 +28,12 @@ and how it connected, and the most requests it held unanswered at once
 from __future__ import annotations
 
 import json
+import ssl
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from time import sleep  # bound at import: tests replace time.sleep to record backoff
 
 
@@ -67,6 +77,14 @@ class _Handler(BaseHTTPRequestHandler):
         super().setup()
         self.connection_no = self.server.fault.open_connection()
 
+    def handle(self) -> None:
+        if isinstance(self.request, ssl.SSLSocket):
+            try:
+                self.request.do_handshake()
+            except ssl.SSLError:  # the client rejected the certificate
+                return
+        super().handle()
+
     def do_POST(self) -> None:
         raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         request = Request(
@@ -103,7 +121,7 @@ class _Handler(BaseHTTPRequestHandler):
 class FaultServer:
     """A scripted loopback endpoint serving in a daemon thread until ``close``."""
 
-    def __init__(self, *replies: Reply | Callable[[object], Reply]):
+    def __init__(self, *replies: Reply | Callable[[object], Reply], tls: bool = False):
         if not replies:
             raise ValueError("script at least one reply")
         self._script = list(replies)
@@ -115,13 +133,20 @@ class FaultServer:
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.fault = self
+        self._scheme = "https" if tls else "http"
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(Path(__file__).with_name("loopback.pem"))
+            # The handshake waits for the handler, so the connection is counted first.
+            self._httpd.socket = context.wrap_socket(
+                self._httpd.socket, server_side=True, do_handshake_on_connect=False)
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
         self._thread.start()
 
     def url(self, path: str = "/v1") -> str:
-        return f"http://127.0.0.1:{self._httpd.server_address[1]}{path}"
+        return f"{self._scheme}://127.0.0.1:{self._httpd.server_address[1]}{path}"
 
     def open_connection(self) -> int:
         with self._lock:

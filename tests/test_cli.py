@@ -409,6 +409,29 @@ def test_run_rejects_a_malformed_endpoint_url_before_any_backend_call(tmp_path, 
         server.close()
 
 
+@pytest.mark.parametrize("field", ["generator_url", "embedder_url"])
+def test_run_rejects_an_endpoint_url_with_credentials_without_printing_them(
+    tmp_path, capsys, field
+):
+    server = FaultServer(Reply(200, {"data": [{"embedding": [1.0, 0.0]}]}))
+    try:
+        config = {"generator_url": server.url(), "embedder_url": server.url(),
+                  "dataset_path": str(bundled_path(DATASET_FILE)),
+                  "corpus_path": str(bundled_path(CORPUS_FILE))}
+        config[field] = server.url().replace("http://", "http://user:hunter2@")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(config_path), "--out", str(out)) == 1
+        printed = capsys.readouterr()
+        assert f"error: {server.url()}: URL holds a user name or password" in printed.err
+        assert "hunter2" not in printed.out + printed.err
+        assert server.requests == []
+        assert not (out / "summary.json").exists()
+    finally:
+        server.close()
+
+
 def test_the_out_flag_else_the_config_files_out_dir_else_the_default(
     tmp_path, capsys, monkeypatch
 ):

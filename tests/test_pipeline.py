@@ -18,7 +18,7 @@ from contrastive_retrieval.backends import (
     MockGeneratorBackend,
     chat_messages,
 )
-from contrastive_retrieval.config import RunConfig
+from contrastive_retrieval.config import RunConfig, sweep_grid
 from contrastive_retrieval.costs import CostEntry
 from contrastive_retrieval.dataio import record_to_dict
 from contrastive_retrieval.errors import (
@@ -146,6 +146,14 @@ OPTIONS = ("A", "B", "C", "D")
         ("Answer: Z\nbut maybe (B)", "B"),
         ("The answer is (C). Final call:\nAnswer: B", "B"),
         ("Answering this requires care", ABSTAIN),
+        # Markdown around the answer line.
+        ("**Answer:** B", "B"),
+        ("**Answer: B**", "B"),
+        ("Answer: **B**", "B"),
+        ("## Answer: C", "C"),
+        ("- **Answer:** A", "A"),
+        ("**Answering** carefully", ABSTAIN),
+        ("The answer is B.", ABSTAIN),
     ],
 )
 def test_extract_answer(raw, expected):
@@ -475,15 +483,18 @@ def test_lambda_sweep_reports_the_chr_pair_at_every_weight(dataset, corpus, embe
         assert [r.cost for r in swept] == [r.cost for r in chr_records]
 
 
+class NoCalls:
+    def complete(self, *args, **kwargs):
+        raise AssertionError("generator called")
+
+    def embed(self, *args, **kwargs):
+        raise AssertionError("embedder called")
+
+
+NO_CALLS = dict(generator=NoCalls(), answer_generator=NoCalls(), embedder=NoCalls())
+
+
 def test_evaluate_checks_methods_and_weights_before_any_backend_call(dataset, corpus):
-    class NoCalls:
-        def complete(self, *args, **kwargs):
-            raise AssertionError("generator called")
-
-        def embed(self, *args, **kwargs):
-            raise AssertionError("embedder called")
-
-    kwargs = dict(generator=NoCalls(), answer_generator=NoCalls(), embedder=NoCalls())
     for methods, lambdas in (
         (("bm25",), ()),
         (("chr", "chr"), ()),
@@ -492,7 +503,21 @@ def test_evaluate_checks_methods_and_weights_before_any_backend_call(dataset, co
         ((), (-0.1,)),
     ):
         with pytest.raises(ValueError):
-            evaluate(dataset, corpus, mock_config(), methods=methods, lambdas=lambdas, **kwargs)
+            evaluate(dataset, corpus, mock_config(), methods=methods, lambdas=lambdas,
+                     **NO_CALLS)
+    with pytest.raises(ValueError, match="^methods must be distinct$"):
+        evaluate(dataset, corpus, mock_config(), methods=("chr", "chr"), **NO_CALLS)
+
+
+@pytest.mark.parametrize("lambdas", [(0.5, 1.0, 0.5), (0.2, -0.1), (float("nan"),),
+                                     (0.5, float("inf"))],
+                         ids=["repeated", "negative", "nan", "infinite"])
+def test_evaluate_and_sweep_grid_reject_a_bad_grid_with_one_message(dataset, corpus, lambdas):
+    with pytest.raises(ValueError) as from_grid:
+        sweep_grid(lambdas)
+    with pytest.raises(ValueError) as from_evaluate:
+        evaluate(dataset, corpus, mock_config(), methods=("chr",), lambdas=lambdas, **NO_CALLS)
+    assert str(from_evaluate.value) == str(from_grid.value)
 
 
 # ----------------------------------------------------------------------
