@@ -16,6 +16,7 @@ the corpus matrix.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -36,6 +37,7 @@ from .errors import (
     BadMagicError,
     DimensionMismatchError,
     DuplicateIdError,
+    MalformedCacheError,
     MalformedLineError,
     NormDriftError,
     StaleEmbeddingError,
@@ -104,7 +106,7 @@ def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
                 except (ValueError, RecursionError, StopIteration):
                     pass  # the per-line parse below raises the canonical error
                 else:
-                    if not line[end:].strip(" \t\n"):
+                    if line[end:] == "\n" or not line[end:].strip(" \t\n"):
                         yield line_no, obj
                         continue
             if (obj := _parse_line(line_no, line)) is not None:
@@ -126,6 +128,26 @@ def _parse_line(line_no: int, line: str) -> dict | None:
     return obj
 
 
+def _names_its_file(load):
+    """Make ``load(path, ...)`` prefix ``path`` to the line errors it raises,
+    keeping their type and ``line_no``, and name the file when it is not UTF-8.
+
+    Here and not in ``_iter_jsonl``, so a loader's own errors name it too.
+    """
+
+    @functools.wraps(load)
+    def named(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except (MalformedLineError, DuplicateIdError, StaleEmbeddingError) as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 ({exc})") from None
+
+    return named
+
+
 def _require(obj: dict, key: str, kind: type, line_no: int):
     value = obj.get(key)
     if not isinstance(value, kind) or (kind is str and not value):
@@ -137,6 +159,7 @@ def _require(obj: dict, key: str, kind: type, line_no: int):
 # Corpus and dataset ingestion
 # ----------------------------------------------------------------------
 
+@_names_its_file
 def load_corpus(
     path: str | Path,
     embedder: EmbedderBackend | None = None,
@@ -160,11 +183,11 @@ def load_corpus(
     The cache's tables and its vector block are read through one open
     file. The block is streamed in chunks of CACHE_CHUNK_ROWS records: each
     chunk is converted to float64, every record in it is checked against
-    unit norm, and the rows the corpus takes are copied into the one
-    float64 matrix, so a warm load with nothing to embed peaks at that
-    matrix plus one chunk. All of it happens before anything is embedded
-    (NormDriftError names the first drifting record in file order, and
-    comes before the errors of a document nothing can fill), so a bad
+    unit norm, and the rows the corpus takes land in the one float64 matrix
+    (see ``_read_block``), so a warm load with nothing to embed peaks at
+    that matrix plus one chunk. All of it happens before anything is
+    embedded (NormDriftError names the first drifting record in file order,
+    and comes before the errors of a document nothing can fill), so a bad
     record is never reused or written back.
 
     Newly embedded vectors are written back once, the corpus's documents in
@@ -178,20 +201,22 @@ def load_corpus(
     kept. A failure to write is then noted on that error rather than
     replacing it.
 
-    Inline and newly embedded vectors are normalized as they are read.
-    ``Corpus`` normalizes the one matrix in bulk: a cached row's only pass.
+    Inline and newly embedded vectors are normalized as they are read, and
+    again with the matrix. A cached row is normalized once: in its chunk
+    (``_read_block``), or with the matrix when the load writes back.
+    ``Corpus`` adopts the matrix as it is.
     """
     ids: list[str] = []
     texts: list[str] = []
     inline: dict[int, np.ndarray] = {}
     lines: dict[str, int] = {}
     for line_no, obj in _iter_jsonl(path):
-        doc_id = _require(obj, "id", str, line_no)
-        text = _require(obj, "text", str, line_no)
-        if doc_id in lines:
+        doc_id, text, raw = obj.get("id"), obj.get("text"), obj.get("embedding")
+        if not (isinstance(doc_id, str) and doc_id and isinstance(text, str) and text):
+            _require(obj, "id", str, line_no)
+            _require(obj, "text", str, line_no)  # one of the two raises
+        if lines.setdefault(doc_id, line_no) != line_no:
             raise DuplicateIdError(line_no, doc_id)
-        lines[doc_id] = line_no
-        raw = obj.get("embedding")
         if raw is not None:
             # bool is an int, and NumPy turns a string of digits into a number.
             if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:
@@ -209,15 +234,15 @@ def load_corpus(
         hit_rows, hit_pos, misses, fault = _match_cache(cache, embedder, ids, texts, lines, inline)
         matrix = np.empty((len(ids), cache.dimension))
         # Every record is checked before anything is embedded or rewritten.
-        others = _read_block(fh, cache, matrix, hit_rows, hit_pos, bool(misses))
+        others = _read_block(fh, cache, matrix, hit_rows, hit_pos, keep_raw=bool(misses))
     if fault is not None:
         raise fault
     fresh: dict[int, np.ndarray] = {}
 
     def write_back() -> None:
-        # A kept row is read from ``matrix`` before ``Corpus`` normalizes it:
-        # it is its record's float32 values in float64, which holds them
-        # exactly, so the rewrite stores the same bytes.
+        # A kept row is read from ``matrix`` before it is normalized: it is
+        # its record's float32 values in float64, which holds them exactly,
+        # so the rewrite stores the same bytes.
         if not (cache_path and fresh):
             return
         entries: dict[str, np.ndarray] = {}
@@ -248,18 +273,23 @@ def load_corpus(
     others = None  # the set-aside records are not needed past the write-back
 
     vectors = {**inline, **fresh}
-    dimension = _check_dimensions(cache.dimension, vectors, ids, lines)
+    dimension = _check_dimensions(path, cache.dimension, vectors, ids, lines)
     if matrix.shape[1] != dimension:
         matrix = np.empty((len(ids), dimension))  # no row came from the cache
     for row, vec in vectors.items():
         matrix[row] = vec
+    if misses:  # the hits were kept raw for the write-back
+        normalize_rows(matrix, ids)
+    elif inline:  # the hits were normalized as they were read
+        rows = list(inline)
+        matrix[rows] = normalize_rows(matrix[rows], [ids[row] for row in rows])
     return Corpus(ids, texts, matrix, _adopt=True)
 
 
 def _reusable_cache(fh: BinaryIO | None, embedder: EmbedderBackend | None) -> CacheFile:
     """The tables of the cache open as ``fh``; an empty cache when there is no
     file, or when ``embedder`` may not reuse its records."""
-    empty = CacheFile(model="", ids=[], digests=b"", dimension=0)
+    empty = CacheFile(model="", ids=[], digests=b"", dimension=0, path="")
     if fh is None:
         return empty
     try:
@@ -289,18 +319,23 @@ def _match_cache(
 
     Returns the hit rows, their cache positions and the miss rows, all in
     file order, and the error for the first row nothing can fill. Each id is
-    looked up once. Without an embedder a record whose digest is unset is
-    taken by id. The texts of the other rows with a record are hashed into
-    one buffer and compared with their records' digests in one step. The
-    rows then neither hit nor inline are the misses; without an embedder
-    the first is the error instead (StaleEmbeddingError if its id has a
-    record, else MalformedLineError), returned, not raised, so that a
-    drifting record in the block still raises first.
+    looked up once, and a cache that stores an id twice raises
+    MalformedCacheError naming it (one in the corpus's order cannot).
+    Without an embedder a record whose digest is unset is taken by id. The
+    texts of the other rows with a record are hashed into one buffer and
+    compared with their records' digests in one step. The rows then
+    neither hit nor inline are the misses; without an embedder the first is
+    the error instead (StaleEmbeddingError if its id has a record, else
+    MalformedLineError), returned, not raised, so that a drifting record in
+    the block still raises first.
     """
     if cache.ids == ids:
         pos = np.arange(len(ids))  # the order the write-back leaves
     else:
         index = dict(zip(cache.ids, range(len(cache.ids))))
+        if len(index) < len(cache.ids):
+            doc_id = next(d for at, d in enumerate(cache.ids) if index[d] != at)
+            raise MalformedCacheError(f"{cache.path}: id {doc_id!r} is stored twice")
         pos = np.array([index.get(doc_id, -1) for doc_id in ids], dtype=np.intp)
     is_inline = np.zeros(len(ids), dtype=bool)
     is_inline[list(inline)] = True
@@ -332,25 +367,28 @@ def _read_block(
     matrix: np.ndarray,
     hit_rows: list[int],
     hit_pos: list[int],
-    keep_others: bool,
+    keep_raw: bool,
 ) -> dict[int, np.ndarray]:
     """Stream the vector block from ``fh`` into ``matrix``, CACHE_CHUNK_ROWS records at a time.
 
     Each chunk is converted to float64 and every record in it is checked
     against unit norm: NormDriftError names the first record, in file
     order, whose stored norm strayed from 1 by more than CACHE_NORM_TOL (a
-    NaN norm strays too), whichever document it holds. The chunk's hit rows
-    are then copied into ``matrix``, not yet normalized. With
-    ``keep_others``, the float32 rows of the records no hit takes are
-    returned by position, for the write-back; otherwise nothing is kept.
-    An empty cache has no block, so nothing is read and ``fh`` may be None.
+    NaN norm strays too), whichever document it holds. A chunk of hits in
+    order for consecutive rows, as the write-back leaves them, is converted
+    in place in ``matrix``; any other into a buffer, whose hit rows are
+    copied over. Without ``keep_raw`` the rows are divided by the norms
+    just checked: ``normalize``'s one pass. With it (the load writes back)
+    they stay as stored, and the float32 rows of the records no hit takes
+    are returned by position. An empty cache has no block, so nothing is
+    read and ``fh`` may be None.
     """
     count, dimension = len(cache.ids), cache.dimension
     order = np.argsort(hit_pos)
     src = np.array(hit_pos, dtype=np.intp)[order]
     dst = np.array(hit_rows, dtype=np.intp)[order]
     # The positions no hit takes; np.setdiff1d would import numpy.ma (1.3 MB of RSS).
-    other_pos = np.flatnonzero(np.bincount(src, minlength=count) == 0) if keep_others else src[:0]
+    other_pos = np.flatnonzero(np.bincount(src, minlength=count) == 0) if keep_raw else src[:0]
     others = np.empty((len(other_pos), dimension), dtype="<f4")
     stored = np.empty((min(count, CACHE_CHUNK_ROWS), dimension), dtype="<f4")
     converted = np.empty(stored.shape)
@@ -359,23 +397,28 @@ def _read_block(
         chunk = stored[:n]
         if fh.readinto(chunk) != chunk.nbytes:
             raise TruncatedFileError(f"{fh.name}: vector block cut short")
-        chunk64 = converted[:n]
-        chunk64[...] = chunk
-        norms = row_norms(chunk64)
+        a, b = np.searchsorted(src, (start, start + n))
+        in_order = b - a == n and (np.diff(dst[a:b]) == 1).all()
+        rows = matrix[dst[a] : dst[a] + n] if in_order else converted[:n]
+        rows[...] = chunk
+        norms = row_norms(rows)
         drift = ~(np.abs(norms - 1.0) <= CACHE_NORM_TOL)
         if drift.any():
             at = int(np.argmax(drift))
             raise NormDriftError(
                 f"{fh.name}: entry {cache.ids[start + at]!r} has norm {norms[at]:.8f}"
             )
-        a, b = np.searchsorted(src, (start, start + n))
-        matrix[dst[a:b]] = chunk64[src[a:b] - start]
+        if not keep_raw:
+            rows /= norms[:, None]
+        if not in_order:
+            matrix[dst[a:b]] = rows[src[a:b] - start]
         a, b = np.searchsorted(other_pos, (start, start + n))
         others[a:b] = chunk[other_pos[a:b] - start]
     return dict(zip(other_pos.tolist(), others))
 
 
 def _check_dimensions(
+    path: str | Path,
     cached: int,
     vectors: dict[int, np.ndarray],
     ids: list[str],
@@ -394,11 +437,12 @@ def _check_dimensions(
     if bad.size:
         row = bad[0]
         raise DimensionMismatchError(
-            f"line {lines[ids[row]]}: embedding dimension {dims[row]} != {dims[0]}"
+            f"{path}: line {lines[ids[row]]}: embedding dimension {dims[row]} != {dims[0]}"
         )
     return int(dims[0])
 
 
+@_names_its_file
 def load_dataset(path: str | Path) -> list[QAItem]:
     """Read a JSONL dataset of {"id", "question", "options", "answer"} objects."""
     items: list[QAItem] = []
@@ -434,13 +478,15 @@ class CacheFile:
 
     ``digests`` holds DIGEST_SIZE bytes per record, NO_DIGEST for a record
     written without its text. The vector block is not held here:
-    ``load_corpus`` streams it from the file these tables were read from.
+    ``load_corpus`` streams it from the file these tables were read from,
+    ``path``.
     """
 
     model: str
     ids: list[str]
     digests: bytes
     dimension: int
+    path: str
 
     def digest(self, pos: int) -> bytes:
         return self.digests[pos * DIGEST_SIZE : (pos + 1) * DIGEST_SIZE]
@@ -500,7 +546,9 @@ def load_cache(file: str | Path | BinaryIO) -> CacheFile:
     file's length before anything is allocated; TruncatedFileError names the
     part that is cut short, or the bytes left over. A version 1 file raises
     VersionMismatchError: it has no digests and no identity, so nothing in
-    it can be verified. The vectors are checked as ingest reads them.
+    it can be verified. An identity or an id that is not UTF-8 raises
+    MalformedCacheError naming it. The vectors are checked as ingest reads
+    them.
     """
     if isinstance(file, (str, os.PathLike)):
         with open(file, "rb") as fh:
@@ -541,12 +589,30 @@ def load_cache(file: str | Path | BinaryIO) -> CacheFile:
         raise TruncatedFileError(f"{path}: {size - end} unexpected trailing bytes")
     tables += file.read(block_at - len(tables))
     starts = [offset + 4 * count, *ends[:-1]]
+    identity = tables[_CACHE_HEADER.size : offset]
+    try:
+        model = identity.decode("utf-8")
+        ids = [tables[a:b].decode("utf-8") for a, b in zip(starts, ends)]
+    except UnicodeDecodeError:
+        raw = [identity, *(tables[a:b] for a, b in zip(starts, ends))]
+        bad = next(i for i, part in enumerate(raw) if not _is_utf8(part))
+        what = f"id {raw[bad]!r}" if bad else "embedder identity"
+        raise MalformedCacheError(f"{path}: {what} is not UTF-8") from None
     return CacheFile(
-        model=tables[_CACHE_HEADER.size : offset].decode("utf-8"),
-        ids=[tables[a:b].decode("utf-8") for a, b in zip(starts, ends)],
+        model=model,
+        ids=ids,
         digests=tables[digests_at : digests_at + DIGEST_SIZE * count],
         dimension=dimension,
+        path=path,
     )
+
+
+def _is_utf8(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -625,6 +691,7 @@ def save_records(path: str | Path, records: Sequence[EvalRecord]) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
+@_names_its_file
 def load_records(path: str | Path) -> list[EvalRecord]:
     records = []
     for line_no, obj in _iter_jsonl(path):
@@ -639,6 +706,7 @@ def load_records(path: str | Path) -> list[EvalRecord]:
 # Ratings
 # ----------------------------------------------------------------------
 
+@_names_its_file
 def load_ratings(path: str | Path) -> tuple[dict[str, str], set[str]]:
     """Read `item_id<TAB>tier` lines; the `exclude` tier marks exclusions."""
     ratings: dict[str, str] = {}

@@ -110,6 +110,10 @@ class TruncatedFileError(ContrastiveRetrievalError):
     """The embedding cache file ended mid-record."""
 
 
+class MalformedCacheError(ContrastiveRetrievalError):
+    """The embedding cache's tables hold an id twice, or text that is not UTF-8."""
+
+
 class NormDriftError(ContrastiveRetrievalError):
     """A cached embedding drifted outside unit norm beyond float32 tolerance."""
 

@@ -99,7 +99,7 @@ class Corpus:
         _adopt: bool = False,
     ):
         # ``_adopt=True`` is ingest's hand-over of a float64 matrix it built
-        # for this corpus: the array is normalized in place and kept.
+        # and normalized for this corpus: the array is kept as it is.
         ids = tuple(ids)
         texts = tuple(texts)
         if not ids:
@@ -130,7 +130,8 @@ class Corpus:
                 f"{len(ids)} ids and {len(texts)} texts need a ({len(ids)}, d) matrix, "
                 f"got shape {matrix.shape}"
             )
-        normalize_rows(matrix, ids)
+        if not _adopt:
+            normalize_rows(matrix, ids)
         matrix.setflags(write=False)
         self.dimension = matrix.shape[1]
         self.ids = ids

@@ -67,10 +67,11 @@ def reference_normalize_rows(rows, passes: int) -> np.ndarray:
     """Normalize each row with the per-vector ``normalize``, ``passes`` times.
 
     The bulk paths must match this loop bit for bit. Ingest normalizes an
-    inline or embedded vector once as it is read, and every row once more
-    when the corpus is built: two passes for those rows of ``load_corpus``,
-    one for a cached row (checked, not divided, as it is loaded) and one for
-    a corpus built from raw rows.
+    inline or embedded vector once as it is read and once more with the
+    matrix: two passes for those rows of ``load_corpus``. A cached row gets
+    one pass: divided in its chunk by the norm its check computed when the
+    load embeds nothing, else with the whole matrix after the write-back. A
+    corpus built from raw rows gets one pass too.
     """
     out = []
     for row in rows:

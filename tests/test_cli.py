@@ -711,6 +711,16 @@ def test_embed_subcommand(tmp_path, capsys):
     assert version_1.read_bytes() == b"CHRE" + struct.pack("<IIQ", 1, 2, 0)
 
 
+def test_run_says_which_file_repeats_an_id(tmp_path, capsys):
+    # "line 2: duplicate id" alone could be the corpus's or the dataset's.
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text('{"id": "a", "text": "t"}\n{"id": "a", "text": "u"}\n',
+                           encoding="utf-8")
+    assert run_cli("run", "--mock", "--corpus", str(corpus_path),
+                   "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {corpus_path}: line 2: duplicate id 'a'\n"
+
+
 def test_embed_names_the_line_of_a_corpus_nested_past_the_recursion_limit(
     tmp_path, capsys, backend_calls
 ):
@@ -719,7 +729,8 @@ def test_embed_names_the_line_of_a_corpus_nested_past_the_recursion_limit(
     cache_path = tmp_path / "emb.bin"
     assert run_cli("embed", "--corpus", str(corpus_path), "--cache", str(cache_path),
                    "--mock") == 1
-    assert "error: line 2: invalid JSON (nested too deeply)" in capsys.readouterr().err
+    assert (f"error: {corpus_path}: line 2: invalid JSON (nested too deeply)"
+            in capsys.readouterr().err)
     assert backend_calls == []
     assert not cache_path.exists()
 

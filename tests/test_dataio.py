@@ -35,6 +35,7 @@ from contrastive_retrieval.errors import (
     DuplicateIdError,
     EmbedderFailureError,
     InvalidAnswerKeyError,
+    MalformedCacheError,
     MalformedLineError,
     NormDriftError,
     StaleEmbeddingError,
@@ -626,12 +627,15 @@ def _match_case(tmp_path, rows, records, model=""):
     ``rows`` are ids; an id starting with "inline" carries its vector. A
     record is ``(id, digest)``, the digest one of "set" (the text's),
     "unset" or "stale" (another text's). Every id has its own unit vector;
-    a row takes its record's float32 copy, or its inline vector, and an
-    inline row is normalized twice, a cached one once.
+    a row takes its record's float32 copy, or its inline vector scaled by
+    the inline row's own factor, and an inline row is normalized twice, a
+    cached one once.
     """
     names = sorted({*rows, *(doc_id for doc_id, _ in records)})
     rng = np.random.default_rng(11)
     vectors = {doc_id: unit(rng, MATCH_DIM) for doc_id in names}
+    inline = {doc_id: vectors[doc_id] * rng.uniform(0.01, 100.0)
+              for doc_id in rows if doc_id.startswith("inline")}
     digests = {
         "set": lambda doc_id: text_digest(f"text {doc_id}"),
         "unset": lambda doc_id: NO_DIGEST,
@@ -640,14 +644,14 @@ def _match_case(tmp_path, rows, records, model=""):
     path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
     write_lines(path, [
         {"id": doc_id, "text": f"text {doc_id}",
-         **({"embedding": vectors[doc_id].tolist()} if doc_id.startswith("inline") else {})}
+         **({"embedding": inline[doc_id].tolist()} if doc_id in inline else {})}
         for doc_id in rows
     ])
     cache_path.write_bytes(cache_file_bytes(
         [(doc_id, digests[kind](doc_id), vectors[doc_id]) for doc_id, kind in records], model
     ))
     expected = np.array([
-        reference_normalize_rows([vectors[doc_id]], passes=2)[0] if doc_id.startswith("inline")
+        reference_normalize_rows([inline[doc_id]], passes=2)[0] if doc_id in inline
         else reference_normalize_rows([vectors[doc_id].astype("<f4")], passes=1)[0]
         for doc_id in rows
     ])
@@ -825,6 +829,106 @@ def test_cache_match_in_chunks_takes_each_row_from_its_own_record(
         chunked = load_corpus(path, cache_path=cache_path).matrix.tobytes()
     whole = load_corpus(path, cache_path=cache_path).matrix.tobytes()
     assert chunked == whole == expected.tobytes()
+
+
+def _block_layouts():
+    """Corpora and cache orders that mix chunks converted in place with
+    gathered ones, as ``_match_case`` rows and records.
+
+    No cache holds a multiple of 3 or 7 records, so at each of CHUNK_ROWS
+    the last chunk is partial, and each starts with a record the corpus
+    lacks, so the first chunk is gathered even at one record. The records'
+    digests are unset, for a load without an embedder.
+    """
+    rows = [f"d{i:02d}" for i in range(20)]
+    unset = lambda ids: [(doc_id, "unset") for doc_id in ids]  # noqa: E731
+    # Rows 8 and 9 trade places: the 7-record chunk at position 7 holds rows
+    # 6, 7, 9, 8, 10, 11, 12, consecutive at both ends but not in order.
+    swapped = rows[:8] + [rows[9], rows[8]] + rows[10:]
+    inline = [f"inline{i:02d}" if i % 3 == 0 else doc_id for i, doc_id in enumerate(rows)]
+    return {
+        "permuted_with_equal_ends": (rows, unset(["x0", *swapped, "x1"])),
+        "records_the_corpus_lacks_interleaved": (
+            rows, unset(["x0", *rows[:6], "x1", *rows[6:13], "x2", *rows[13:]])
+        ),
+        "in_order_then_reversed": (rows, unset(["x0", *rows[:12], *rows[12:][::-1], "x1"])),
+        "inline_rows_without_a_miss": (
+            inline, unset(["x0", *(d for d in inline if d.startswith("d")), "x1", "x2"])
+        ),
+    }
+
+
+BLOCK_LAYOUTS = _block_layouts()
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+def test_chunks_in_place_and_gathered_give_the_per_row_bits(
+    tmp_path, monkeypatch, layout, chunk_rows
+):
+    rows, records = BLOCK_LAYOUTS[layout]
+    assert len(records) % 3 and len(records) % 7
+    path, cache_path, expected = _match_case(tmp_path, rows, records)
+    monkeypatch.setattr(dataio, "CACHE_CHUNK_ROWS", chunk_rows)
+    corpus = load_corpus(path, cache_path=cache_path)
+    assert corpus.ids == tuple(rows)
+    assert corpus.matrix.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+def test_a_load_with_a_miss_keeps_the_hits_raw_for_the_write_back(
+    tmp_path, monkeypatch, layout, chunk_rows
+):
+    # One new document: the hits must reach the write-back unnormalized, so
+    # the rewritten file and the matrix are those of the record-by-record
+    # reference, whichever way each chunk was read.
+    embedder = CountingEmbedder(dimension=MATCH_DIM)
+    rows, records = BLOCK_LAYOUTS[layout]
+    rows, records = [*rows, "new"], [(doc_id, "set") for doc_id, _ in records]
+    path, cache_path, expected = _match_case(tmp_path, rows, records, embedder.model)
+    expected[-1] = reference_normalize_rows([embedder.inner.embed("text new")], passes=2)[0]
+    old = tmp_path / "old.bin"
+    old.write_bytes(cache_path.read_bytes())
+    monkeypatch.setattr(dataio, "CACHE_CHUNK_ROWS", chunk_rows)
+    corpus = load_corpus(path, embedder=embedder, cache_path=cache_path)
+    assert embedder.texts == ["text new"]
+    assert corpus.matrix.tobytes() == expected.tobytes()
+    reused = {doc_id for doc_id in rows if doc_id.startswith("d")}
+    assert cache_path.read_bytes() == _rewrite_reference(old, rows, embedder, reused, {"new"})
+
+
+class _HugeFor:
+    """The mock embedder, except that ``text`` embeds as a vector whose
+    square sum overflows: its first pass divides it by inf, to zero."""
+
+    def __init__(self, text):
+        self.inner = MockEmbedderBackend(dimension=2, seed=0)
+        self.model = self.inner.model
+        self.text = text
+
+    def embed(self, text):
+        return [1e200, 1e200] if text == self.text else self.inner.embed(text)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", ["inline_only", "inline_beside_a_hit", "inline_beside_a_miss",
+                                  "fresh_beside_a_hit"])
+def test_a_row_zero_after_its_first_pass_is_named_in_every_load(tmp_path, case):
+    embedder = _HugeFor("text bad" if case == "fresh_beside_a_hit" else None)
+    rows = [{"id": "hit", "text": "text hit"}, {"id": "bad", "text": "text bad"}]
+    if case.startswith("inline"):
+        rows[1]["embedding"] = [1e200, 1e200]
+    if case == "inline_only":
+        rows[0]["embedding"] = [1.0, 2.0]
+    if case == "inline_beside_a_miss":
+        rows.append({"id": "miss", "text": "text miss"})
+    path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
+    write_lines(path, rows)
+    cache_embeddings(cache_path, {"hit": embedder.inner.embed("text hit")},
+                     {"hit": text_digest("text hit")}, embedder.model)
+    with pytest.raises(ZeroVectorError, match="of 'bad' is zero"):
+        load_corpus(path, embedder=embedder, cache_path=cache_path)
 
 
 @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
@@ -1240,6 +1344,95 @@ def test_load_ratings_rejects_bad_lines(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises((MalformedLineError, DuplicateIdError)):
         load_ratings(path)
+
+
+# ----------------------------------------------------------------------
+# Every loader names its file
+# ----------------------------------------------------------------------
+
+_DOCUMENT_LINE = '{"id": "a", "text": "t", "embedding": [1.0]}\n'
+_QUESTION_LINE = '{"id": "a", "question": "q", "options": {"A": "x", "B": "y"}, "answer": "A"}\n'
+_RECORD_LINE = json.dumps(record_to_dict(make_record("a", correct=True))) + "\n"
+# Each loader's good first line, a second line it rejects, and the error.
+_TWO_LINES = {
+    load_corpus: (_DOCUMENT_LINE, _DOCUMENT_LINE, DuplicateIdError),
+    load_dataset: (_QUESTION_LINE, _QUESTION_LINE, DuplicateIdError),
+    load_records: (_RECORD_LINE, '{"item_id": "q1"}\n', MalformedLineError),
+    load_ratings: ("a\tGood\n", "a\tGood\n", DuplicateIdError),
+}
+_LOADER_IDS = [load.__name__ for load in _TWO_LINES]
+
+
+@pytest.mark.parametrize("load", _TWO_LINES, ids=_LOADER_IDS)
+def test_each_loader_prefixes_its_path_to_a_line_error(tmp_path, load):
+    # The error keeps its type and line number; only the message gains the path.
+    first, second, error = _TWO_LINES[load]
+    path = tmp_path / "data.in"
+    path.write_text(first + second, encoding="utf-8")
+    with pytest.raises(error) as excinfo:
+        load(path)
+    assert excinfo.value.line_no == 2
+    assert str(excinfo.value).startswith(f"{path}: line 2: ")
+
+
+@pytest.mark.parametrize("load", _TWO_LINES, ids=_LOADER_IDS)
+def test_each_loader_names_a_file_that_is_not_utf8(tmp_path, load):
+    path = tmp_path / "data.in"
+    path.write_bytes(_TWO_LINES[load][0].encode("utf-8") + b"caf\xe9\n")
+    with pytest.raises(ValueError) as excinfo:
+        load(path)
+    assert str(excinfo.value).startswith(f"{path}: not UTF-8 (")
+
+
+def test_a_corpus_names_its_file_in_a_cache_match_or_dimension_error(tmp_path):
+    path, cache_path, _ = _match_case(tmp_path, ["d1", "d2"], [("d1", "unset"), ("d2", "stale")])
+    with pytest.raises(StaleEmbeddingError) as excinfo:
+        load_corpus(path, cache_path=cache_path)
+    assert excinfo.value.line_no == 2
+    assert str(excinfo.value).startswith(f"{path}: line 2: the cached embedding of 'd2'")
+    write_lines(path, [{"id": "d1", "text": "a", "embedding": [1.0, 0.0]},
+                       {"id": "d2", "text": "b", "embedding": [1.0, 0.0, 0.0]}])
+    with pytest.raises(DimensionMismatchError) as excinfo:
+        load_corpus(path)
+    assert str(excinfo.value) == f"{path}: line 2: embedding dimension 3 != 2"
+
+
+@pytest.mark.parametrize(
+    "embedder", [None, CountingEmbedder(dimension=2)], ids=["no_embedder", "embedder"]
+)
+def test_a_cache_that_stores_an_id_twice_is_rejected_by_name(tmp_path, embedder):
+    # The last record used to win silently.
+    path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
+    write_lines(path, [{"id": doc_id, "text": f"text {doc_id}"} for doc_id in ("d1", "d2")])
+    cache_path.write_bytes(cache_file_bytes(
+        [(doc_id, text_digest(f"text {doc_id}"), vec)
+         for doc_id, vec in (("d2", [0.0, 1.0]), ("d1", [1.0, 0.0]), ("d2", [0.6, 0.8]))],
+        embedder.model if embedder else "",
+    ))
+    before = cache_path.read_bytes()
+    with pytest.raises(MalformedCacheError) as excinfo:
+        load_corpus(path, embedder=embedder, cache_path=cache_path)
+    assert str(excinfo.value) == f"{cache_path}: id 'd2' is stored twice"
+    assert cache_path.read_bytes() == before
+    assert embedder is None or embedder.calls == 0
+
+
+@pytest.mark.parametrize(
+    ("planted", "named"), [(b"zz", "id b'\\xff\\xfe'"), (b"IDENT", "embedder identity")]
+)
+def test_a_cache_whose_tables_are_not_utf8_is_rejected_by_name(tmp_path, planted, named):
+    path, cache_path = tmp_path / "corpus.jsonl", tmp_path / "emb.bin"
+    write_lines(path, [{"id": "d1", "text": "text d1"}])
+    blob = cache_file_bytes([("d1", NO_DIGEST, [1.0, 0.0]), ("zz", NO_DIGEST, [0.0, 1.0])], "IDENT")
+    assert blob.count(planted) == 1
+    cache_path.write_bytes(blob.replace(planted, b"\xff\xfe" + planted[2:]))
+    expected = f"{cache_path}: {named} is not UTF-8"
+    with pytest.raises(MalformedCacheError) as excinfo:
+        load_cache(cache_path)
+    assert str(excinfo.value) == expected
+    with pytest.raises(MalformedCacheError) as excinfo:
+        load_corpus(path, cache_path=cache_path)
+    assert str(excinfo.value) == expected
 
 
 # ----------------------------------------------------------------------

@@ -92,9 +92,12 @@ def test_corpus_matrix_bits_equal_per_row_normalize(dim):
     assert np.array_equal(raw, before)
     assert corpus.matrix.flags["C_CONTIGUOUS"] and not corpus.matrix.flags["WRITEABLE"]
     assert Corpus(ids, texts, list(raw)).matrix.tobytes() == expected
-    handed_over = raw.copy()
+    # Ingest hands over rows it has normalized: they are kept as they are,
+    # not divided a second time, and the array is not copied.
+    handed_over = reference_normalize_rows(raw, passes=1)
     owned = Corpus(ids, texts, handed_over, _adopt=True).matrix
     assert owned.tobytes() == expected and np.shares_memory(owned, handed_over)
+    assert expected != reference_normalize_rows(raw, passes=2).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
